@@ -30,10 +30,15 @@ _DENSIFY_THRESHOLD = 0.25
 
 @dataclass
 class DenseWeights:
-    """Dense weight vector with the objective values of its solve."""
+    """Dense weight vector with the objective values of its solve.
+
+    ``converged`` is False when the solver stopped at its iteration cap
+    instead of on its stopping rule.
+    """
 
     w: np.ndarray
     objectives: list[float]
+    converged: bool = True
 
     @property
     def support(self) -> np.ndarray:
@@ -91,6 +96,7 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
 
     f_curr = objective(w)
     objectives = [f_curr]
+    converged = False
     for k in range(max_iter):
         restarted = False
         while True:
@@ -137,8 +143,9 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
         f_prev, f_curr = f_curr, f_new
         objectives.append(f_curr)
         if abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= eps:
+            converged = True
             break
-    return DenseWeights(w, objectives)
+    return DenseWeights(w, objectives, converged)
 
 
 def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
@@ -157,6 +164,7 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
 
     f_curr = full_objective(w)
     objectives = [f_curr]
+    converged = False
     for k in range(max_iter):
         restarted = False
         while True:
@@ -202,11 +210,11 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         objectives.append(f_curr)
         _, coef = _loss_and_coef(M, w, y, kind)
         grad_norm = float(np.linalg.norm(w - np.asarray(M.T @ coef).ravel()))
-        if grad_norm <= eps * (1.0 + float(np.linalg.norm(w))):
+        converged = (grad_norm <= eps * (1.0 + float(np.linalg.norm(w)))
+                     or abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= 1e-14)
+        if converged:
             break
-        if abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= 1e-14:
-            break
-    return DenseWeights(w, objectives)
+    return DenseWeights(w, objectives, converged)
 
 
 def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,

@@ -228,15 +228,15 @@ def _materialize(data: SparseDataset, mode: str, structure, lam: np.ndarray | No
         return cols, ids, ids, np.ones(ids.size)
     sets = structure.groups if mode == "group" else structure.sets
     lams = lam if mode == "group" else structure.lambdas
-    parts, units, feats, scales = [], [], [], []
-    for unit in ids:
-        members = sets[unit]
-        parts.append(data.dense_columns(members) * lams[unit])
-        units.append(np.full(members.size, unit, dtype=np.intp))
-        feats.append(members)
-        scales.append(np.full(members.size, lams[unit]))
-    return (np.hstack(parts), np.concatenate(units),
-            np.concatenate(feats), np.concatenate(scales))
+    members = [sets[unit] for unit in ids]
+    units = np.repeat(ids, [g.size for g in members])
+    feats = np.concatenate(members)
+    scales = lams[units]
+    distinct, where = np.unique(feats, return_inverse=True)
+    # one pass over X; np.take keeps the columns C-ordered, which fixes the
+    # summation order of the bound that fgm_train computes from them
+    cols = np.take(data.dense_columns(distinct), where, axis=1) * scales
+    return cols, units, feats, scales
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +302,14 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     blocks with the inverse step size carried over as ``eta^2 * tau``.
     Re-proposing a stored selection proves no unit set scores higher, so
     training stops with a global certificate for the selection problem.
+    Data holding a non-finite value raises :class:`NumericalError` for
+    outer iteration 1 before any search.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
+    if not np.isfinite(data.X.data).all():
+        raise NumericalError("outer iteration 1: training data holds non-finite values",
+                             iteration=0)
     kind = cfg.loss_kind()
     mode, lam = _unit_lambdas(data, cfg, structure)
     if mode == "tree" and cfg.lambda_policy != "ones" and not structure.lambdas_given:

@@ -15,6 +15,11 @@ and keeping the ``B`` largest scores.  With ``omega = sum_i alpha_i y_i x_i``:
 
 Selection is exact: ties are broken toward the smallest unit index, and
 zero-score units remain selectable so exactly ``min(B, p)`` units return.
+It works on whole score arrays: a partition finds the B-th best score,
+every candidate at or above it is kept so ties across that boundary
+survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
+scores raise ``ValueError``.  The streaming heap :class:`TopB` is kept
+only for the tree walk, which needs a running threshold to prune.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -103,6 +108,20 @@ def score_features(alpha: np.ndarray, data: SparseDataset, lam: np.ndarray) -> n
     return (lam * omega) ** 2
 
 
+def _top(scores: np.ndarray, ids: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``budget`` best ``(score, id)`` pairs, best first; ties to the smaller id."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
+    if scores.size > budget:
+        kth = np.partition(scores, scores.size - budget)[scores.size - budget]
+        keep = scores >= kth
+        scores, ids = scores[keep], ids[keep]
+    order = np.lexsort((ids, -scores))[:budget]
+    return scores[order], ids[order]
+
+
 def select_top_b(scores: np.ndarray, budget: int) -> Constraint:
     """Ids of the ``B`` largest scores; ties go to the smallest index.
 
@@ -112,10 +131,8 @@ def select_top_b(scores: np.ndarray, budget: int) -> Constraint:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a non-empty vector")
-    top = TopB(budget)
-    for j, s in enumerate(scores):
-        top.offer(s, j)
-    return Constraint(tuple(top.ids()), budget)
+    _, ids = _top(scores, np.arange(scores.size), budget)
+    return Constraint(tuple(np.sort(ids)), budget)
 
 
 def score_groups(alpha: np.ndarray, data: SparseDataset, groups: GroupStructure,
@@ -233,25 +250,20 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     if gamma <= 0 or r < 0:
         raise ValueError("need gamma > 0 and r >= 0")
     flat_ids = np.asarray(flat_ids, dtype=np.intp)
-    n, m = data.n, data.m
-    out = np.zeros((n, flat_ids.size))
-    dense_cols: dict[int, np.ndarray] = {}
-
-    def col(a: int) -> np.ndarray:
-        if a not in dense_cols:
-            dense_cols[a] = np.asarray(data.X[:, [a]].todense()).ravel()
-        return dense_cols[a]
-
-    for pos, flat in enumerate(flat_ids):
-        variant = poly_variant(int(flat), m)
+    variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
+    raw = sorted({a for v in variants for a in v[1:]})
+    dense = data.X[:, np.asarray(raw, dtype=np.intp)].toarray()   # one pass over X
+    col = dict(zip(raw, dense.T))
+    out = np.zeros((data.n, flat_ids.size))
+    for pos, variant in enumerate(variants):
         if variant[0] == "const":
             out[:, pos] = r
         elif variant[0] == "linear":
-            out[:, pos] = np.sqrt(2.0 * gamma * r) * col(variant[1])
+            out[:, pos] = np.sqrt(2.0 * gamma * r) * col[variant[1]]
         elif variant[0] == "square":
-            out[:, pos] = gamma * col(variant[1]) ** 2
+            out[:, pos] = gamma * col[variant[1]] ** 2
         else:
-            out[:, pos] = np.sqrt(2.0) * gamma * col(variant[1]) * col(variant[2])
+            out[:, pos] = np.sqrt(2.0) * gamma * col[variant[1]] * col[variant[2]]
     return out
 
 
@@ -262,10 +274,11 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``.  Interaction terms are
     scanned blockwise over the anchor feature: for a block of anchors
-    ``A``, one dense product gives all ``sum_i z_i x_ia x_ib`` values, so
-    peak memory besides the data is ``O(B + block * m)``.  The result is
-    identical to scoring the materialized expansion, including the
-    smallest-flat-id tie rule.
+    ``A``, one sparse product gives the ``sum_i z_i x_ia x_ib`` values for
+    every partner ``b > a``, and the block's cross scores are merged with
+    the running best ``B`` as arrays, so peak memory besides the data is
+    ``O(B + block * m)``.  The result is identical to scoring the
+    materialized expansion, including the smallest-flat-id tie rule.
     """
     if gamma <= 0 or r < 0:
         raise ValueError("need gamma > 0 and r >= 0")
@@ -274,29 +287,25 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     alpha = _check_alpha(alpha, data.n)
     z = alpha * data.y
     m = data.m
-    top = TopB(budget)
-
-    omega_const = r * float(z.sum())
-    top.offer(omega_const ** 2, 0)
 
     lin = np.sqrt(2.0 * gamma * r) * (data.X.T @ z)          # (m,)
     sq = gamma * (data.X.multiply(data.X).T @ z)             # (m,)
+    scores = np.concatenate([[(r * float(z.sum())) ** 2], lin ** 2, sq ** 2])
+    best, best_ids = _top(scores, np.arange(scores.size), budget)
+
+    XT = data.X.T.tocsr()                                    # row a is raw feature a
     root2_gamma = np.sqrt(2.0) * gamma
-    for start in range(0, m, block):
-        anchors = np.arange(start, min(start + block, m))
-        Xa = np.asarray(data.X[:, anchors].todense())        # (n, block)
-        G = data.X.T @ (Xa * z[:, None])                     # (m, block)
-        G = np.asarray(G)
-        for j, a in enumerate(anchors):
-            a = int(a)
-            top.offer(float(lin[a]) ** 2, 1 + a)
-            top.offer(float(sq[a]) ** 2, 1 + m + a)
-            if a + 1 < m:
-                cross = root2_gamma * G[a + 1:, j]
-                base = 1 + 2 * m + (a * (2 * m - a - 1)) // 2
-                for off, val in enumerate(cross):
-                    top.offer(float(val) ** 2, base + off)
-    return Constraint(tuple(top.ids()), budget)
+    for start in range(0, m - 1, block):
+        stop = min(start + block, m - 1)                     # anchors with a partner b > a
+        W = XT[start:stop].toarray().T * z[:, None]          # (n, k)
+        G = XT[start + 1:] @ W                               # rows b = start+1 .. m-1
+        upper = np.arange(m - start - 1) >= np.arange(stop - start)[:, None]
+        cross = (root2_gamma * G.T[upper]) ** 2              # flat-id order
+        first = 1 + 2 * m + (start * (2 * m - start - 1)) // 2
+        best, best_ids = _top(np.concatenate([best, cross]),
+                              np.concatenate([best_ids, np.arange(first, first + cross.size)]),
+                              budget)
+    return Constraint(tuple(np.sort(best_ids)), budget)
 
 
 def score_hik(alpha: np.ndarray, data: SparseDataset, beta: float = 1.0) -> np.ndarray:

@@ -175,3 +175,12 @@ def test_dense_weights_support_properties():
     sol = DenseWeights(np.array([0.0, 1.5, 0.0, -2.0]), [3.0, 1.0])
     np.testing.assert_array_equal(sol.support, [1, 3])
     assert sol.support_size == 2
+
+
+def test_solvers_report_whether_they_converged():
+    data, _, _ = _dense_problem(3, n=30, m=10)
+    kind = LossKind("squared_hinge", 1.0)
+    assert not l2_full_train(data, kind, max_iter=3).converged
+    assert not l1_prox_train(data, kind, 0.1, max_iter=3).converged
+    assert l2_full_train(data, kind).converged
+    assert l1_prox_train(data, kind, 0.1).converged

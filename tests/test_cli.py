@@ -219,6 +219,17 @@ def test_non_finite_values_exit_4(tmp_path):
     assert "numerical failure" in r.stderr
 
 
+def test_single_non_finite_entry_exits_4(tmp_path):
+    # one nan that no search would ever select must still stop training
+    sick = tmp_path / "sick.libsvm"
+    sick.write_text("+1 1:1 2:nan 3:0.5\n-1 1:2 3:1\n+1 1:0.5 2:1 3:2\n-1 2:3 3:1\n")
+    r = run_cli("train", "--data", sick, "--out", tmp_path / "m.json",
+                "--budget", 1, "--max-outer", 3)
+    assert r.returncode == 4
+    assert "numerical failure" in r.stderr and "outer iteration 1" in r.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_rejects_non_plain_model(ws, tmp_path):
     model_path = tmp_path / "poly.model.json"
     r = run_cli("train", "--data", ws / "toy.train.libsvm", "--dim", 60,

@@ -141,6 +141,47 @@ def test_numerical_error_carries_outer_context():
         fgm_train(data, SolverConfig(budget=1, max_outer=2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly"])
+def test_non_finite_data_fails_before_any_search(unit, bad):
+    X = np.array([[1.0, bad, 0.5, 0.0], [2.0, 0.0, 1.0, 1.0],
+                  [0.5, 1.0, 2.0, 0.0], [0.0, 3.0, 1.0, 2.0]])
+    data = SparseDataset(X, np.array([1, -1, 1, -1]))
+    structure = {
+        "plain": None,
+        "group": GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"]),
+        "tree": TreeStructure([np.arange(4), np.array([0, 1]), np.array([2, 3])],
+                              np.array([-1, 0, 0]), ["r", "a", "b"]),
+        "poly": PolyMap(),
+    }[unit]
+    with pytest.raises(NumericalError, match="outer iteration 1: .*non-finite"):
+        fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
+
+
+def test_grouped_units_extract_columns_in_one_pass(monkeypatch):
+    data, _ = _small_problem(seed=9, m=32)
+    tree = TreeStructure([np.arange(i, i + 8) for i in range(0, 32, 8)]
+                         + [np.arange(i, i + 4) for i in range(0, 32, 4)],
+                         np.array([-1] * 4 + [i // 2 for i in range(8)]),
+                         [f"n{i}" for i in range(12)])
+    calls = []
+    original = SparseDataset.dense_columns
+
+    def counted(self, ids):
+        calls.append(np.asarray(ids).copy())
+        return original(self, ids)
+
+    monkeypatch.setattr(SparseDataset, "dense_columns", counted)
+    model = fgm_train(data, SolverConfig(budget=3, max_outer=4, eps_outer=0.0), tree)
+    assert len(calls) == model.n_outer
+    assert set(np.concatenate(calls).tolist()) == set(model.feature_ids())
+
+    calls.clear()
+    poly = fgm_train(data, SolverConfig(budget=3, max_outer=2, eps_outer=0.0), PolyMap())
+    predict(poly, data)
+    assert calls == []
+
+
 def test_unsupported_structure_type():
     data, _ = _small_problem()
     with pytest.raises(ValueError, match="unsupported structure"):

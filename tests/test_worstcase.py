@@ -60,6 +60,27 @@ def test_select_top_b_hand_ties():
     assert select_top_b(np.array([5.0, 1.0]), 4).ids == (0, 1)
 
 
+def test_select_top_b_budget_at_or_above_size_keeps_everything():
+    scores = np.array([0.0, 2.0, 2.0, 1.0])
+    for budget in (4, 5, 100):
+        got = select_top_b(scores, budget)
+        assert got.ids == (0, 1, 2, 3) == sort_top_b(scores, budget)
+        assert got.budget == budget
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_select_top_b_rejects_budget_below_one(budget):
+    with pytest.raises(ValueError, match="budget"):
+        select_top_b(np.array([1.0, 2.0]), budget)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_select_top_b_rejects_nan_scores(budget):
+    # a NaN must never yield a short or arbitrary selection
+    with pytest.raises(ValueError, match="NaN"):
+        select_top_b(np.array([1.0, np.nan, 0.5]), budget)
+
+
 def test_constraint_validation():
     with pytest.raises(ValueError, match="sorted and unique"):
         Constraint((2, 1), 3)
@@ -268,12 +289,90 @@ def test_poly_streamed_tie_on_duplicate_columns():
     assert got.ids == sort_top_b(scores, 2)
 
 
+def _poly_scores_exact(X, alpha, y, gamma, r):
+    """Oracle scores ``(factor * sum_i z_i raw_i)^2``, one virtual feature at a time.
+
+    The raw sums are exact for small integer data, so features whose raw
+    sums and factors agree tie exactly, whatever their kind.
+    """
+    m = X.shape[1]
+    z = alpha * y
+    factor = {"const": r, "linear": np.sqrt(2.0 * gamma * r), "square": gamma,
+              "cross": np.sqrt(2.0) * gamma}
+    scores = []
+    for flat in range(poly_dim(m)):
+        kind, *idx = poly_variant(flat, m)
+        raw = np.prod(X[:, idx * 2 if kind == "square" else idx], axis=1)
+        scores.append(float(factor[kind] * float(raw @ z)) ** 2)
+    return np.array(scores)
+
+
+def _check_every_budget(X, alpha, y, gamma, r, blocks):
+    data = SparseDataset(X, y)
+    scores = _poly_scores_exact(X, alpha, y, gamma, r)
+    for budget in range(1, scores.size + 1):
+        want = sort_top_b(scores, budget)
+        if scores.size <= 15:
+            assert best_subset_lex(scores, budget) == want
+        for block in blocks:
+            got = score_polynomial_streamed(alpha, data, gamma, r, budget, block)
+            assert got.ids == want, (budget, block)
+    return scores
+
+
+def test_poly_streamed_ties_across_anchor_blocks():
+    # raw feature 4 duplicates feature 0, so cross (0, b) ties cross (4, b)
+    # and cross (0, a) ties cross (a, 4), in different anchor blocks for
+    # block sizes 1, 2 and 3; small integer data keeps every sum exact
+    rng = np.random.default_rng(31)
+    m = 6
+    X = rng.integers(-2, 3, size=(8, m)).astype(float)
+    X[:, 4] = X[:, 0]
+    y = np.array([1, -1, 1, 1, -1, 1, -1, -1])
+    alpha = rng.integers(1, 8, size=8) / 4.0
+    scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, m))
+    flat = lambda a, b: poly_flat(("cross", a, b), m)
+    assert scores[flat(0, 5)] == scores[flat(4, 5)] > 0
+    assert scores[flat(0, 1)] == scores[flat(1, 4)] > 0
+    # some budget puts such a tie across the B-th place
+    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
+    tied_pairs = {(flat(0, 5), flat(4, 5)), (flat(0, 1), flat(1, 4)),
+                  (flat(0, 2), flat(2, 4)), (flat(0, 3), flat(3, 4))}
+    assert any((order[b - 1], order[b]) in tied_pairs for b in range(1, scores.size))
+
+
+def test_poly_streamed_linear_and_square_tie_cross():
+    # gamma = r = 1: linear a and cross (a, 3) share the factor sqrt(2), and
+    # column 3 is all ones on the rows where features 0..2 live, so they tie;
+    # square 0 ties cross (1, 2) at fl(sqrt(2))^2
+    X = np.array([[1.0, 0.0, 0.0, 1.0],
+                  [0.0, 1.0, 1.0, 1.0],
+                  [0.0, 2.0, 0.0, 1.0]])
+    y = np.array([1, 1, -1])
+    alpha = np.array([np.sqrt(2.0), 1.0, 0.5])
+    scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, 4))
+    m = 4
+    assert scores[poly_flat(("linear", 0), m)] == scores[poly_flat(("cross", 0, 3), m)] > 0
+    assert scores[poly_flat(("linear", 2), m)] == scores[poly_flat(("cross", 2, 3), m)] > 0
+    assert scores[poly_flat(("square", 0), m)] == scores[poly_flat(("cross", 1, 2), m)] > 0
+
+
+def test_poly_streamed_rejects_nan_data():
+    X = np.array([[1.0, np.nan, 0.5], [2.0, 1.0, 1.0]])
+    data = SparseDataset(X, np.array([1, -1]))
+    for budget in (1, 3, 20):
+        with pytest.raises(ValueError, match="NaN"):
+            score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, budget, 1)
+
+
 def test_poly_argument_validation():
     data = SparseDataset(np.eye(2), np.array([1, -1]))
     with pytest.raises(ValueError, match="gamma"):
         score_polynomial_streamed(np.ones(2), data, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match="block"):
         score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 2, block=0)
+    with pytest.raises(ValueError, match="budget"):
+        score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 0)
     with pytest.raises(ValueError, match="gamma"):
         poly_columns(data, np.array([0]), -1.0, 1.0)
 
