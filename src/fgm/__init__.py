@@ -16,7 +16,7 @@ from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, T
 from .loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_gradient, eval_loss, recover_duals
 from .subsolver import ApgResult, NumericalError, apg_solve, moreau_projection, regularizer
 from .worstcase import (Constraint, poly_columns, poly_dim, poly_flat, poly_variant,
-                        score_features, score_groups, score_hik, score_polynomial_streamed,
+                        score_features, score_groups, score_polynomial_streamed,
                         score_tree_pruned, select_top_b)
 from .engine import (ActiveSet, Model, ModelEntry, PolyMap, SolverConfig, TraceRecord,
                      eval_bounds, evaluate_recovery, fgm_train, load_model, predict,
@@ -39,7 +39,7 @@ __all__ = [
     "load_libsvm", "load_model", "load_tree", "moreau_projection", "poly_columns",
     "poly_dim", "poly_flat", "poly_variant", "predict", "recover_duals",
     "regularizer", "retrain_unbiased", "run_config", "save_model", "score_features",
-    "score_groups", "score_hik", "score_polynomial_streamed", "score_tree_pruned",
+    "score_groups", "score_polynomial_streamed", "score_tree_pruned",
     "select_top_b", "setting_id", "sweep_to_support", "write_ground_truth",
     "write_libsvm",
 ]

@@ -4,8 +4,8 @@ These baselines share the loss definitions with the selection engine but
 optimize over all features at once:
 
 * :func:`l1_prox_train` minimizes ``reg * ||w||_1 + loss`` by accelerated
-  proximal gradient with a soft-threshold prox (same line-search contract
-  as the subproblem solver), producing exact zeros;
+  proximal gradient with a soft-threshold prox (the subproblem solver's
+  driver), producing exact zeros;
 * :func:`l2_full_train` minimizes ``0.5 ||w||^2 + loss``;
 * :func:`retrain_unbiased` refits an l2 classifier on a fixed support with
   a large loss weight, removing the shrinkage bias of a sparse fit;
@@ -23,7 +23,7 @@ import numpy as np
 from .engine import Model, ModelEntry
 from .dataset import SparseDataset
 from .loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
-from .subsolver import NumericalError
+from .subsolver import _accelerated, _relative_change
 
 _DENSIFY_THRESHOLD = 0.25
 
@@ -62,10 +62,6 @@ def _loss_and_coef(M, w: np.ndarray, y: np.ndarray, kind: LossKind):
     return loss_from_margins(xi, kind), _instance_weights(xi, y, kind)
 
 
-def _soft_threshold(g: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(g) * np.maximum(np.abs(g) - t, 0.0)
-
-
 def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
                   eps: float = 1e-7, max_iter: int = 2000,
                   warm: np.ndarray | None = None) -> DenseWeights:
@@ -85,135 +81,57 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     w = np.zeros(data.m) if warm is None else np.asarray(warm, dtype=float).copy()
     if w.shape != (data.m,):
         raise ValueError("warm start has the wrong dimension")
-    w_prev = w.copy()
-    rho_prev = rho = 1.0
-    tau_acc = 0.1 * data.n * kind.C
-    cap = max(tau_acc, 1e3 * tau_acc)
 
-    def objective(x: np.ndarray) -> float:
-        val, _ = _loss_and_coef(M, x, y, kind)
-        return reg * float(np.abs(x).sum()) + val
+    def penalty(x: np.ndarray) -> float:
+        return reg * float(np.abs(x).sum())
 
-    f_curr = objective(w)
-    objectives = [f_curr]
-    converged = False
-    for k in range(max_iter):
-        restarted = False
-        while True:
-            momentum = (rho_prev - 1.0) / rho
-            v = w + momentum * (w - w_prev)
-            p_v, coef = _loss_and_coef(M, v, y, kind)
-            grad = -(M.T @ coef)
-            grad = np.asarray(grad).ravel()
+    def linearize(v: np.ndarray):
+        p_v, coef = _loss_and_coef(M, v, y, kind)
+        grad = -np.asarray(M.T @ coef).ravel()
 
-            tau = 0.8 * tau_acc
-            cap_hits = 0
-            trials = 0
-            while True:
-                trials += 1
-                if trials > 500:
-                    raise NumericalError("line search failed to terminate", iteration=k)
-                w_new = _soft_threshold(v - grad / tau, reg / tau)
-                p_new, _ = _loss_and_coef(M, w_new, y, kind)
-                pen_new = reg * float(np.abs(w_new).sum())
-                f_new = p_new + pen_new
-                diff = w_new - v
-                q_val = p_v + float(grad @ diff) + pen_new + 0.5 * tau * float(diff @ diff)
-                if not np.isfinite(f_new):
-                    raise NumericalError("non-finite objective during line search", iteration=k)
-                if f_new <= q_val + 1e-12:
-                    break
-                if tau >= cap:
-                    cap_hits += 1
-                    if cap_hits >= 2:
-                        cap *= 2.0
-                        cap_hits = 0
-                else:
-                    cap_hits = 0
-                tau = min(tau / 0.8, cap)
-            tau_acc = tau
-            if f_new > f_curr + 1e-12 and momentum > 0 and not restarted:
-                rho_prev = rho = 1.0
-                w_prev = w.copy()
-                restarted = True
-                continue
-            break
-        w_prev, w = w, w_new
-        rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
-        f_prev, f_curr = f_curr, f_new
-        objectives.append(f_curr)
-        if abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= eps:
-            converged = True
-            break
+        def step(tau: float):
+            g = v - grad / tau
+            x = np.sign(g) * np.maximum(np.abs(g) - reg / tau, 0.0)   # soft threshold
+            pen = penalty(x)
+            return x, _loss_and_coef(M, x, y, kind)[0] + pen, pen
+
+        return p_v, grad, step
+
+    w, _, objectives, _, converged = _accelerated(
+        w, _loss_and_coef(M, w, y, kind)[0] + penalty(w), linearize,
+        lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
+        0.1 * data.n * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
 
 
 def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
               max_iter: int, warm: np.ndarray | None = None) -> DenseWeights:
-    """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix."""
+    """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix (ridge in the smooth part)."""
     w = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
-    w_prev = w.copy()
-    rho_prev = rho = 1.0
-    n = y.size
-    tau_acc = 0.1 * n * kind.C
-    cap = max(tau_acc, 1e3 * tau_acc)
 
-    def full_objective(x: np.ndarray) -> float:
-        val, _ = _loss_and_coef(M, x, y, kind)
-        return 0.5 * float(x @ x) + val
+    def objective(x: np.ndarray) -> float:
+        return 0.5 * float(x @ x) + _loss_and_coef(M, x, y, kind)[0]
 
-    f_curr = full_objective(w)
-    objectives = [f_curr]
-    converged = False
-    for k in range(max_iter):
-        restarted = False
-        while True:
-            momentum = (rho_prev - 1.0) / rho
-            v = w + momentum * (w - w_prev)
-            p_v, coef = _loss_and_coef(M, v, y, kind)
-            f_v = 0.5 * float(v @ v) + p_v
-            grad = v - np.asarray(M.T @ coef).ravel()
+    def gradient(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        return x - np.asarray(M.T @ coef).ravel()
 
-            tau = 0.8 * tau_acc
-            cap_hits = 0
-            trials = 0
-            while True:
-                trials += 1
-                if trials > 500:
-                    raise NumericalError("line search failed to terminate", iteration=k)
-                w_new = v - grad / tau
-                f_new = full_objective(w_new)
-                diff = w_new - v
-                q_val = f_v + float(grad @ diff) + 0.5 * tau * float(diff @ diff)
-                if not np.isfinite(f_new):
-                    raise NumericalError("non-finite objective during line search", iteration=k)
-                if f_new <= q_val + 1e-12:
-                    break
-                if tau >= cap:
-                    cap_hits += 1
-                    if cap_hits >= 2:
-                        cap *= 2.0
-                        cap_hits = 0
-                else:
-                    cap_hits = 0
-                tau = min(tau / 0.8, cap)
-            tau_acc = tau
-            if f_new > f_curr + 1e-12 and momentum > 0 and not restarted:
-                rho_prev = rho = 1.0
-                w_prev = w.copy()
-                restarted = True
-                continue
-            break
-        w_prev, w = w, w_new
-        rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
-        f_prev, f_curr = f_curr, f_new
-        objectives.append(f_curr)
-        _, coef = _loss_and_coef(M, w, y, kind)
-        grad_norm = float(np.linalg.norm(w - np.asarray(M.T @ coef).ravel()))
-        converged = (grad_norm <= eps * (1.0 + float(np.linalg.norm(w)))
-                     or abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= 1e-14)
-        if converged:
-            break
+    def linearize(v: np.ndarray):
+        p_v, coef = _loss_and_coef(M, v, y, kind)
+        grad = gradient(v, coef)
+
+        def step(tau: float):
+            x = v - grad / tau
+            return x, objective(x), 0.0
+
+        return 0.5 * float(v @ v) + p_v, grad, step
+
+    def stop(x: np.ndarray, f_prev: float, f_curr: float) -> bool:
+        grad_norm = float(np.linalg.norm(gradient(x, _loss_and_coef(M, x, y, kind)[1])))
+        return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
+                or _relative_change(f_prev, f_curr) <= 1e-14)
+
+    w, _, objectives, _, converged = _accelerated(
+        w, objective(w), linearize, stop, 0.1 * y.size * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
 
 

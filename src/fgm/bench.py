@@ -23,7 +23,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +112,8 @@ def _data_for_seed(data_spec: dict, seed: int):
 
 def _solver_config(spec: dict, seed: int) -> SolverConfig:
     base = SolverConfig(budget=int(spec.get("budget", 10)), seed=seed)
-    overrides = {k: spec[k] for k in ("C", "loss", "lambda_policy", "eps_apg", "eps_outer",
-                                      "max_outer", "max_inner", "eta", "L0") if k in spec}
+    overrides = {f.name: spec[f.name] for f in fields(SolverConfig)
+                 if f.name in spec and f.name not in ("budget", "seed")}
     return replace(base, **overrides)
 
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -134,11 +135,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         _write_trace(Path(args.trace), model.trace)
         outputs.append(Path(args.trace))
     inputs = [args.data] + [p for p in (args.groups, args.tree) if p]
-    params = {"budget": cfg.budget, "C": cfg.C, "loss": cfg.loss,
-              "lambda_policy": cfg.lambda_policy, "eps_apg": cfg.eps_apg,
-              "eps_outer": cfg.eps_outer, "max_outer": cfg.max_outer,
-              "max_inner": cfg.max_inner, "eta": cfg.eta, "L0": cfg.L0,
-              "seed": cfg.seed, "mode": model.mode, "stop_reason": model.stop_reason}
+    params = {**asdict(cfg), "mode": model.mode, "stop_reason": model.stop_reason}
     if args.poly:
         params.update({"gamma": args.gamma, "r": args.r, "block": args.block})
     _write_manifest(_manifest_path(out), "train", params, inputs, outputs,

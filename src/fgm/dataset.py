@@ -12,6 +12,7 @@ written with 17 significant digits so a write/load round trip is exact.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,12 +167,15 @@ class TreeStructure:
             self._check_disjoint(kids)
         self._check_disjoint(self.roots)
         self._assert_acyclic()
-        self.lambdas_given = self.lambdas is not None
-        if self.lambdas is None:
-            self.lambdas = np.ones(n)
+        self._set_lambdas(self.lambdas)
+
+    def _set_lambdas(self, lambdas: np.ndarray | None) -> None:
+        self.lambdas_given = lambdas is not None
+        if lambdas is None:
+            self.lambdas = np.ones(self.n_nodes)
         else:
-            self.lambdas = np.asarray(self.lambdas, dtype=float)
-            if self.lambdas.size != n or np.any(self.lambdas < 0):
+            self.lambdas = np.asarray(lambdas, dtype=float)
+            if self.lambdas.size != self.n_nodes or np.any(self.lambdas < 0):
                 raise ValueError("per-node lambdas must be non-negative, one per node")
         # precomputed max lambda over each node's subtree (itself included),
         # used by the search to bound every descendant's scale in O(1).
@@ -219,8 +223,10 @@ class TreeStructure:
         return np.unique(np.concatenate([self.sets[r] for r in self.roots]))
 
     def with_lambdas(self, lambdas: np.ndarray) -> "TreeStructure":
-        """Copy of this tree with explicit per-node scales."""
-        return TreeStructure(self.sets, self.parents, self.names, np.asarray(lambdas, dtype=float))
+        """Copy of this tree with explicit per-node scales (structure not re-validated)."""
+        tree = copy.copy(self)
+        tree._set_lambdas(np.asarray(lambdas, dtype=float))
+        return tree
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +506,18 @@ def group_scaling_prior(data: SparseDataset, groups: GroupStructure, policy: str
     if policy == "ones":
         return np.ones(groups.n_groups)
     if policy == "inverse_norm":
-        col_sq = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
-        out = np.zeros(groups.n_groups)
-        for j, g in enumerate(groups.groups):
-            norm = np.sqrt(col_sq[g].sum())
-            out[j] = 1.0 / norm if norm > 0 else 0.0
-        return out
+        return _inverse_set_norms(data, groups.groups)
     raise ValueError(f"unknown scaling policy {policy!r}")
+
+
+def _inverse_set_norms(data: SparseDataset, sets: list[np.ndarray]) -> np.ndarray:
+    """Reciprocal Frobenius norm of each set's column block (0 for an all-zero block)."""
+    col_sq = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
+    out = np.zeros(len(sets))
+    for j, s in enumerate(sets):
+        norm = np.sqrt(col_sq[s].sum())
+        out[j] = 1.0 / norm if norm > 0 else 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .blocks import BlockWeights, ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                      TreeStructure, compute_scaling_prior, group_scaling_prior)
+                      TreeStructure, compute_scaling_prior, group_scaling_prior,
+                      _inverse_set_norms)
 from .loss import LossKind, dual_value_terms, eval_loss, recover_duals
-from .subsolver import NumericalError, apg_solve
+from .subsolver import NumericalError, _relative_change, apg_solve
 from .worstcase import (Constraint, poly_columns, score_features, score_groups,
                         score_polynomial_streamed, score_tree_pruned, select_top_b)
 
@@ -313,12 +314,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     kind = cfg.loss_kind()
     mode, lam = _unit_lambdas(data, cfg, structure)
     if mode == "tree" and cfg.lambda_policy != "ones" and not structure.lambdas_given:
-        col_sq = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
-        node_lams = np.empty(structure.n_nodes)
-        for i, s in enumerate(structure.sets):
-            norm = np.sqrt(col_sq[s].sum())
-            node_lams[i] = 1.0 / norm if norm > 0 else 0.0
-        structure = structure.with_lambdas(node_lams)
+        structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
 
     alpha = np.ones(data.n)
     labels = data.y.astype(float)
@@ -344,8 +340,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
 
         warm = (w.zero_extend(active.cache.offsets) if w is not None
                 else BlockWeights.zeros(active.cache.offsets))
-        L_init = (cfg.L0 if cfg.L0 is not None else 0.1 * data.n * cfg.C) \
-            if tau_prev is None else cfg.eta ** 2 * tau_prev
+        L_init = cfg.L0 if tau_prev is None else cfg.eta ** 2 * tau_prev
         try:
             result = apg_solve(active.cache, labels, kind, warm=warm, L_init=L_init,
                                eta=cfg.eta, eps=cfg.eps_apg, max_inner=cfg.max_inner)
@@ -360,7 +355,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         trace.append(TraceRecord(it, f_curr, bounds.beta[-1], bounds.phi[-1],
                                  result.n_iters, proposal.ids,
                                  time.perf_counter() - started))
-        if f_prev is not None and abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= cfg.eps_outer:
+        if f_prev is not None and _relative_change(f_prev, f_curr) <= cfg.eps_outer:
             stop_reason = "outer_tol"
             break
         f_prev = f_curr
@@ -397,17 +392,11 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, structure, mode: str
     total = float(norms.sum())
     shares = (norms / total).tolist() if total > 0 else [0.0] * norms.size
 
-    cfg_dict = {
-        "budget": cfg.budget, "C": cfg.C, "loss": cfg.loss,
-        "lambda_policy": cfg.lambda_policy, "eps_apg": cfg.eps_apg,
-        "eps_outer": cfg.eps_outer, "max_outer": cfg.max_outer,
-        "max_inner": cfg.max_inner, "eta": cfg.eta, "L0": cfg.L0, "seed": cfg.seed,
-    }
     gamma = structure.gamma if mode == "poly" else None
     r = structure.r if mode == "poly" else None
     return Model(mode, cfg.budget, len(active.constraints), stop_reason,
                  cfg.loss_kind(), cfg.lambda_policy, data.m, active.units(),
-                 entries, unit_features, gamma, r, cfg_dict, trace,
+                 entries, unit_features, gamma, r, asdict(cfg), trace,
                  [float(s) for s in shares])
 
 
@@ -420,7 +409,8 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
 
     Scores are ``sum over entries of weight * lam * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
-    predicts +1 everywhere.
+    predicts +1 everywhere.  A non-finite score, from a non-finite value in
+    ``data`` or in the model, raises :class:`NumericalError`.
     """
     if model.mode == "poly":
         ids = np.asarray([e.id for e in model.entries], dtype=np.intp)
@@ -437,6 +427,8 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
                 raise FormatError(f"model feature {e.id} out of range for m={data.m}")
             v[e.id] = e.weight * e.lam
         scores = data.X @ v
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite score: the data or the model holds a non-finite value")
     labels = np.where(scores >= 0, 1, -1)
     accuracy = float(np.mean(labels == data.y))
     return labels, accuracy

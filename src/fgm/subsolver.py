@@ -10,6 +10,7 @@ operator of the squared sum of block norms (a sort-and-threshold rule in
 the block-norm domain).  The line search backtracks upward from an
 optimistic step, with a growing ceiling that guarantees termination, and a
 function-value restart keeps the accepted objective sequence non-increasing.
+The same loop also drives the dense l1 and l2 baselines.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .blocks import BlockWeights, ColumnCache
 from .loss import LossKind, loss_from_margins, margins_from_scores, recover_duals  # noqa: F401
-from .loss import _instance_weights
+from .loss import _instance_weights, eval_loss
 
 
 class NumericalError(RuntimeError):
@@ -71,10 +72,7 @@ def moreau_projection(g: BlockWeights, s: float) -> BlockWeights:
     minus a common threshold.
     """
     c, _ = _moreau_coefficients(g.norms(), s)
-    flat = g.flat.copy()
-    for t in range(g.n_blocks):
-        flat[g.offsets[t]:g.offsets[t + 1]] *= c[t]
-    return BlockWeights(flat, g.offsets)
+    return BlockWeights(np.repeat(c, np.diff(g.offsets)) * g.flat, g.offsets)
 
 
 @dataclass
@@ -98,6 +96,72 @@ def _block_products(cache: ColumnCache, flat: np.ndarray) -> np.ndarray:
         sl = slice(cache.offsets[t], cache.offsets[t + 1])
         out[:, t] = cache.matrix[:, sl] @ flat[sl]
     return out
+
+
+def _relative_change(f_prev: float, f_curr: float) -> float:
+    return abs(f_prev - f_curr) / max(abs(f_prev), 1e-12)
+
+
+def _accelerated(x: np.ndarray, f_curr: float, linearize, stop, tau: float, eta: float,
+                 max_iter: int) -> tuple[np.ndarray, float, list[float], float, bool]:
+    """Accelerated proximal gradient loop shared by every solver in the package.
+
+    ``linearize(v)`` gives the smooth value and gradient at the extrapolated
+    point ``v`` and a trial ``step(tau)`` returning the prox point for
+    inverse step size ``tau``, its objective and its non-smooth penalty.
+    ``stop(x, f_prev, f_curr)`` is asked after every accepted iteration.
+    Returns ``(x, tau, objectives, max_tau, stopped)``: the final point,
+    the last accepted ``tau``, the accepted objective trace (index 0 =
+    start), the largest accepted ``tau`` and whether ``stop`` fired.
+    """
+    if not np.isfinite(f_curr):
+        raise NumericalError("non-finite objective at the starting point", iteration=0)
+    x_prev = x
+    rho_prev = rho = 1.0
+    cap = max(tau, 1e3 * tau)
+    max_tau = 0.0
+    objectives = [f_curr]
+    for k in range(max_iter):
+        while True:
+            momentum = (rho_prev - 1.0) / rho
+            v = x + momentum * (x - x_prev)
+            p_v, grad, step = linearize(v)
+            trial = eta * tau
+            cap_hits = 0
+            for _ in range(500):
+                x_new, f_new, penalty = step(trial)
+                diff = x_new - v
+                q_val = p_v + float(grad @ diff) + penalty + 0.5 * trial * float(diff @ diff)
+                if not np.isfinite(f_new):
+                    raise NumericalError("non-finite objective during line search", iteration=k)
+                if f_new <= q_val + 1e-12:
+                    break
+                if trial >= cap:
+                    cap_hits += 1
+                    if cap_hits >= 2:
+                        cap *= 2.0
+                        cap_hits = 0
+                else:
+                    cap_hits = 0
+                trial = min(trial / eta, cap)
+            else:
+                raise NumericalError("line search failed to terminate", iteration=k)
+            tau = trial
+            if f_new > f_curr + 1e-12 and momentum > 0:
+                # extrapolation overshot: restart from the current point, where
+                # acceptance guarantees no increase; the momentum is then 0
+                rho_prev = rho = 1.0
+                x_prev = x
+                continue
+            break
+        max_tau = max(max_tau, tau)
+        x_prev, x = x, x_new
+        rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
+        f_prev, f_curr = f_curr, f_new
+        objectives.append(f_curr)
+        if stop(x, f_prev, f_curr):
+            return x, tau, objectives, max_tau, True
+    return x, tau, objectives, max_tau, False
 
 
 def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
@@ -144,97 +208,33 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     labels = np.asarray(labels, dtype=float)
-    n = cache.n_instances
     if L_init is None:
-        L_init = 0.1 * n * kind.C
+        L_init = 0.1 * cache.n_instances * kind.C
     if not L_init > 0:
         raise ValueError("L_init must be positive")
-    w = warm.copy() if warm is not None else BlockWeights.zeros(cache.offsets)
-    if w.flat.size != cache.offsets[-1]:
+    w = warm if warm is not None else BlockWeights.zeros(cache.offsets)
+    if not np.array_equal(w.offsets, cache.offsets):
         raise ValueError("warm start does not match the cache layout")
-    w_prev = w.copy()
-    rho_prev = rho = 1.0
-    tau_accepted = float(L_init)
-    cap = max(L_init, 1e3 * L_init)
-    max_tau = 0.0
+    starts, sizes = cache.offsets[:-1], np.diff(cache.offsets)
 
-    def objective(x: BlockWeights) -> float:
-        xi = margins_from_scores(cache.scores(x), labels, kind)
-        return loss_from_margins(xi, kind) + regularizer(x)
+    def linearize(v: np.ndarray):
+        per_block_v = _block_products(cache, v)
+        xi_v = margins_from_scores(per_block_v.sum(axis=1), labels, kind)
+        grad = -(cache.matrix.T @ _instance_weights(xi_v, labels, kind))
+        per_block_g = _block_products(cache, grad)
 
-    f_curr = objective(w)
-    if not np.isfinite(f_curr):
-        raise NumericalError("non-finite objective at the starting point", iteration=0)
-    objectives = [f_curr]
+        def step(tau: float):
+            g = v - grad / tau
+            norms = np.sqrt(np.add.reduceat(g * g, starts))
+            c, _ = _moreau_coefficients(norms, 1.0 / tau)
+            omega = 0.5 * float((c * norms).sum()) ** 2
+            xi = margins_from_scores((per_block_v - per_block_g / tau) @ c, labels, kind)
+            return np.repeat(c, sizes) * g, loss_from_margins(xi, kind) + omega, omega
 
-    for k in range(max_inner):
-        restarted = False
-        while True:
-            momentum = (rho_prev - 1.0) / rho
-            v = BlockWeights(w.flat + momentum * (w.flat - w_prev.flat), w.offsets)
-            # loss and gradient at the extrapolated point
-            per_block_v = _block_products(cache, v.flat)
-            u_v = per_block_v.sum(axis=1)
-            xi_v = margins_from_scores(u_v, labels, kind)
-            p_v = loss_from_margins(xi_v, kind)
-            coef = _instance_weights(xi_v, labels, kind)
-            grad = -(cache.matrix.T @ coef)
-            per_block_g = _block_products(cache, grad)
+        return loss_from_margins(xi_v, kind), grad, step
 
-            accepted = None
-            tau = eta * tau_accepted
-            cap_hits = 0
-            trials = 0
-            while True:
-                trials += 1
-                if trials > 500:
-                    raise NumericalError("line search failed to terminate", iteration=k)
-                g_flat = v.flat - grad / tau
-                g_norms = BlockWeights(g_flat, w.offsets).norms()
-                c, _ = _moreau_coefficients(g_norms, 1.0 / tau)
-                new_norms = c * g_norms
-                omega_new = 0.5 * float(new_norms.sum()) ** 2
-                u_new = (per_block_v - per_block_g / tau) @ c
-                xi_new = margins_from_scores(u_new, labels, kind)
-                p_new = loss_from_margins(xi_new, kind)
-                f_new = p_new + omega_new
-                w_flat_new = np.empty_like(g_flat)
-                for t in range(w.n_blocks):
-                    sl = slice(w.offsets[t], w.offsets[t + 1])
-                    w_flat_new[sl] = c[t] * g_flat[sl]
-                diff = w_flat_new - v.flat
-                q_val = p_v + float(grad @ diff) + omega_new + 0.5 * tau * float(diff @ diff)
-                if not np.isfinite(f_new):
-                    raise NumericalError("non-finite objective during line search", iteration=k)
-                if f_new <= q_val + 1e-12:
-                    accepted = (w_flat_new, f_new, tau)
-                    break
-                if tau >= cap:
-                    cap_hits += 1
-                    if cap_hits >= 2:
-                        cap *= 2.0
-                        cap_hits = 0
-                else:
-                    cap_hits = 0
-                tau = min(tau / eta, cap)
-
-            w_flat_new, f_new, tau_accepted = accepted
-            if f_new > f_curr + 1e-12 and momentum > 0 and not restarted:
-                # extrapolation overshot: restart from the current point,
-                # where acceptance guarantees no increase
-                rho_prev = rho = 1.0
-                w_prev = w.copy()
-                restarted = True
-                continue
-            break
-
-        max_tau = max(max_tau, tau_accepted)
-        w_prev = w
-        w = BlockWeights(w_flat_new, w.offsets)
-        rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
-        f_prev, f_curr = f_curr, f_new
-        objectives.append(f_curr)
-        if abs(f_prev - f_curr) / max(abs(f_prev), 1e-12) <= eps:
-            break
-
-    return ApgResult(w, tau_accepted, objectives, max_tau)
+    flat, tau, objectives, max_tau, _ = _accelerated(
+        w.flat.copy(), eval_loss(w, cache, labels, kind)[0] + regularizer(w), linearize,
+        lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
+        float(L_init), eta, max_inner)
+    return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau)

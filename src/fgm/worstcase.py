@@ -10,8 +10,7 @@ and keeping the ``B`` largest scores.  With ``omega = sum_i alpha_i y_i x_i``:
   ``max-lambda^2 * ||omega_{G_g}||^2`` falls below the current B-th best
   score is skipped without touching its descendants;
 * degree-2 polynomial interaction features are scored blockwise from the
-  raw data without materializing the expanded design;
-* histogram-intersection scores follow the pairwise-minimum kernel form.
+  raw data without materializing the expanded design.
 
 Selection is exact: ties are broken toward the smallest unit index, and
 zero-score units remain selectable so exactly ``min(B, p)`` units return.
@@ -307,21 +306,3 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
                               budget)
     return Constraint(tuple(np.sort(best_ids)), budget)
 
-
-def score_hik(alpha: np.ndarray, data: SparseDataset, beta: float = 1.0) -> np.ndarray:
-    """Histogram-intersection scores, one per feature.
-
-    ``c_k = sum_i sum_j alpha_i alpha_j y_i y_j min(|x_ik|^beta, |x_jk|^beta)``.
-    The pairwise-minimum kernel is positive semidefinite, so every score is
-    non-negative.  Cost is ``O(n^2 m)``; intended for small-n studies.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    alpha = _check_alpha(alpha, data.n)
-    z = alpha * data.y
-    X = np.abs(np.asarray(data.X.todense())) ** beta
-    scores = np.empty(data.m)
-    for k in range(data.m):
-        M = np.minimum.outer(X[:, k], X[:, k])
-        scores[k] = float(z @ M @ z)
-    return scores

@@ -236,18 +236,3 @@ def poly_full_matrix(X: np.ndarray, gamma: float, r: float) -> np.ndarray:
         for b in range(a + 1, m):
             cols.append(np.sqrt(2.0) * gamma * X[:, a] * X[:, b])
     return np.column_stack(cols)
-
-
-def hik_scores_direct(alpha: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      beta: float) -> np.ndarray:
-    n, m = X.shape
-    z = alpha * y
-    P = np.abs(X) ** beta
-    out = np.zeros(m)
-    for k in range(m):
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc += z[i] * z[j] * min(P[i, k], P[j, k])
-        out[k] = acc
-    return out

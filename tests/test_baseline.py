@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fgm.baseline import (DenseWeights, dense_to_model, l1_prox_train, l2_full_train,
                           retrain_unbiased, sweep_to_support)
 from fgm.dataset import SparseDataset, generate_synthetic
 from fgm.engine import predict
 from fgm.loss import LossKind
+from fgm.subsolver import NumericalError
 
 from oracles import l1_split_lbfgs, l2_lbfgs
 
@@ -86,6 +88,27 @@ def test_l2_matches_lbfgs_oracle(loss):
     w_ref, f_ref = l2_lbfgs(X, y, kind)
     assert abs(sol.objectives[-1] - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
     np.testing.assert_allclose(sol.w, w_ref, atol=1e-4)
+
+
+@pytest.mark.parametrize("loss", ["squared_hinge", "logistic"])
+def test_l2_objective_trace_non_increasing(loss):
+    data, _, _ = _dense_problem(13)
+    sol = l2_full_train(data, LossKind(loss, 2.0), eps=1e-10)
+    assert len(sol.objectives) > 2
+    assert np.all(np.diff(sol.objectives) <= 1e-12)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda data, kind: l1_prox_train(data, kind, 0.1),
+    lambda data, kind: l2_full_train(data, kind),
+    lambda data, kind: retrain_unbiased(data, [0, 1], kind),
+], ids=["l1", "l2", "refit"])
+def test_non_finite_data_raises_numerical_error(solve):
+    data = SparseDataset.__new__(SparseDataset)  # bypass validation to inject nan
+    data.X = sp.csr_matrix(np.array([[np.nan, 1.0], [1.0, 2.0], [0.5, -1.0]]))
+    data.y = np.array([1, -1, 1])
+    with pytest.raises(NumericalError):
+        solve(data, LossKind("squared_hinge", 1.0))
 
 
 def test_retrain_unbiased_support_and_defaults():

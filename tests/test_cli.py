@@ -1,6 +1,7 @@
 """End-to-end command-line checks: artifacts, manifests, and exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fgm.dataset import load_libsvm
+from fgm.engine import SolverConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -228,6 +230,37 @@ def test_single_non_finite_entry_exits_4(tmp_path):
     assert r.returncode == 4
     assert "numerical failure" in r.stderr and "outer iteration 1" in r.stderr
     assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_on_non_finite_test_data_exits_4(tmp_path):
+    clean = tmp_path / "clean.libsvm"
+    clean.write_text("+1 1:1 2:2 3:0.5\n-1 1:2 2:-1 3:1\n+1 1:0.5 2:1 3:2\n-1 2:-3 3:1\n")
+    model_path = tmp_path / "m.json"
+    r = run_cli("train", "--data", clean, "--out", model_path, "--budget", 3, "--max-outer", 2)
+    assert r.returncode == 0, r.stderr
+    weights = {e["id"]: e["weight"] for e in json.loads(model_path.read_text())["entries"]}
+    assert weights.get(1, 0.0) != 0.0  # the model uses feature 2 (0-based 1)
+    sick = tmp_path / "sick.libsvm"
+    sick.write_text("+1 1:1 2:nan 3:0.5\n")
+    (tmp_path / "truth.txt").write_text("1 1.0\n")
+    for command, extra in {"predict": (), "eval": ("--truth", tmp_path / "truth.txt")}.items():
+        r = run_cli(command, "--model", model_path, "--data", sick,
+                    "--out", tmp_path / f"{command}.json", *extra)
+        assert r.returncode == 4, (command, r.stderr)
+        assert "numerical failure" in r.stderr and "non-finite score" in r.stderr
+        assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_model_and_manifest_record_every_solver_field(ws, tmp_path):
+    model_path = tmp_path / "m.json"
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", model_path,
+                "--budget", 2, "--max-outer", 2)
+    assert r.returncode == 0, r.stderr
+    config = json.loads(model_path.read_text())["config"]
+    parameters = json.loads(Path(f"{model_path}.manifest.json").read_text())["parameters"]
+    for f in dataclasses.fields(SolverConfig):
+        assert f.name in config and f.name in parameters, f.name
+        assert config[f.name] == parameters[f.name]
 
 
 def test_eval_rejects_non_plain_model(ws, tmp_path):

@@ -208,6 +208,13 @@ def test_tree_with_lambdas_copy():
     np.testing.assert_allclose(t.lambdas, [1.0, 1.0])  # original untouched
 
 
+@pytest.mark.parametrize("lambdas", [[1.0, -0.5], [1.0], [1.0, 2.0, 3.0]])
+def test_tree_with_lambdas_rejects_bad_scales(lambdas):
+    t = TreeStructure([np.array([0, 1]), np.array([0])], np.array([-1, 0]), ["r", "c"])
+    with pytest.raises(ValueError, match="per-node lambdas"):
+        t.with_lambdas(lambdas)
+
+
 def test_group_structure_validation():
     with pytest.raises(ValueError, match="overlaps"):
         GroupStructure([np.array([0, 1]), np.array([1, 2])], ["a", "b"])

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import GroupStructure, SparseDataset, TreeStructure
 from fgm.worstcase import (Constraint, poly_columns, poly_dim, poly_flat, poly_variant,
-                           score_features, score_groups, score_hik,
-                           score_polynomial_streamed, score_tree_pruned, select_top_b)
+                           score_features, score_groups, score_polynomial_streamed,
+                           score_tree_pruned, select_top_b)
 
-from oracles import best_subset_lex, hik_scores_direct, poly_full_matrix, sort_top_b
+from oracles import best_subset_lex, poly_full_matrix, sort_top_b
 
 
 def _dataset_with_omega(omega, y=None):
@@ -375,39 +375,3 @@ def test_poly_argument_validation():
         score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 0)
     with pytest.raises(ValueError, match="gamma"):
         poly_columns(data, np.array([0]), -1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# histogram-intersection scores
-
-
-def test_hik_hand_value():
-    data = SparseDataset(np.array([[2.0], [3.0]]), np.array([1, -1]))
-    scores = score_hik(np.ones(2), data, beta=1.0)
-    np.testing.assert_allclose(scores, [1.0])
-
-
-def test_hik_matches_double_loop():
-    rng = np.random.default_rng(31)
-    X = rng.standard_normal((7, 4))
-    y = rng.choice([-1, 1], size=7)
-    alpha = rng.random(7) * 2.0
-    data = SparseDataset(X, y)
-    for beta in (1.0, 0.5, 2.0):
-        got = score_hik(alpha, data, beta)
-        want = hik_scores_direct(alpha, X, y.astype(float), beta)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_hik_scores_non_negative():
-    rng = np.random.default_rng(32)
-    X = rng.standard_normal((10, 6))
-    data = SparseDataset(X, rng.choice([-1, 1], size=10))
-    scores = score_hik(rng.random(10), data, 1.0)
-    assert np.all(scores >= -1e-12)
-
-
-def test_hik_beta_validation():
-    data = SparseDataset(np.eye(2), np.array([1, -1]))
-    with pytest.raises(ValueError, match="beta"):
-        score_hik(np.ones(2), data, beta=0.0)
