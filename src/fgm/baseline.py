@@ -108,9 +108,12 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
               max_iter: int, warm: np.ndarray | None = None) -> DenseWeights:
     """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix (ridge in the smooth part)."""
     w = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
+    coef_last = None        # loss coefficients at the last point whose objective was taken
 
     def objective(x: np.ndarray) -> float:
-        return 0.5 * float(x @ x) + _loss_and_coef(M, x, y, kind)[0]
+        nonlocal coef_last
+        loss, coef_last = _loss_and_coef(M, x, y, kind)
+        return 0.5 * float(x @ x) + loss
 
     def gradient(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return x - np.asarray(M.T @ coef).ravel()
@@ -126,7 +129,8 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         return 0.5 * float(v @ v) + p_v, grad, step
 
     def stop(x: np.ndarray, f_prev: float, f_curr: float) -> bool:
-        grad_norm = float(np.linalg.norm(gradient(x, _loss_and_coef(M, x, y, kind)[1])))
+        # x is the accepted trial step, the last point passed to objective
+        grad_norm = float(np.linalg.norm(gradient(x, coef_last)))
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 

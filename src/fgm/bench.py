@@ -31,7 +31,7 @@ import numpy as np
 from .baseline import dense_to_model, l1_prox_train, retrain_unbiased, sweep_to_support, l2_full_train
 from .dataset import (FormatError, GroundTruth, SparseDataset, generate_synthetic,
                       generate_test_set, load_ground_truth, load_libsvm)
-from .engine import Model, SolverConfig, fgm_train, predict, save_model
+from .engine import Model, SolverConfig, evaluate_recovery, fgm_train, predict, save_model
 from .loss import LossKind
 
 CSV_COLUMNS = ["method", "setting", "seed", "accuracy", "support", "recovered",
@@ -148,7 +148,7 @@ def _accuracy(model: Model, train: SparseDataset, test: SparseDataset | None) ->
 def _recovered(model: Model, truth: GroundTruth | None) -> int | None:
     if truth is None or model.mode != "plain":
         return None
-    return int(len(set(model.units).intersection(truth.support.tolist())))
+    return evaluate_recovery(model, truth)
 
 
 def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:

@@ -54,9 +54,6 @@ class BlockWeights:
         sq = np.add.reduceat(self.flat * self.flat, self.offsets[:-1])
         return np.sqrt(sq)
 
-    def copy(self) -> "BlockWeights":
-        return BlockWeights(self.flat.copy(), self.offsets)
-
     @classmethod
     def zeros(cls, offsets: np.ndarray) -> "BlockWeights":
         offsets = np.asarray(offsets, dtype=np.intp)

@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class SolverConfig:
             raise ValueError("need C > 0 and 0 < eta < 1")
         if self.eps_apg < 0 or self.eps_outer < 0:
             raise ValueError("tolerances must be non-negative")
+        if self.lambda_policy not in ("ones", "inverse_norm"):
+            raise ValueError(f"unknown scaling policy {self.lambda_policy!r}")
 
     def loss_kind(self) -> LossKind:
         return LossKind(self.loss, self.C)
@@ -84,29 +87,25 @@ class SolverConfig:
 class ActiveSet:
     """Stored selections and their cached, scale-applied dense columns.
 
-    Per cached column, ``col_unit`` holds the selected unit id,
-    ``col_feature`` the underlying raw-feature id (the flat virtual id in
-    polynomial mode), and ``col_lambda`` the scale folded into the column.
-    The cache is append-only; blocks are never mutated after creation.
+    Per cached column, ``col_feature`` holds the underlying raw-feature id
+    (the flat virtual id in polynomial mode) and ``col_lambda`` the scale
+    folded into the column.  The cache is append-only; blocks are never
+    mutated after creation.
     """
 
-    mode: str
     cache: ColumnCache
     constraints: list[Constraint] = field(default_factory=list)
-    col_unit: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     col_feature: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     col_lambda: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def has(self, constraint: Constraint) -> bool:
         return any(c.ids == constraint.ids for c in self.constraints)
 
-    def extend(self, constraint: Constraint, columns: np.ndarray, units: np.ndarray,
-               features: np.ndarray, lams: np.ndarray) -> "ActiveSet":
+    def extend(self, constraint: Constraint, columns: np.ndarray, features: np.ndarray,
+               lams: np.ndarray) -> "ActiveSet":
         return ActiveSet(
-            self.mode,
             self.cache.extend(columns),
             self.constraints + [constraint],
-            np.concatenate([self.col_unit, units]),
             np.concatenate([self.col_feature, features]),
             np.concatenate([self.col_lambda, lams]),
         )
@@ -189,55 +188,63 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# worst-case dispatch and cache materialization
+# unit types
 
 
-def _unit_lambdas(data: SparseDataset, cfg: SolverConfig,
-                  structure) -> tuple[str, np.ndarray | None]:
+@dataclass(frozen=True)
+class _Units:
+    """How one unit type is searched, materialized and recorded in the model."""
+
+    mode: str
+    propose: Callable[[np.ndarray, int], Constraint]    # (alpha, budget) -> most violated set
+    columns: Callable[[np.ndarray], tuple]              # ids -> (columns, features, scales)
+    sets: list[np.ndarray] | None = None    # each group's or node's features
+    fold_scale: bool = False                # fold node scales into the model's weights
+    gamma: float | None = None              # the poly map's, recorded in the model
+    r: float | None = None
+
+
+def _set_columns(data: SparseDataset, sets: list[np.ndarray], lams: np.ndarray):
+    def columns(ids: np.ndarray):
+        feats = np.concatenate([sets[unit] for unit in ids])
+        scales = lams[np.repeat(ids, [sets[unit].size for unit in ids])]
+        distinct, where = np.unique(feats, return_inverse=True)
+        # one pass over X; np.take keeps the columns C-ordered, which fixes the
+        # summation order of the bound that fgm_train computes from them
+        return np.take(data.dense_columns(distinct), where, axis=1) * scales, feats, scales
+    return columns
+
+
+def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
+    """The unit type of ``structure``; its closures call this module's worstcase names."""
     if structure is None:
-        return "plain", compute_scaling_prior(data, cfg.lambda_policy)
+        lam = compute_scaling_prior(data, cfg.lambda_policy)
+        return _Units(
+            "plain", lambda alpha, budget: select_top_b(score_features(alpha, data, lam), budget),
+            lambda ids: (data.dense_columns(ids) * lam[ids], ids, lam[ids]))
     if isinstance(structure, GroupStructure):
-        return "group", group_scaling_prior(data, structure, cfg.lambda_policy)
+        lam = group_scaling_prior(data, structure, cfg.lambda_policy)
+        return _Units(
+            "group",
+            lambda alpha, budget: select_top_b(score_groups(alpha, data, structure, lam), budget),
+            _set_columns(data, structure.groups, lam), structure.groups)
     if isinstance(structure, TreeStructure):
-        return "tree", None
+        if cfg.lambda_policy != "ones" and not structure.lambdas_given:
+            structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
+        return _Units(
+            "tree", lambda alpha, budget: score_tree_pruned(alpha, data, structure, budget),
+            _set_columns(data, structure.sets, structure.lambdas), structure.sets, fold_scale=True)
     if isinstance(structure, PolyMap):
-        return "poly", None
+        if cfg.lambda_policy != "ones":
+            raise ValueError("degree-2 features carry no scale: lambda_policy must be 'ones'")
+        gamma, r = structure.gamma, structure.r
+        return _Units(
+            "poly",
+            lambda alpha, budget: score_polynomial_streamed(alpha, data, gamma, r, budget,
+                                                            structure.block),
+            lambda ids: (poly_columns(data, ids, gamma, r), ids, np.ones(ids.size)),
+            gamma=gamma, r=r)
     raise ValueError(f"unsupported structure {type(structure).__name__}")
-
-
-def _worst_case(alpha: np.ndarray, data: SparseDataset, mode: str, structure,
-                lam: np.ndarray | None, cfg: SolverConfig) -> Constraint:
-    if mode == "plain":
-        return select_top_b(score_features(alpha, data, lam), cfg.budget)
-    if mode == "group":
-        return select_top_b(score_groups(alpha, data, structure, lam), cfg.budget)
-    if mode == "tree":
-        return score_tree_pruned(alpha, data, structure, cfg.budget)
-    return score_polynomial_streamed(alpha, data, structure.gamma, structure.r,
-                                     cfg.budget, structure.block)
-
-
-def _materialize(data: SparseDataset, mode: str, structure, lam: np.ndarray | None,
-                 constraint: Constraint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns plus per-column (unit, feature, lambda) bookkeeping."""
-    ids = np.asarray(constraint.ids, dtype=np.intp)
-    if mode == "plain":
-        cols = data.dense_columns(ids) * lam[ids]
-        return cols, ids, ids, lam[ids]
-    if mode == "poly":
-        cols = poly_columns(data, ids, structure.gamma, structure.r)
-        return cols, ids, ids, np.ones(ids.size)
-    sets = structure.groups if mode == "group" else structure.sets
-    lams = lam if mode == "group" else structure.lambdas
-    members = [sets[unit] for unit in ids]
-    units = np.repeat(ids, [g.size for g in members])
-    feats = np.concatenate(members)
-    scales = lams[units]
-    distinct, where = np.unique(feats, return_inverse=True)
-    # one pass over X; np.take keeps the columns C-ordered, which fixes the
-    # summation order of the bound that fgm_train computes from them
-    cols = np.take(data.dense_columns(distinct), where, axis=1) * scales
-    return cols, units, feats, scales
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +319,11 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
     kind = cfg.loss_kind()
-    mode, lam = _unit_lambdas(data, cfg, structure)
-    if mode == "tree" and cfg.lambda_policy != "ones" and not structure.lambdas_given:
-        structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
+    units = _units(data, cfg, structure)
 
     alpha = np.ones(data.n)
     labels = data.y.astype(float)
-    active = ActiveSet(mode, ColumnCache.empty(data.n))
+    active = ActiveSet(ColumnCache.empty(data.n))
     bounds = BoundsTrace()
     trace: list[TraceRecord] = []
     w: BlockWeights | None = None
@@ -328,15 +333,15 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
 
     for it in range(1, cfg.max_outer + 1):
         started = time.perf_counter()
-        proposal = _worst_case(alpha, data, mode, structure, lam, cfg)
+        proposal = units.propose(alpha, cfg.budget)
         if active.has(proposal):
             stop_reason = "duplicate"
             break
-        cols, units, feats, scales = _materialize(data, mode, structure, lam, proposal)
+        cols, feats, scales = units.columns(np.asarray(proposal.ids, dtype=np.intp))
         z = alpha * labels
         new_energy = 0.5 * float(np.sum((cols.T @ z) ** 2))
         phi_candidate = new_energy + dual_value_terms(alpha, kind)
-        active = active.extend(proposal, cols, units, feats, scales)
+        active = active.extend(proposal, cols, feats, scales)
 
         warm = (w.zero_extend(active.cache.offsets) if w is not None
                 else BlockWeights.zeros(active.cache.offsets))
@@ -362,19 +367,18 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
 
     if w is None:
         raise ValueError("training produced no selection")
-    return _assemble_model(data, cfg, structure, mode, active, w, stop_reason, trace)
+    return _assemble_model(data, cfg, units, active, w, stop_reason, trace)
 
 
-def _assemble_model(data: SparseDataset, cfg: SolverConfig, structure, mode: str,
+def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
                     active: ActiveSet, w: BlockWeights, stop_reason: str,
                     trace: list[TraceRecord]) -> Model:
     agg: dict[int, ModelEntry] = {}
-    fold_scale = mode in ("tree",)
     for col in range(w.flat.size):
         fid = int(active.col_feature[col])
         weight = float(w.flat[col])
         lam_col = float(active.col_lambda[col])
-        if fold_scale:
+        if units.fold_scale:
             weight, lam_col = weight * lam_col, 1.0
         entry = agg.get(fid)
         if entry is None:
@@ -383,20 +387,16 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, structure, mode: str
             entry.weight += weight
     entries = [agg[fid] for fid in sorted(agg)]
 
-    unit_features: dict[int, tuple[int, ...]] | None = None
-    if mode in ("group", "tree"):
-        sets = structure.groups if mode == "group" else structure.sets
-        unit_features = {int(u): tuple(int(f) for f in sets[u]) for u in active.units()}
+    unit_features = None if units.sets is None else {
+        int(u): tuple(int(f) for f in units.sets[u]) for u in active.units()}
 
     norms = w.norms()
     total = float(norms.sum())
     shares = (norms / total).tolist() if total > 0 else [0.0] * norms.size
 
-    gamma = structure.gamma if mode == "poly" else None
-    r = structure.r if mode == "poly" else None
-    return Model(mode, cfg.budget, len(active.constraints), stop_reason,
+    return Model(units.mode, cfg.budget, len(active.constraints), stop_reason,
                  cfg.loss_kind(), cfg.lambda_policy, data.m, active.units(),
-                 entries, unit_features, gamma, r, asdict(cfg), trace,
+                 entries, unit_features, units.gamma, units.r, asdict(cfg), trace,
                  [float(s) for s in shares])
 
 

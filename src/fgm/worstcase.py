@@ -17,8 +17,9 @@ zero-score units remain selectable so exactly ``min(B, p)`` units return.
 It works on whole score arrays: a partition finds the B-th best score,
 every candidate at or above it is kept so ties across that boundary
 survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
-scores raise ``ValueError``.  The streaming heap :class:`TopB` is kept
-only for the tree walk, which needs a running threshold to prune.
+scores raise ``ValueError``.  The tree walk also keeps a min-heap of the
+best ``B`` scores seen so far as its running pruning threshold, then ranks
+every visited node the same way.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -48,39 +49,6 @@ class Constraint:
             raise ValueError("budget must be >= 1")
         if len(self.ids) > self.budget:
             raise ValueError("constraint holds more ids than its budget")
-
-
-class TopB:
-    """Streaming top-``B`` selector with smallest-index tie-breaking.
-
-    Keeps a min-heap of ``(score, -index)`` pairs so the weakest kept entry
-    is at the root; on a score tie the larger index is evicted first.
-    """
-
-    def __init__(self, budget: int):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        self.budget = budget
-        self._heap: list[tuple[float, int]] = []
-
-    def offer(self, score: float, index: int) -> None:
-        item = (float(score), -int(index))
-        if len(self._heap) < self.budget:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
-
-    def threshold(self) -> float:
-        """Smallest kept score, or -inf while the heap is not full."""
-        if len(self._heap) < self.budget:
-            return -np.inf
-        return self._heap[0][0]
-
-    def full(self) -> bool:
-        return len(self._heap) >= self.budget
-
-    def ids(self) -> np.ndarray:
-        return np.sort([-neg for _, neg in self._heap]).astype(np.intp)
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -159,22 +127,32 @@ def score_tree_pruned(alpha: np.ndarray, data: SparseDataset, tree: TreeStructur
     and the precomputed subtree lambda-max bounds their scales).  Strict
     comparison keeps smallest-index tie-breaking exact.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     alpha = _check_alpha(alpha, data.n)
     cov = tree.covered()
     if cov.size and cov[-1] >= data.m:
         raise ValueError("tree feature index out of range")
     omega_sq = _omega(alpha, data) ** 2
-    top = TopB(budget)
+    kept: list[float] = []              # min-heap of the best `budget` scores so far
+    scores, nodes = [], []
     stack = sorted(tree.roots, reverse=True)
     while stack:
         node = stack.pop()
         energy = float(omega_sq[tree.sets[node]].sum())
-        top.offer(tree.lambdas[node] ** 2 * energy, node)
+        score = tree.lambdas[node] ** 2 * energy
+        scores.append(score)
+        nodes.append(node)
+        if len(kept) < budget:
+            heapq.heappush(kept, score)
+        elif score > kept[0]:
+            heapq.heapreplace(kept, score)
         if tree.children[node]:
             bound = tree.subtree_lambda_max[node] ** 2 * energy
-            if not (top.full() and bound < top.threshold()):
+            if not (len(kept) == budget and bound < kept[0]):
                 stack.extend(sorted(tree.children[node], reverse=True))
-    return Constraint(tuple(top.ids()), budget)
+    _, ids = _top(np.asarray(scores, dtype=float), np.asarray(nodes, dtype=np.intp), budget)
+    return Constraint(tuple(np.sort(ids)), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,13 @@ def test_usage_errors_exit_2(ws, tmp_path):
                    "--out-prefix", tmp_path / "x").returncode == 2
 
 
+def test_poly_with_inverse_norm_policy_exits_2(ws, tmp_path):
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", tmp_path / "m.json",
+                "--poly", "--lambda-policy", "inverse-norm")
+    assert r.returncode == 2 and "degree-2 features carry no scale" in r.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_missing_and_malformed_data_exit_3(ws, tmp_path):
     r = run_cli("train", "--data", tmp_path / "absent.libsvm", "--out", tmp_path / "m.json")
     assert r.returncode == 3

@@ -188,6 +188,28 @@ def test_unsupported_structure_type():
         fgm_train(data, SolverConfig(), structure=object())
 
 
+@pytest.mark.parametrize("policy", ["bogus", "inverse-norm"])
+@pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly"])
+def test_unknown_lambda_policy_rejected_for_every_unit_type(unit, policy):
+    data, _ = _small_problem(m=12)
+    structure = {
+        "plain": None,
+        "group": GroupStructure([np.arange(0, 6), np.arange(6, 12)], ["a", "b"], [2.0, 0.5]),
+        "tree": TreeStructure([np.arange(12), np.arange(0, 6), np.arange(6, 12)],
+                              np.array([-1, 0, 0]), ["r", "a", "b"]),
+        "poly": PolyMap(),
+    }[unit]
+    with pytest.raises(ValueError, match="unknown scaling policy"):
+        fgm_train(data, SolverConfig(budget=1, max_outer=2, lambda_policy=policy), structure)
+
+
+def test_poly_units_reject_inverse_norm_policy():
+    data, _ = _small_problem(m=6)
+    cfg = SolverConfig(budget=1, max_outer=2, lambda_policy="inverse_norm")
+    with pytest.raises(ValueError, match="degree-2 features carry no scale"):
+        fgm_train(data, cfg, PolyMap())
+
+
 # ---------------------------------------------------------------------------
 # structured modes
 
@@ -363,6 +385,6 @@ def test_load_model_rejects_bad_payloads(tmp_path):
 def test_eval_bounds_requires_constraints():
     from fgm.engine import ActiveSet
     from fgm.blocks import ColumnCache
-    active = ActiveSet("plain", ColumnCache.empty(3))
+    active = ActiveSet(ColumnCache.empty(3))
     with pytest.raises(ValueError, match="no stored constraints"):
         eval_bounds(np.ones(3), active, np.ones(3), LossKind())

@@ -9,7 +9,7 @@ from fgm.worstcase import (Constraint, poly_columns, poly_dim, poly_flat, poly_v
                            score_features, score_groups, score_polynomial_streamed,
                            score_tree_pruned, select_top_b)
 
-from oracles import best_subset_lex, poly_full_matrix, sort_top_b
+from oracles import best_subset_lex, poly_full_matrix, sort_top_b, tree_scores_exhaustive
 
 
 def _dataset_with_omega(omega, y=None):
@@ -195,6 +195,42 @@ def test_tree_pruned_equals_exhaustive_random(seed, budget):
                          for i in range(tree.n_nodes)])
     got = score_tree_pruned(alpha, data, tree, budget)
     assert got.ids == sort_top_b(expected, budget)
+
+
+def _three_node_tree():
+    return TreeStructure([np.arange(3), np.array([0]), np.array([1, 2])],
+                         np.array([-1, 0, 0]), ["r", "a", "b"])
+
+
+def test_tree_pruned_rejects_nan_scores():
+    X = np.eye(3)
+    X[1, 1] = np.nan
+    data = SparseDataset(X, np.array([1, -1, 1]))
+    with pytest.raises(ValueError, match="NaN"):
+        score_tree_pruned(np.ones(3), data, _three_node_tree(), 1)
+
+
+def test_tree_pruned_rejects_budget_below_one():
+    data, alpha = _dataset_with_omega([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="budget"):
+        score_tree_pruned(alpha, data, _three_node_tree(), 0)
+
+
+def test_tree_pruned_ties_on_duplicate_columns():
+    # columns 2..7 repeat columns 0 and 1, so sibling pairs score the same,
+    # and so do the leaves over equal columns
+    rng = np.random.default_rng(5)
+    data = SparseDataset(np.tile(rng.standard_normal((9, 2)), 4),
+                         np.where(rng.random(9) < 0.5, 1, -1))
+    sets = ([np.arange(8)] + [np.arange(i, i + 2) for i in range(0, 8, 2)]
+            + [np.array([i]) for i in range(8)])
+    parents = np.array([-1] + [0] * 4 + [1 + i // 2 for i in range(8)])
+    tree = TreeStructure(sets, parents, [f"n{i}" for i in range(13)])
+    alpha = rng.random(9)
+    scores = tree_scores_exhaustive((data.X.T @ (alpha * data.y)) ** 2, tree)
+    assert len(set(scores[1:5])) == 1 and len(set(scores[5:])) == 2
+    for budget in range(1, tree.n_nodes + 1):
+        assert score_tree_pruned(alpha, data, tree, budget).ids == sort_top_b(scores, budget)
 
 
 # ---------------------------------------------------------------------------
