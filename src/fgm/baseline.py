@@ -170,7 +170,8 @@ def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
         mode="plain", budget=support.size, n_outer=1, stop_reason="retrain",
         loss=kind, lambda_policy="ones", m=data.m,
         units=tuple(int(j) for j in support), entries=entries,
-        config={"C": kind.C, "loss": kind.kind, "support_size": int(support.size)},
+        config={"C": kind.C, "loss": kind.kind, "support_size": int(support.size),
+                "converged": bool(sol.converged)},
         mkl_weights=[1.0],
     )
 
@@ -259,6 +260,7 @@ def dense_to_model(sol: DenseWeights, data: SparseDataset, kind: LossKind,
         mode="plain", budget=max(1, support.size), n_outer=1, stop_reason=method,
         loss=kind, lambda_policy="ones", m=data.m,
         units=tuple(int(j) for j in support), entries=entries,
-        config={"C": kind.C, "loss": kind.kind, "method": method},
+        config={"C": kind.C, "loss": kind.kind, "method": method,
+                "converged": bool(sol.converged)},
         mkl_weights=[1.0],
     )

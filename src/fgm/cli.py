@@ -102,14 +102,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _structure_from_args(args: argparse.Namespace, m: int):
     if args.groups:
         structure = load_groups(args.groups)
-        top = int(structure.covered()[-1])
+        sets = structure.groups
     elif args.tree:
         structure = load_tree(args.tree)
-        top = int(structure.covered()[-1])
+        sets = structure.sets
     elif args.poly:
         return PolyMap(args.gamma, args.r, args.block)
     else:
         return None
+    top = max(int(s[-1]) for s in sets)          # each set is sorted
     if top >= m:
         raise FormatError(f"structure references feature {top}, but data has m={m}")
     return structure

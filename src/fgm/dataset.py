@@ -100,6 +100,10 @@ class GroupStructure:
 
     def __post_init__(self):
         self.groups = [np.sort(np.asarray(g, dtype=np.intp)) for g in self.groups]
+        if len(self.names) != len(self.groups):
+            raise ValueError("groups and names must have equal length")
+        if not self.groups:
+            raise ValueError("need at least one group")
         seen: set[int] = set()
         for name, g in zip(self.names, self.groups):
             if g.size == 0:
@@ -117,9 +121,6 @@ class GroupStructure:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
-
-    def covered(self) -> np.ndarray:
-        return np.sort(np.concatenate(self.groups))
 
 
 @dataclass
@@ -177,13 +178,6 @@ class TreeStructure:
             self.lambdas = np.asarray(lambdas, dtype=float)
             if self.lambdas.size != self.n_nodes or np.any(self.lambdas < 0):
                 raise ValueError("per-node lambdas must be non-negative, one per node")
-        # precomputed max lambda over each node's subtree (itself included),
-        # used by the search to bound every descendant's scale in O(1).
-        self.subtree_lambda_max = self.lambdas.copy()
-        for node in self._postorder():
-            for c in self.children[node]:
-                if self.subtree_lambda_max[c] > self.subtree_lambda_max[node]:
-                    self.subtree_lambda_max[node] = self.subtree_lambda_max[c]
 
     def _check_disjoint(self, nodes: list[int]) -> None:
         seen: set[int] = set()
@@ -202,25 +196,9 @@ class TreeStructure:
                 if steps > len(self.sets):
                     raise ValueError("parent links contain a cycle")
 
-    def _postorder(self) -> list[int]:
-        order: list[int] = []
-        stack = [(r, False) for r in sorted(self.roots, reverse=True)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in sorted(self.children[node], reverse=True):
-                    stack.append((c, False))
-        return order
-
     @property
     def n_nodes(self) -> int:
         return len(self.sets)
-
-    def covered(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.sets[r] for r in self.roots]))
 
     def with_lambdas(self, lambdas: np.ndarray) -> "TreeStructure":
         """Copy of this tree with explicit per-node scales (structure not re-validated)."""
@@ -352,17 +330,16 @@ def _parse_indices(body: str, where: str) -> np.ndarray:
     return ids
 
 
-def load_groups(path: str | Path) -> GroupStructure:
-    """Load disjoint groups from lines ``name: i1 i2 ... [| lambda=<float>]``.
+def _load_sets(path: str | Path, head_form: str, kind: str, parse_head, build):
+    """Read the ``<head>: i1 i2 ... [| lambda=<float>]`` lines of a group or tree file.
 
-    Feature indices are 0-based.  A missing lambda defaults to 1 for that
-    group; the structure carries explicit lambdas only if any line sets one.
+    ``parse_head(head, where)`` checks the text before ``:``.  ``build(heads,
+    sets, lambdas)`` makes the structure; its ``ValueError`` becomes a
+    :class:`FormatError`.  ``lambdas`` is None unless some line sets one, and
+    a line without one gets 1.
     """
     path = Path(path)
-    names: list[str] = []
-    groups: list[np.ndarray] = []
-    lambdas: list[float] = []
-    any_lambda = False
+    heads, sets, lambdas = [], [], []
     with path.open() as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -370,25 +347,41 @@ def load_groups(path: str | Path) -> GroupStructure:
                 continue
             where = f"{path}:{line_no}"
             if ":" not in line:
-                raise FormatError(f"{where}: expected 'name: i1 i2 ...'")
-            name, _, body = line.partition(":")
-            name = name.strip()
-            if not name:
-                raise FormatError(f"{where}: empty group name")
-            if name in names:
-                raise FormatError(f"{where}: duplicate group name {name!r}")
+                raise FormatError(f"{where}: expected '{head_form}: i1 i2 ...'")
+            head, _, body = line.partition(":")
+            heads.append(parse_head(head, where))
             body, lam = _parse_lambda_suffix(body, where)
-            ids = _parse_indices(body, where)
-            names.append(name)
-            groups.append(ids)
-            lambdas.append(1.0 if lam is None else lam)
-            any_lambda = any_lambda or lam is not None
-    if not names:
-        raise FormatError(f"{path}: no groups found")
+            sets.append(_parse_indices(body, where))
+            lambdas.append(lam)
+    if not sets:
+        raise FormatError(f"{path}: no {kind} found")
+    given = any(lam is not None for lam in lambdas)
     try:
-        return GroupStructure(groups, names, np.asarray(lambdas) if any_lambda else None)
+        return build(heads, sets,
+                     np.asarray([1.0 if lam is None else lam for lam in lambdas]) if given else None)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def load_groups(path: str | Path) -> GroupStructure:
+    """Load disjoint groups from lines ``name: i1 i2 ... [| lambda=<float>]``.
+
+    Feature indices are 0-based.  A missing lambda defaults to 1 for that
+    group; the structure carries explicit lambdas only if any line sets one.
+    """
+    seen: set[str] = set()
+
+    def parse_head(head: str, where: str) -> str:
+        name = head.strip()
+        if not name:
+            raise FormatError(f"{where}: empty group name")
+        if name in seen:
+            raise FormatError(f"{where}: duplicate group name {name!r}")
+        seen.add(name)
+        return name
+
+    return _load_sets(path, "name", "groups", parse_head,
+                      lambda names, groups, lambdas: GroupStructure(groups, names, lambdas))
 
 
 def load_tree(path: str | Path) -> TreeStructure:
@@ -397,49 +390,23 @@ def load_tree(path: str | Path) -> TreeStructure:
     ``parent`` is the name of an earlier node or the literal ``ROOT``.
     Feature indices are 0-based; node ids follow file order.
     """
-    path = Path(path)
-    names: list[str] = []
-    parents: list[int] = []
-    sets: list[np.ndarray] = []
-    lambdas: list[float] = []
-    any_lambda = False
     by_name: dict[str, int] = {}
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            if ":" not in line:
-                raise FormatError(f"{where}: expected 'name parent: i1 i2 ...'")
-            head, _, body = line.partition(":")
-            head_parts = head.split()
-            if len(head_parts) != 2:
-                raise FormatError(f"{where}: expected 'name parent' before ':'")
-            name, parent_name = head_parts
-            if name in by_name:
-                raise FormatError(f"{where}: duplicate node name {name!r}")
-            if parent_name == "ROOT":
-                parent = -1
-            elif parent_name in by_name:
-                parent = by_name[parent_name]
-            else:
-                raise FormatError(f"{where}: unknown parent {parent_name!r}")
-            body, lam = _parse_lambda_suffix(body, where)
-            ids = _parse_indices(body, where)
-            by_name[name] = len(names)
-            names.append(name)
-            parents.append(parent)
-            sets.append(ids)
-            lambdas.append(1.0 if lam is None else lam)
-            any_lambda = any_lambda or lam is not None
-    if not names:
-        raise FormatError(f"{path}: no nodes found")
-    try:
-        return TreeStructure(sets, np.asarray(parents), names,
-                             np.asarray(lambdas) if any_lambda else None)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+
+    def parse_head(head: str, where: str) -> tuple[str, int]:
+        parts = head.split()
+        if len(parts) != 2:
+            raise FormatError(f"{where}: expected 'name parent' before ':'")
+        name, parent = parts
+        if name in by_name:
+            raise FormatError(f"{where}: duplicate node name {name!r}")
+        if parent != "ROOT" and parent not in by_name:
+            raise FormatError(f"{where}: unknown parent {parent!r}")
+        by_name[name] = len(by_name)
+        return name, -1 if parent == "ROOT" else by_name[parent]
+
+    return _load_sets(path, "name parent", "nodes", parse_head, lambda heads, sets, lambdas:
+                      TreeStructure(sets, np.asarray([p for _, p in heads]),
+                                    [name for name, _ in heads], lambdas))
 
 
 def load_ground_truth(path: str | Path, m: int) -> GroundTruth:

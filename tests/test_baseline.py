@@ -207,3 +207,14 @@ def test_solvers_report_whether_they_converged():
     assert not l1_prox_train(data, kind, 0.1, max_iter=3).converged
     assert l2_full_train(data, kind).converged
     assert l1_prox_train(data, kind, 0.1).converged
+
+
+def test_baseline_models_record_whether_the_solve_converged():
+    data, _, _ = _dense_problem(3, n=30, m=10)
+    kind = LossKind("squared_hinge", 1.0)
+    capped = dense_to_model(l2_full_train(data, kind, max_iter=3), data, kind, "l2-full")
+    assert capped.config["converged"] is False
+    assert retrain_unbiased(data, [0, 1, 2], kind, max_iter=3).config["converged"] is False
+    solved = dense_to_model(l2_full_train(data, kind), data, kind, "l2-full")
+    assert solved.config["converged"] is True
+    assert retrain_unbiased(data, [0, 1, 2], kind).config["converged"] is True

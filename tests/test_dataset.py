@@ -179,8 +179,6 @@ def test_load_tree_structure(tmp_path):
     assert t.roots == [0]
     assert t.children[0] == [1, 2] and t.children[1] == [3]
     np.testing.assert_allclose(t.lambdas, [1.0, 2.0, 1.0, 5.0])
-    # subtree maxima: leaf lambda dominates its ancestors' bounds
-    np.testing.assert_allclose(t.subtree_lambda_max, [5.0, 5.0, 1.0, 5.0])
     assert t.lambdas_given
 
 
@@ -204,7 +202,6 @@ def test_tree_with_lambdas_copy():
     assert not t.lambdas_given
     t2 = t.with_lambdas([3.0, 7.0])
     assert t2.lambdas_given
-    np.testing.assert_allclose(t2.subtree_lambda_max, [7.0, 7.0])
     np.testing.assert_allclose(t.lambdas, [1.0, 1.0])  # original untouched
 
 
@@ -220,6 +217,16 @@ def test_group_structure_validation():
         GroupStructure([np.array([0, 1]), np.array([1, 2])], ["a", "b"])
     with pytest.raises(ValueError, match="empty"):
         GroupStructure([np.array([], dtype=int)], ["a"])
+
+
+def test_group_structure_rejects_unequal_lengths_and_no_groups():
+    # a short name list must not hide the overlap of the second group
+    with pytest.raises(ValueError, match="equal length"):
+        GroupStructure([np.array([0, 1]), np.array([1, 2])], ["a"], [1.0, 3.0])
+    with pytest.raises(ValueError, match="equal length"):
+        GroupStructure([np.array([0])], ["a", "b"])
+    with pytest.raises(ValueError, match="at least one group"):
+        GroupStructure([], [])
 
 
 # ---------------------------------------------------------------------------

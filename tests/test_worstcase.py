@@ -131,6 +131,31 @@ def test_score_groups_out_of_range():
         score_groups(alpha, data, groups, np.ones(1))
 
 
+def _random_groups(rng, p):
+    """``p`` disjoint groups of 1-11 features; a few features stay uncovered."""
+    sizes = rng.integers(1, 12, size=p)
+    perm = rng.permutation(int(sizes.sum()) + int(rng.integers(0, 4)))
+    return np.split(perm[:sizes.sum()], np.cumsum(sizes)[:-1]), perm.size
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_group_top_b_matches_oracles_with_ties(seed):
+    # integer omega and three exact lambda values make equal scores common
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 21))
+    sets, m = _random_groups(rng, p)
+    omega = rng.integers(-3, 4, size=m).astype(float)
+    data, alpha = _dataset_with_omega(omega)
+    lam = rng.choice([0.5, 1.0, 2.0], size=p)
+    groups = GroupStructure(sets, [f"g{j}" for j in range(p)])
+    expected = np.array([lam[j] ** 2 * (omega ** 2)[g].sum() for j, g in enumerate(sets)])
+    for budget in range(1, p + 1):
+        got = select_top_b(score_groups(alpha, data, groups, lam), budget).ids
+        assert got == sort_top_b(expected, budget)
+        if p <= 15:
+            assert got == best_subset_lex(expected, budget)
+
+
 # ---------------------------------------------------------------------------
 # tree search with pruning
 
@@ -231,6 +256,27 @@ def test_tree_pruned_ties_on_duplicate_columns():
     assert len(set(scores[1:5])) == 1 and len(set(scores[5:])) == 2
     for budget in range(1, tree.n_nodes + 1):
         assert score_tree_pruned(alpha, data, tree, budget).ids == sort_top_b(scores, budget)
+
+
+def test_tree_rejects_feature_out_of_range():
+    data, alpha = _dataset_with_omega([1.0, 2.0, 3.0])
+    tree = TreeStructure([np.array([0, 1, 3]), np.array([3])], np.array([-1, 0]), ["r", "c"])
+    with pytest.raises(ValueError, match="out of range"):
+        score_tree_pruned(alpha, data, tree, 1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tree_of_roots_selects_like_groups(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 21))
+    sets, m = _random_groups(rng, p)
+    data, alpha = _dataset_with_omega(rng.standard_normal(m))
+    lam = rng.uniform(0.0, 2.0, size=p)
+    names = [f"n{j}" for j in range(p)]
+    tree = TreeStructure(sets, np.full(p, -1), names, lam)
+    scores = score_groups(alpha, data, GroupStructure(sets, names), lam)
+    for budget in range(1, p + 1):
+        assert score_tree_pruned(alpha, data, tree, budget) == select_top_b(scores, budget)
 
 
 # ---------------------------------------------------------------------------
