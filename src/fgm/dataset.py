@@ -35,10 +35,13 @@ class SparseDataset:
 
     Rows are instances; column indices are 0-based features.  ``X`` is kept
     in canonical CSR form (sorted, duplicate-free indices per row).
+    ``dense`` is None except on a :meth:`fit_view`, where it may hold X as
+    an array for the BLAS kernels.
     """
 
     X: sp.csr_matrix
     y: np.ndarray
+    dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not sp.issparse(self.X):
@@ -66,11 +69,29 @@ class SparseDataset:
         sq = np.asarray(self.X.multiply(self.X).sum(axis=0)).ravel()
         return np.sqrt(sq)
 
+    def fit_view(self) -> "SparseDataset":
+        """Shallow copy that also carries ``dense``, X as a C-ordered array.
+
+        The array is built only when it takes no more memory than the CSR
+        values and indices it mirrors (density at least 2/3 with 32-bit
+        indices); otherwise ``dense`` stays None and every kernel reads the
+        CSR.  Training builds one view per fit and drops it on return.
+        """
+        view = copy.copy(self)
+        if self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
+            view.dense = self.X.toarray()
+        return view
+
     def dense_columns(self, ids: np.ndarray) -> np.ndarray:
-        """Extract columns ``ids`` as a dense ``(n, len(ids))`` matrix."""
+        """Extract columns ``ids`` as a dense ``(n, len(ids))`` matrix.
+
+        Both layouts copy the stored values, so the result is the same to the bit.
+        """
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.m):
             raise ValueError("feature index out of range")
+        if self.dense is not None:
+            return np.take(self.dense, ids, axis=1)
         return np.asarray(self.X[:, ids].todense())
 
 
@@ -144,31 +165,74 @@ class TreeStructure:
         n = len(self.sets)
         if self.parents.size != n or len(self.names) != n:
             raise ValueError("sets, parents, and names must have equal length")
+        sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=n)
+        node = np.repeat(np.arange(n), sizes)               # owner of each member
+        feat = np.concatenate([np.zeros(0, dtype=np.intp), *self.sets])
+        bad_parent = ((self.parents == np.arange(n)) | (self.parents >= n)
+                      | (self.parents < -1))
+        negative = np.zeros(n, dtype=bool)
+        negative[node[feat < 0]] = True
+        repeated = np.zeros(n, dtype=bool)
+        repeated[node[1:][(node[1:] == node[:-1]) & (feat[1:] == feat[:-1])]] = True
+        faulty = np.flatnonzero(bad_parent | (sizes == 0) | negative | repeated)
+        if faulty.size:
+            i = faulty[0]
+            if bad_parent[i]:
+                raise ValueError(f"node {self.names[i]!r} has an invalid parent")
+            if sizes[i] == 0:
+                raise ValueError(f"node {self.names[i]!r} is empty")
+            if negative[i]:
+                raise ValueError(f"node {self.names[i]!r} has a negative feature index")
+            raise ValueError(f"node {self.names[i]!r} repeats a feature")
         self.children: list[list[int]] = [[] for _ in range(n)]
-        for node, parent in enumerate(self.parents):
-            if parent == node or parent >= n or parent < -1:
-                raise ValueError(f"node {self.names[node]!r} has an invalid parent")
-            if self.sets[node].size == 0:
-                raise ValueError(f"node {self.names[node]!r} is empty")
-            if np.any(self.sets[node] < 0):
-                raise ValueError(f"node {self.names[node]!r} has a negative feature index")
+        for child, parent in enumerate(self.parents.tolist()):
             if parent >= 0:
-                self.children[parent].append(node)
-        self.roots = [i for i in range(n) if self.parents[i] == -1]
+                self.children[parent].append(child)
+        self.roots = np.flatnonzero(self.parents == -1).tolist()
         if not self.roots:
             raise ValueError("tree has no root node")
-        # local laminarity checks: child within parent, siblings disjoint.
-        for node in range(n):
-            kids = self.children[node]
-            for c in kids:
-                if np.setdiff1d(self.sets[c], self.sets[node]).size:
-                    raise ValueError(
-                        f"node {self.names[c]!r} is not contained in its parent {self.names[node]!r}"
-                    )
-            self._check_disjoint(kids)
-        self._check_disjoint(self.roots)
+        self._check_laminar(node, feat)
         self._assert_acyclic()
         self._set_lambdas(self.lambdas)
+
+    def _check_laminar(self, node: np.ndarray, feat: np.ndarray) -> None:
+        """Every child set lies in its parent's; sibling sets (roots too) are disjoint.
+
+        ``(node, feat)`` lists every member in node order, each set sorted
+        and repeat-free, so ``node * width + feat`` is a sorted key of the
+        memberships.  A child member is contained when the key of its
+        parent and feature occurs; two members clash when they share a
+        parent and a feature.  Faults are reported in the order of a walk
+        over the parents by id, children first checked for containment,
+        then for overlap; clashing roots are reported last.
+        """
+        width = int(feat.max()) + 1
+        if (self.n_nodes + 1) * width >= 2 ** 63:           # pair keys would overflow
+            feat = np.unique(feat, return_inverse=True)[1]
+            width = int(feat.max()) + 1
+        up = self.parents[node]
+        key = node * width + feat
+        inner = up >= 0
+        want = up[inner] * width + feat[inner]
+        found = key[np.minimum(np.searchsorted(key, want), key.size - 1)] == want
+        outside = np.zeros(self.n_nodes, dtype=bool)
+        outside[node[inner][~found]] = True
+        sibling_key = (up + 1) * width + feat
+        order = np.argsort(sibling_key, kind="stable")      # ties stay in node order
+        ranked = sibling_key[order]
+        overlap = np.zeros(self.n_nodes, dtype=bool)
+        overlap[node[order[1:][ranked[1:] == ranked[:-1]]]] = True
+        kids = np.flatnonzero((outside | overlap) & (self.parents >= 0))
+        if kids.size:
+            parent = self.parents[kids].min()
+            kids = kids[self.parents[kids] == parent]
+            if outside[kids].any():
+                raise ValueError(f"node {self.names[kids[outside[kids]][0]]!r} is not "
+                                 f"contained in its parent {self.names[parent]!r}")
+            raise ValueError(f"node {self.names[kids[0]]!r} overlaps a sibling")
+        roots = np.flatnonzero(overlap & (self.parents == -1))
+        if roots.size:
+            raise ValueError(f"node {self.names[roots[0]]!r} overlaps a sibling")
 
     def _set_lambdas(self, lambdas: np.ndarray | None) -> None:
         self.lambdas_given = lambdas is not None
@@ -179,22 +243,14 @@ class TreeStructure:
             if self.lambdas.size != self.n_nodes or np.any(self.lambdas < 0):
                 raise ValueError("per-node lambdas must be non-negative, one per node")
 
-    def _check_disjoint(self, nodes: list[int]) -> None:
-        seen: set[int] = set()
-        for node in nodes:
-            vals = self.sets[node].tolist()
-            if seen.intersection(vals):
-                raise ValueError(f"node {self.names[node]!r} overlaps a sibling")
-            seen.update(vals)
-
     def _assert_acyclic(self) -> None:
-        for node in range(len(self.sets)):
-            slow, steps = node, 0
-            while self.parents[slow] != -1:
-                slow = self.parents[slow]
-                steps += 1
-                if steps > len(self.sets):
-                    raise ValueError("parent links contain a cycle")
+        # pointer doubling: after k steps ``up`` holds each node's 2^k-th
+        # ancestor, which is -1 for every node once 2^k exceeds the depth
+        up = self.parents
+        for _ in range(self.n_nodes.bit_length()):
+            up = np.where(up >= 0, up[up], -1)
+        if np.any(up >= 0):
+            raise ValueError("parent links contain a cycle")
 
     @property
     def n_nodes(self) -> int:

@@ -311,13 +311,17 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     Re-proposing a stored selection proves no unit set scores higher, so
     training stops with a global certificate for the selection problem.
     Data holding a non-finite value raises :class:`NumericalError` for
-    outer iteration 1 before any search.
+    outer iteration 1 before any search.  Data dense enough that an array
+    of X takes no more memory than its CSR are trained on a per-fit array
+    copy (:meth:`SparseDataset.fit_view`), so the search and the column
+    extraction run through BLAS; the caller's ``data`` is not changed.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
     if not np.isfinite(data.X.data).all():
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
+    data = data.fit_view()
     kind = cfg.loss_kind()
     units = _units(data, cfg, structure)
 

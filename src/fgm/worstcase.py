@@ -18,6 +18,13 @@ survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
 scores raise ``ValueError``.  Groups and tree nodes share one scorer that
 gathers ``omega^2`` over the concatenated member lists and sums each set
 with ``np.add.reduceat``.
+
+Each kernel reads ``data.dense`` when a fit's view carries one
+(:meth:`SparseDataset.fit_view`): omega is then one dense matrix-vector
+product and the degree-2 cross products one matrix product per anchor
+block.  Otherwise it reads the CSR, the only layout that fits sparse
+ultrahigh-dimensional data.  The dense path adds no memory beyond that
+array, which is at most the size of the CSR it mirrors.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -59,7 +66,8 @@ def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
 
 def _omega(alpha: np.ndarray, data: SparseDataset) -> np.ndarray:
     """Weighted label-signed column sums ``omega = X' (alpha .* y)``."""
-    return data.X.T @ (alpha * data.y)
+    X = data.X if data.dense is None else data.dense
+    return X.T @ (alpha * data.y)
 
 
 def score_features(alpha: np.ndarray, data: SparseDataset, lam: np.ndarray) -> np.ndarray:
@@ -229,10 +237,11 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``.  Interaction terms are
     scanned blockwise over the anchor feature: for a block of anchors
-    ``A``, one sparse product gives the ``sum_i z_i x_ia x_ib`` values for
-    every partner ``b > a``, and the block's cross scores are merged with
-    the running best ``B`` as arrays, so peak memory besides the data is
-    ``O(B + block * m)``.  The result is identical to scoring the
+    ``A``, one product (sparse, or a BLAS matrix product on a dense view)
+    gives the ``sum_i z_i x_ia x_ib`` values for every partner ``b > a``,
+    and the block's cross scores are merged with the running best ``B`` as
+    arrays, so peak memory besides the data and its dense view is
+    ``O(B + block * (n + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """
     if gamma <= 0 or r < 0:
@@ -243,17 +252,24 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     z = alpha * data.y
     m = data.m
 
-    lin = np.sqrt(2.0 * gamma * r) * (data.X.T @ z)          # (m,)
-    sq = gamma * (data.X.multiply(data.X).T @ z)             # (m,)
+    D = data.dense
+    lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)     # (m,)
+    if D is None:
+        sq = gamma * (data.X.multiply(data.X).T @ z)         # (m,)
+        XT = data.X.T.tocsr()                                # row a is raw feature a
+    else:
+        sq = gamma * np.einsum("ij,ij,i->j", D, D, z)
     scores = np.concatenate([[(r * float(z.sum())) ** 2], lin ** 2, sq ** 2])
     best, best_ids = _top(scores, np.arange(scores.size), budget)
 
-    XT = data.X.T.tocsr()                                    # row a is raw feature a
     root2_gamma = np.sqrt(2.0) * gamma
     for start in range(0, m - 1, block):
         stop = min(start + block, m - 1)                     # anchors with a partner b > a
-        W = XT[start:stop].toarray().T * z[:, None]          # (n, k)
-        G = XT[start + 1:] @ W                               # rows b = start+1 .. m-1
+        # rows b = start+1 .. m-1, one column per anchor a: sum_i z_i x_ia x_ib
+        if D is None:
+            G = XT[start + 1:] @ (XT[start:stop].toarray().T * z[:, None])
+        else:
+            G = D[:, start + 1:].T @ (D[:, start:stop] * z[:, None])
         upper = np.arange(m - start - 1) >= np.arange(stop - start)[:, None]
         cross = (root2_gamma * G.T[upper]) ** 2              # flat-id order
         first = 1 + 2 * m + (start * (2 * m - start - 1)) // 2

@@ -219,6 +219,14 @@ def test_structure_beyond_dimension_exits_3(ws, tmp_path):
     assert r.returncode == 3 and "structure references feature 400" in r.stderr
 
 
+def test_tree_node_repeating_a_feature_exits_3(ws, tmp_path):
+    tree = tmp_path / "repeat.tree"
+    tree.write_text("a ROOT: 0 0 1\nb ROOT: 2\n")
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", tmp_path / "m.json",
+                "--tree", tree)
+    assert r.returncode == 3 and "repeats a feature" in r.stderr
+
+
 def test_non_finite_values_exit_4(tmp_path):
     sick = tmp_path / "sick.libsvm"
     rows = [f"{'+1' if i % 2 else '-1'} 1:{i % 7}.5 2:nan 3:1.0\n" for i in range(12)]

@@ -38,6 +38,39 @@ def test_dense_columns_out_of_range():
         data.dense_columns(np.array([3]))
 
 
+def test_fit_view_is_built_exactly_at_the_memory_break_even():
+    # 3 x 4 doubles take 96 bytes; the CSR keeps 12 bytes per stored value
+    # with 32-bit indices, so 8 stored values break even and 7 do not
+    for nnz, built in ((8, True), (7, False)):
+        X = np.zeros(12)
+        X[:nnz] = np.arange(1.0, nnz + 1)
+        X = X.reshape(3, 4)
+        data = SparseDataset(X, np.array([1, -1, 1]))
+        assert data.X.indices.dtype == np.int32 and data.X.nnz == nnz
+        view = data.fit_view()
+        assert (view.dense is not None) == built
+        assert data.dense is None and view.X is data.X and view.y is data.y
+        if built:
+            assert view.dense.flags.c_contiguous
+            np.testing.assert_array_equal(view.dense, X)
+
+
+def test_dense_columns_bit_identical_on_both_layouts():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((7, 9))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[2, 3] = 5e-324                                    # subnormal
+    data = SparseDataset(X, np.where(rng.random(7) < 0.5, 1, -1))
+    view = data.fit_view()
+    assert view.dense is not None
+    for ids in (np.array([8, 0, 3, 3, 5]), np.arange(9), np.array([], dtype=np.intp)):
+        want, got = data.dense_columns(ids), view.dense_columns(ids)
+        assert want.shape == got.shape == (7, ids.size)
+        assert got.flags.c_contiguous and want.tobytes() == got.tobytes()
+    with pytest.raises(ValueError, match="out of range"):
+        view.dense_columns(np.array([9]))
+
+
 def test_ground_truth_support():
     t = GroundTruth(np.array([0.0, 0.5, 0.0, -2.0]))
     assert t.m == 4
@@ -186,6 +219,7 @@ def test_load_tree_structure(tmp_path):
     ("a ROOT: 0 1\nb nowhere: 0\n", "unknown parent"),
     ("a ROOT: 0 1\nb a: 2\n", "not contained"),
     ("a ROOT: 0 1 2\nb a: 0 1\nc a: 1 2\n", "overlaps a sibling"),
+    ("a ROOT: 0 1 1\n", "repeats a feature"),
     ("a ROOT: 0\na ROOT: 1\n", "duplicate node"),
     ("a: 0 1\n", "expected 'name parent'"),
     ("", "no nodes"),
@@ -195,6 +229,36 @@ def test_load_tree_errors(tmp_path, content, fragment):
     f.write_text(content)
     with pytest.raises(FormatError, match=fragment):
         load_tree(f)
+
+
+@pytest.mark.parametrize("sets,parents,message", [
+    # a node that repeats a feature would score it twice and cache its column twice
+    ([[0, 0, 1], [2]], [-1, -1], "node 'a' repeats a feature"),
+    ([[0, 1, 2], [0, 1], [2, 2]], [-1, 0, 0], "node 'c' repeats a feature"),
+    ([[0, 1], [0]], [-1, 1], "node 'b' has an invalid parent"),
+    ([[0, 1], [0]], [-1, 2], "node 'b' has an invalid parent"),
+    ([[0, 1], [0]], [-2, 0], "node 'a' has an invalid parent"),
+    ([[0, 1], []], [-1, 0], "node 'b' is empty"),
+    ([[0, 1], [-1]], [-1, 0], "node 'b' has a negative feature index"),
+    ([[0, 1], [0]], [1, 0], "tree has no root node"),
+    ([[0, 1], [1, 2]], [-1, -1], "node 'b' overlaps a sibling"),
+    ([[0, 1, 2], [0], [0, 1]], [-1, 0, 0], "node 'c' overlaps a sibling"),
+    ([[0, 1, 2], [0], [3]], [-1, 0, 0], "node 'c' is not contained in its parent 'a'"),
+    ([[5], [0, 1], [0, 1]], [-1, 2, 1], "parent links contain a cycle"),
+])
+def test_tree_structure_validation(sets, parents, message):
+    with pytest.raises(ValueError, match=message):
+        TreeStructure(sets, parents, list("abcd")[:len(sets)])
+
+
+def test_tree_accepts_feature_ids_beyond_the_pair_key_range():
+    # with ids near 2^62, (parent + 1) * (max id + 1) + id wraps around in
+    # int64 and makes the children of roots 0 and 4 look like siblings
+    sets = [[4, 2 ** 62], [100], [101], [102], [0], [4], [0]]
+    tree = TreeStructure(sets, [-1, -1, -1, -1, -1, 0, 4], list("abcdefg"))
+    assert tree.children[0] == [5] and tree.children[4] == [6]
+    with pytest.raises(ValueError, match="node 'g' is not contained in its parent 'e'"):
+        TreeStructure(sets[:6] + [[2 ** 62 - 1]], [-1, -1, -1, -1, -1, 0, 4], list("abcdefg"))
 
 
 def test_tree_with_lambdas_copy():

@@ -1,6 +1,9 @@
 """Training loop, bounds, model container, prediction, and model files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,10 +146,15 @@ def test_numerical_error_carries_outer_context():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly"])
-def test_non_finite_data_fails_before_any_search(unit, bad):
+def test_non_finite_data_fails_before_any_search(unit, bad, monkeypatch):
     X = np.array([[1.0, bad, 0.5, 0.0], [2.0, 0.0, 1.0, 1.0],
                   [0.5, 1.0, 2.0, 0.0], [0.0, 3.0, 1.0, 2.0]])
     data = SparseDataset(X, np.array([1, -1, 1, -1]))
+
+    def no_view(self):
+        raise AssertionError("a dense view was built before the finiteness check")
+
+    monkeypatch.setattr(SparseDataset, "fit_view", no_view)
     structure = {
         "plain": None,
         "group": GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"]),
@@ -156,6 +164,49 @@ def test_non_finite_data_fails_before_any_search(unit, bad):
     }[unit]
     with pytest.raises(NumericalError, match="outer iteration 1: .*non-finite"):
         fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
+
+
+def test_fit_trains_on_a_dense_view_and_leaves_data_alone(monkeypatch):
+    data, _ = _small_problem(seed=3)
+    views = []
+    fit_view = SparseDataset.fit_view
+
+    def spy(self):
+        views.append(fit_view(self))
+        return views[-1]
+
+    monkeypatch.setattr(SparseDataset, "fit_view", spy)
+    fgm_train(data, SolverConfig(budget=3, max_outer=2))
+    assert len(views) == 1 and views[0].dense is not None and data.dense is None
+
+
+THREADED_FITS = """
+import sys
+from fgm.dataset import generate_synthetic
+from fgm.engine import PolyMap, SolverConfig, fgm_train, save_model
+
+plain, _ = generate_synthetic(1024, 4096, 100, seed=0)
+save_model(fgm_train(plain, SolverConfig(budget=10, max_outer=5, eps_outer=0.0)),
+           sys.argv[1] + "/plain.json")
+poly, _ = generate_synthetic(512, 800, 20, seed=0)
+save_model(fgm_train(poly, SolverConfig(budget=10, max_outer=1), PolyMap()),
+           sys.argv[1] + "/poly.json")
+"""
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # dense W1-shaped plain fit and a degree-2 round, both through the BLAS
+    # kernels; the thread count must be set before numpy loads its BLAS
+    models = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        r = subprocess.run([sys.executable, "-c", THREADED_FITS, str(out)], env=env,
+                           capture_output=True, text=True, timeout=600)
+        assert r.returncode == 0, r.stderr
+        models[threads] = [(out / name).read_bytes() for name in ("plain.json", "poly.json")]
+    assert models["1"] == models["2"]
 
 
 def test_grouped_units_extract_columns_in_one_pass(monkeypatch):

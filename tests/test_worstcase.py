@@ -1,5 +1,7 @@
 """Exact worst-case selection: scoring, ties, pruning, and the virtual map."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,17 @@ def _dataset_with_omega(omega, y=None):
     alpha = omega * y
     assert np.all(alpha >= 0)
     return SparseDataset(np.eye(n), y), np.asarray(alpha, dtype=float)
+
+
+def _layouts(data):
+    """``data`` itself (CSR kernels) and a per-fit view carrying X as an array.
+
+    The array is set here whatever the density, so the BLAS kernels also run
+    on the sparse identity designs of the tie tests.
+    """
+    view = data.fit_view()
+    view.dense = data.X.toarray()
+    return data, view
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +162,8 @@ def test_group_top_b_matches_oracles_with_ties(seed):
     lam = rng.choice([0.5, 1.0, 2.0], size=p)
     groups = GroupStructure(sets, [f"g{j}" for j in range(p)])
     expected = np.array([lam[j] ** 2 * (omega ** 2)[g].sum() for j, g in enumerate(sets)])
-    for budget in range(1, p + 1):
-        got = select_top_b(score_groups(alpha, data, groups, lam), budget).ids
+    for view, budget in itertools.product(_layouts(data), range(1, p + 1)):
+        got = select_top_b(score_groups(alpha, view, groups, lam), budget).ids
         assert got == sort_top_b(expected, budget)
         if p <= 15:
             assert got == best_subset_lex(expected, budget)
@@ -254,8 +267,8 @@ def test_tree_pruned_ties_on_duplicate_columns():
     alpha = rng.random(9)
     scores = tree_scores_exhaustive((data.X.T @ (alpha * data.y)) ** 2, tree)
     assert len(set(scores[1:5])) == 1 and len(set(scores[5:])) == 2
-    for budget in range(1, tree.n_nodes + 1):
-        assert score_tree_pruned(alpha, data, tree, budget).ids == sort_top_b(scores, budget)
+    for view, budget in itertools.product(_layouts(data), range(1, tree.n_nodes + 1)):
+        assert score_tree_pruned(alpha, view, tree, budget).ids == sort_top_b(scores, budget)
 
 
 def test_tree_rejects_feature_out_of_range():
@@ -352,11 +365,11 @@ def test_poly_streamed_equals_materialized(gamma, r, budget, block):
     X = rng.standard_normal((n, m))
     y = rng.choice([-1, 1], size=n)
     alpha = rng.random(n)
-    data = SparseDataset(X, y)
-    got = score_polynomial_streamed(alpha, data, gamma, r, budget, block)
     z = alpha * y
     scores = (poly_full_matrix(X, gamma, r).T @ z) ** 2
-    assert got.ids == sort_top_b(scores, budget)
+    for view in _layouts(SparseDataset(X, y)):
+        got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
+        assert got.ids == sort_top_b(scores, budget)
 
 
 def test_poly_streamed_tie_on_duplicate_columns():
@@ -365,10 +378,10 @@ def test_poly_streamed_tie_on_duplicate_columns():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])
     data = SparseDataset(X, np.array([1, 1, -1]))
     alpha = np.array([1.0, 0.5, 1.0])
-    got = score_polynomial_streamed(alpha, data, 1.0, 1.0, 2, 64)
     z = alpha * data.y
     scores = (poly_full_matrix(X, 1.0, 1.0).T @ z) ** 2
-    assert got.ids == sort_top_b(scores, 2)
+    for view in _layouts(data):
+        assert score_polynomial_streamed(alpha, view, 1.0, 1.0, 2, 64).ids == sort_top_b(scores, 2)
 
 
 def _poly_scores_exact(X, alpha, y, gamma, r):
@@ -396,9 +409,9 @@ def _check_every_budget(X, alpha, y, gamma, r, blocks):
         want = sort_top_b(scores, budget)
         if scores.size <= 15:
             assert best_subset_lex(scores, budget) == want
-        for block in blocks:
-            got = score_polynomial_streamed(alpha, data, gamma, r, budget, block)
-            assert got.ids == want, (budget, block)
+        for view, block in itertools.product(_layouts(data), blocks):
+            got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
+            assert got.ids == want, (budget, block, view.dense is None)
     return scores
 
 
