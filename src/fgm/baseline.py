@@ -57,8 +57,8 @@ def _design(data: SparseDataset):
     return data.X
 
 
-def _loss_and_coef(M, w: np.ndarray, y: np.ndarray, kind: LossKind):
-    xi = margins_from_scores(M @ w, y, kind)
+def _loss_and_coef(scores: np.ndarray, y: np.ndarray, kind: LossKind):
+    xi = margins_from_scores(scores, y, kind)
     return loss_from_margins(xi, kind), _instance_weights(xi, y, kind)
 
 
@@ -85,20 +85,22 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     def penalty(x: np.ndarray) -> float:
         return reg * float(np.abs(x).sum())
 
-    def linearize(v: np.ndarray):
-        p_v, coef = _loss_and_coef(M, v, y, kind)
+    def linearize(v: np.ndarray, s_v: np.ndarray):
+        p_v, coef = _loss_and_coef(s_v, y, kind)
         grad = -np.asarray(M.T @ coef).ravel()
 
         def step(tau: float):
             g = v - grad / tau
             x = np.sign(g) * np.maximum(np.abs(g) - reg / tau, 0.0)   # soft threshold
+            s_x = M @ x
             pen = penalty(x)
-            return x, _loss_and_coef(M, x, y, kind)[0] + pen, pen
+            return x, s_x, _loss_and_coef(s_x, y, kind)[0] + pen, pen
 
         return p_v, grad, step
 
+    s_w = M @ w
     w, _, objectives, _, converged = _accelerated(
-        w, _loss_and_coef(M, w, y, kind)[0] + penalty(w), linearize,
+        w, s_w, _loss_and_coef(s_w, y, kind)[0] + penalty(w), linearize,
         lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         0.1 * data.n * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
@@ -110,21 +112,22 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
     w = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
     coef_last = None        # loss coefficients at the last point whose objective was taken
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray, s_x: np.ndarray) -> float:
         nonlocal coef_last
-        loss, coef_last = _loss_and_coef(M, x, y, kind)
+        loss, coef_last = _loss_and_coef(s_x, y, kind)
         return 0.5 * float(x @ x) + loss
 
     def gradient(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return x - np.asarray(M.T @ coef).ravel()
 
-    def linearize(v: np.ndarray):
-        p_v, coef = _loss_and_coef(M, v, y, kind)
+    def linearize(v: np.ndarray, s_v: np.ndarray):
+        p_v, coef = _loss_and_coef(s_v, y, kind)
         grad = gradient(v, coef)
 
         def step(tau: float):
             x = v - grad / tau
-            return x, objective(x), 0.0
+            s_x = M @ x
+            return x, s_x, objective(x, s_x), 0.0
 
         return 0.5 * float(v @ v) + p_v, grad, step
 
@@ -134,8 +137,9 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
+    s_w = M @ w
     w, _, objectives, _, converged = _accelerated(
-        w, objective(w), linearize, stop, 0.1 * y.size * kind.C, 0.8, max_iter)
+        w, s_w, objective(w, s_w), linearize, stop, 0.1 * y.size * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
 
 
@@ -201,7 +205,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
         raise ValueError("targets must be positive integers")
     M = _design(data)
     y = data.y.astype(float)
-    _, coef0 = _loss_and_coef(M, np.zeros(data.m), y, kind)
+    _, coef0 = _loss_and_coef(np.zeros(data.n), y, kind)
     reg_max = float(np.max(np.abs(np.asarray(M.T @ coef0).ravel())))
     if reg_max == 0:
         raise ValueError("zero gradient at the origin; nothing to sweep")

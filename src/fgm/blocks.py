@@ -101,9 +101,6 @@ class ColumnCache:
     def n_instances(self) -> int:
         return self.matrix.shape[0]
 
-    def block_columns(self, t: int) -> np.ndarray:
-        return self.matrix[:, self.offsets[t]:self.offsets[t + 1]]
-
     def scores(self, w: BlockWeights) -> np.ndarray:
         """Per-instance decision values ``sum_t w_t . x_{it}``."""
         return self.matrix @ w.flat

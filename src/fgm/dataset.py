@@ -34,7 +34,9 @@ class SparseDataset:
     """Binary classification data: CSR matrix ``X`` and labels ``y`` in {-1,+1}.
 
     Rows are instances; column indices are 0-based features.  ``X`` is kept
-    in canonical CSR form (sorted, duplicate-free indices per row).
+    in canonical CSR form (sorted, duplicate-free indices per row).  A
+    canonical float64 CSR is kept as given, sharing memory with the
+    caller's; any other input is converted or copied, never changed.
     ``dense`` is None except on a :meth:`fit_view`, where it may hold X as
     an array for the BLAS kernels.
     """
@@ -46,9 +48,10 @@ class SparseDataset:
     def __post_init__(self):
         if not sp.issparse(self.X):
             self.X = sp.csr_matrix(np.asarray(self.X, dtype=float))
-        self.X = self.X.tocsr().astype(float)
-        self.X.sum_duplicates()
-        self.X.sort_indices()
+        self.X = self.X.tocsr().astype(float, copy=False)
+        if not self.X.has_canonical_format:
+            self.X = self.X.copy()
+            self.X.sum_duplicates()    # also sorts the indices
         self.y = np.asarray(self.y, dtype=int)
         if self.y.ndim != 1 or self.y.size != self.X.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")

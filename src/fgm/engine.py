@@ -251,32 +251,25 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
 # bounds
 
 
-def _constraint_energy(active: ActiveSet, t: int, z: np.ndarray) -> float:
-    """Half squared norm of the stored selection's weighted column sums.
-
-    Because scales are folded into the cached columns, this equals
-    ``0.5 * sum_{j in d_t} lambda_j^2 omega_j^2`` in every mode.
-    """
-    u = active.cache.block_columns(t).T @ z
-    return 0.5 * float(u @ u)
-
-
 def eval_bounds(alpha: np.ndarray, active: ActiveSet, labels: np.ndarray,
                 kind: LossKind) -> float:
     """Dual value over the stored selections at the given ``alpha``.
 
     Takes the largest stored-selection energy plus the alpha-only dual
-    terms.  Minimizing this over feasible ``alpha`` gives the negated
-    subproblem optimum, so at a (near-)exact subproblem solve the returned
-    value is a lower bound on the negated full optimum, rising toward it
-    as selections accumulate; an inexact solve can overshoot by its
-    remaining dual gap.
+    terms.  A selection's energy is half the squared norm of its cached
+    columns' products with ``alpha * labels``; as scales are folded into
+    the columns, it is ``0.5 * sum_{j in d_t} lambda_j^2 omega_j^2`` for
+    every unit type.  Minimizing this over feasible ``alpha`` gives the
+    negated subproblem optimum, so at a (near-)exact subproblem solve the
+    returned value is a lower bound on the negated full optimum, rising
+    toward it as selections accumulate; an inexact solve can overshoot by
+    its remaining dual gap.
     """
     if not active.constraints:
         raise ValueError("no stored constraints")
-    z = alpha * labels
-    best = max(_constraint_energy(active, t, z) for t in range(len(active.constraints)))
-    return best + dual_value_terms(alpha, kind)
+    u = active.cache.matrix.T @ (alpha * labels)
+    energies = 0.5 * np.add.reduceat(u * u, active.cache.offsets[:-1])
+    return float(energies.max()) + dual_value_terms(alpha, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BlockWeights, ColumnCache
 from .loss import LossKind, loss_from_margins, margins_from_scores, recover_duals  # noqa: F401
-from .loss import _instance_weights, eval_loss
+from .loss import _instance_weights
 
 
 class NumericalError(RuntimeError):
@@ -89,26 +89,20 @@ class ApgResult:
         return len(self.objectives) - 1
 
 
-def _block_products(cache: ColumnCache, flat: np.ndarray) -> np.ndarray:
-    """Per-block partial scores: column ``t`` is ``X_t @ v_t``, shape (n, T)."""
-    out = np.empty((cache.n_instances, cache.n_blocks))
-    for t in range(cache.n_blocks):
-        sl = slice(cache.offsets[t], cache.offsets[t + 1])
-        out[:, t] = cache.matrix[:, sl] @ flat[sl]
-    return out
-
-
 def _relative_change(f_prev: float, f_curr: float) -> float:
     return abs(f_prev - f_curr) / max(abs(f_prev), 1e-12)
 
 
-def _accelerated(x: np.ndarray, f_curr: float, linearize, stop, tau: float, eta: float,
-                 max_iter: int) -> tuple[np.ndarray, float, list[float], float, bool]:
+def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, tau: float,
+                 eta: float, max_iter: int) -> tuple[np.ndarray, float, list[float], float, bool]:
     """Accelerated proximal gradient loop shared by every solver in the package.
 
-    ``linearize(v)`` gives the smooth value and gradient at the extrapolated
-    point ``v`` and a trial ``step(tau)`` returning the prox point for
-    inverse step size ``tau``, its objective and its non-smooth penalty.
+    ``s`` holds the scores ``X @ x`` of the start, all that a loss reads; the
+    loop extrapolates them with the same momentum as the point.
+    ``linearize(v, s_v)`` gives the smooth value and gradient at the
+    extrapolated point and a trial ``step(tau)`` returning the prox point
+    for inverse step size ``tau``, its scores (a fresh product, so rounding
+    never accumulates), its objective and its non-smooth penalty.
     ``stop(x, f_prev, f_curr)`` is asked after every accepted iteration.
     Returns ``(x, tau, objectives, max_tau, stopped)``: the final point,
     the last accepted ``tau``, the accepted objective trace (index 0 =
@@ -116,7 +110,7 @@ def _accelerated(x: np.ndarray, f_curr: float, linearize, stop, tau: float, eta:
     """
     if not np.isfinite(f_curr):
         raise NumericalError("non-finite objective at the starting point", iteration=0)
-    x_prev = x
+    x_prev, s_prev = x, s
     rho_prev = rho = 1.0
     cap = max(tau, 1e3 * tau)
     max_tau = 0.0
@@ -125,11 +119,11 @@ def _accelerated(x: np.ndarray, f_curr: float, linearize, stop, tau: float, eta:
         while True:
             momentum = (rho_prev - 1.0) / rho
             v = x + momentum * (x - x_prev)
-            p_v, grad, step = linearize(v)
+            p_v, grad, step = linearize(v, s + momentum * (s - s_prev))
             trial = eta * tau
             cap_hits = 0
             for _ in range(500):
-                x_new, f_new, penalty = step(trial)
+                x_new, s_new, f_new, penalty = step(trial)
                 diff = x_new - v
                 q_val = p_v + float(grad @ diff) + penalty + 0.5 * trial * float(diff @ diff)
                 if not np.isfinite(f_new):
@@ -151,11 +145,12 @@ def _accelerated(x: np.ndarray, f_curr: float, linearize, stop, tau: float, eta:
                 # extrapolation overshot: restart from the current point, where
                 # acceptance guarantees no increase; the momentum is then 0
                 rho_prev = rho = 1.0
-                x_prev = x
+                x_prev, s_prev = x, s
                 continue
             break
         max_tau = max(max_tau, tau)
         x_prev, x = x, x_new
+        s_prev, s = s, s_new
         rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
         f_prev, f_curr = f_curr, f_new
         objectives.append(f_curr)
@@ -200,14 +195,16 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
 
     Notes
     -----
-    Candidate objectives inside the line search are evaluated from cached
-    per-block instance products, so each trial costs O(n T) instead of a
-    full O(n T B) pass; the cached evaluation agrees with direct
-    evaluation to rounding error.
+    Each line-search trial takes the scores of its candidate in one
+    product over the whole cache and each iteration one more for the
+    gradient; the scores at the extrapolated point are extrapolated from
+    those of the last two iterates.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     labels = np.asarray(labels, dtype=float)
+    if labels.shape != (cache.n_instances,):
+        raise ValueError("labels length does not match the cache")
     if L_init is None:
         L_init = 0.1 * cache.n_instances * kind.C
     if not L_init > 0:
@@ -217,24 +214,27 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         raise ValueError("warm start does not match the cache layout")
     starts, sizes = cache.offsets[:-1], np.diff(cache.offsets)
 
-    def linearize(v: np.ndarray):
-        per_block_v = _block_products(cache, v)
-        xi_v = margins_from_scores(per_block_v.sum(axis=1), labels, kind)
+    def loss(scores: np.ndarray) -> float:
+        return loss_from_margins(margins_from_scores(scores, labels, kind), kind)
+
+    def linearize(v: np.ndarray, s_v: np.ndarray):
+        xi_v = margins_from_scores(s_v, labels, kind)
         grad = -(cache.matrix.T @ _instance_weights(xi_v, labels, kind))
-        per_block_g = _block_products(cache, grad)
 
         def step(tau: float):
             g = v - grad / tau
             norms = np.sqrt(np.add.reduceat(g * g, starts))
             c, _ = _moreau_coefficients(norms, 1.0 / tau)
             omega = 0.5 * float((c * norms).sum()) ** 2
-            xi = margins_from_scores((per_block_v - per_block_g / tau) @ c, labels, kind)
-            return np.repeat(c, sizes) * g, loss_from_margins(xi, kind) + omega, omega
+            x = np.repeat(c, sizes) * g
+            s_x = cache.matrix @ x
+            return x, s_x, loss(s_x) + omega, omega
 
         return loss_from_margins(xi_v, kind), grad, step
 
+    s_w = cache.scores(w)
     flat, tau, objectives, max_tau, _ = _accelerated(
-        w.flat.copy(), eval_loss(w, cache, labels, kind)[0] + regularizer(w), linearize,
+        w.flat.copy(), s_w, loss(s_w) + regularizer(w), linearize,
         lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         float(L_init), eta, max_inner)
     return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau)

@@ -8,7 +8,7 @@ from fgm.baseline import (DenseWeights, dense_to_model, l1_prox_train, l2_full_t
                           retrain_unbiased, sweep_to_support)
 from fgm.dataset import SparseDataset, generate_synthetic
 from fgm.engine import predict
-from fgm.loss import LossKind
+from fgm.loss import LossKind, loss_from_margins, margins_from_scores
 from fgm.subsolver import NumericalError
 
 from oracles import l1_split_lbfgs, l2_lbfgs
@@ -74,6 +74,29 @@ def test_l1_warm_start_and_validation():
         l1_prox_train(data, kind, -1.0)
     with pytest.raises(ValueError):
         l1_prox_train(data, kind, reg, warm=np.zeros(data.m + 1))
+
+
+@pytest.mark.parametrize("density", [1.0, 0.2], ids=["dense", "sparse"])
+@pytest.mark.parametrize("loss", ["squared_hinge", "logistic"])
+def test_reported_objectives_match_direct_evaluation_at_every_cap(loss, density):
+    # both solvers extrapolate scores instead of recomputing them; the
+    # objective they report must still be the one of the weights they return
+    data, X, y = _dense_problem(14)
+    X = X * (np.random.default_rng(15).random(X.shape) < density)
+    data = SparseDataset(X, data.y)
+    kind = LossKind(loss, 1.0)
+    reg = 0.2 * np.max(np.abs(X.T @ y))
+
+    def loss_at(w):
+        return loss_from_margins(margins_from_scores(X @ w, y, kind), kind)
+
+    for cap in range(1, 16):
+        l1 = l1_prox_train(data, kind, reg, eps=0.0, max_iter=cap)
+        assert len(l1.objectives) == cap + 1
+        assert l1.objectives[-1] == pytest.approx(
+            reg * np.abs(l1.w).sum() + loss_at(l1.w), rel=1e-12)
+        l2 = l2_full_train(data, kind, eps=0.0, max_iter=cap)
+        assert l2.objectives[-1] == pytest.approx(0.5 * l2.w @ l2.w + loss_at(l2.w), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,23 @@ def test_dataset_rejects_bad_labels():
         SparseDataset(X, np.array([1, -1, 1]))
 
 
+def test_dataset_canonicalizes_a_copy_and_shares_a_canonical_csr():
+    # row 0 holds column 2 before column 0, and column 0 twice in row 1
+    X = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 0, 0, 0]),
+                       np.array([0, 2, 4])), shape=(2, 3))
+    before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+    data = SparseDataset(X, np.array([1, -1]))
+    for a, b in zip(before, (X.data, X.indices, X.indptr)):
+        np.testing.assert_array_equal(a, b)
+    assert data.X.has_canonical_format
+    np.testing.assert_array_equal(data.X.toarray(), [[2.0, 0.0, 1.0], [7.0, 0.0, 0.0]])
+
+    canonical = sp.random(6, 5, density=0.5, format="csr", random_state=0)
+    data = SparseDataset(canonical, np.ones(6, dtype=int))
+    assert np.shares_memory(data.X.data, canonical.data)
+    assert np.shares_memory(data.X.indices, canonical.indices)
+
+
 def test_dense_columns_out_of_range():
     data = SparseDataset(np.eye(3), np.array([1, 1, -1]))
     with pytest.raises(ValueError, match="out of range"):

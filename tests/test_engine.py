@@ -182,21 +182,35 @@ def test_fit_trains_on_a_dense_view_and_leaves_data_alone(monkeypatch):
 
 THREADED_FITS = """
 import sys
-from fgm.dataset import generate_synthetic
+import numpy as np
+from fgm.baseline import l1_prox_train
+from fgm.dataset import TreeStructure, generate_synthetic
 from fgm.engine import PolyMap, SolverConfig, fgm_train, save_model
+from fgm.loss import LossKind
 
 plain, _ = generate_synthetic(1024, 4096, 100, seed=0)
 save_model(fgm_train(plain, SolverConfig(budget=10, max_outer=5, eps_outer=0.0)),
            sys.argv[1] + "/plain.json")
+tree = TreeStructure([np.arange(64 * r, 64 * r + 64) for r in range(64)]
+                     + [np.arange(16 * c, 16 * c + 16) for c in range(256)],
+                     np.array([-1] * 64 + [c // 4 for c in range(256)]),
+                     [f"n{i}" for i in range(320)])
+save_model(fgm_train(plain, SolverConfig(budget=2, max_outer=3, eps_outer=0.0, loss="logistic",
+                                         lambda_policy="inverse_norm"), tree),
+           sys.argv[1] + "/tree.json")
 poly, _ = generate_synthetic(512, 800, 20, seed=0)
 save_model(fgm_train(poly, SolverConfig(budget=10, max_outer=1), PolyMap()),
            sys.argv[1] + "/poly.json")
+reg = 0.1 * float(np.abs(poly.X.T @ poly.y).max())
+sol = l1_prox_train(poly, LossKind("squared_hinge", 1.0), reg, max_iter=50)
+open(sys.argv[1] + "/l1.bin", "wb").write(sol.w.tobytes())
 """
 
 
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # dense W1-shaped plain fit and a degree-2 round, both through the BLAS
-    # kernels; the thread count must be set before numpy loads its BLAS
+    # dense W1-shaped plain and logistic tree fits, a degree-2 round and an
+    # l1 solve, all through the BLAS kernels; the thread count must be set
+    # before numpy loads its BLAS
     models = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -205,7 +219,8 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         r = subprocess.run([sys.executable, "-c", THREADED_FITS, str(out)], env=env,
                            capture_output=True, text=True, timeout=600)
         assert r.returncode == 0, r.stderr
-        models[threads] = [(out / name).read_bytes() for name in ("plain.json", "poly.json")]
+        names = ("plain.json", "tree.json", "poly.json", "l1.bin")
+        models[threads] = [(out / name).read_bytes() for name in names]
     assert models["1"] == models["2"]
 
 

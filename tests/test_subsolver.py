@@ -174,11 +174,24 @@ def test_apg_result_bookkeeping():
     assert isinstance(result, ApgResult)
     assert result.n_iters == len(result.objectives) - 1
     assert result.n_iters <= 50
-    assert result.max_tau >= result.tau * 0  # recorded and non-negative
+    assert result.max_tau >= result.tau
     assert result.max_tau > 0
     # final objective consistent with direct evaluation of the weights
     assert result.objectives[-1] == pytest.approx(
         _objective(cache, labels, SQ, result.weights), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", [SQ, LG], ids=["squared_hinge", "logistic"])
+def test_apg_objectives_match_direct_evaluation_at_every_cap(kind):
+    # the solver extrapolates scores instead of recomputing them; the
+    # objective it reports must still be the one of the weights it returns
+    rng = np.random.default_rng(21)
+    cache, labels = _random_subproblem(rng, n=40, blocks=(5, 1, 7, 2, 3))
+    for cap in range(1, 16):
+        result = apg_solve(cache, labels, kind, eps=0.0, max_inner=cap)
+        assert result.n_iters == cap
+        assert result.objectives[-1] == pytest.approx(
+            _objective(cache, labels, kind, result.weights), rel=1e-12)
 
 
 def test_apg_zero_tolerance_runs_to_cap():
