@@ -13,7 +13,6 @@ import numpy as np
 
 from fgm import (GroupStructure, SolverConfig, SparseDataset, TreeStructure,
                  fgm_train, predict)
-import scipy.sparse as sp
 
 rng = np.random.default_rng(42)
 
@@ -30,7 +29,7 @@ w[groups[2]] = rng.uniform(0.5, 1.5, group_size)
 w[groups[7]] = -rng.uniform(0.5, 1.5, group_size)
 X = rng.standard_normal((300, m))
 y = np.where(X @ w >= 0, 1.0, -1.0)
-train = SparseDataset(sp.csr_matrix(X), y)
+train = SparseDataset(X, y)
 
 # One group per round, a handful of rounds.  The signal groups are
 # proposed first; later rounds only mop up noise.
@@ -60,7 +59,7 @@ w = np.zeros(24)
 w[:6] = rng.uniform(0.8, 1.8, 6)
 X = rng.standard_normal((300, 24))
 y = np.where(X @ w >= 0, 1.0, -1.0)
-train = SparseDataset(sp.csr_matrix(X), y)
+train = SparseDataset(X, y)
 
 # With uniform node scales a parent set always scores at least as high as
 # any of its children (it contains them), so the coarse roots win.

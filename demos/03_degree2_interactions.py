@@ -10,7 +10,6 @@ streamed blocks, so the quadratic design matrix is never materialized.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from fgm import (PolyMap, SolverConfig, SparseDataset, fgm_train, poly_dim,
                  poly_variant, predict)
@@ -20,11 +19,11 @@ rng = np.random.default_rng(3)
 n, m = 500, 12
 X = rng.standard_normal((n, m))
 y = np.where(X[:, 2] * X[:, 5] >= 0, 1.0, -1.0)
-train = SparseDataset(sp.csr_matrix(X), y)
+train = SparseDataset(X, y)
 
 X_test = rng.standard_normal((2000, m))
 y_test = np.where(X_test[:, 2] * X_test[:, 5] >= 0, 1.0, -1.0)
-test = SparseDataset(sp.csr_matrix(X_test), y_test)
+test = SparseDataset(X_test, y_test)
 
 # ---------------------------------------------------------------------------
 # A budgeted linear model can only guess.

@@ -99,7 +99,7 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
         return p_v, grad, step
 
     s_w = M @ w
-    w, _, objectives, _, converged = _accelerated(
+    w, _, _, objectives, _, converged = _accelerated(
         w, s_w, _loss_and_coef(s_w, y, kind)[0] + penalty(w), linearize,
         lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         0.1 * data.n * kind.C, 0.8, max_iter)
@@ -138,7 +138,7 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
     s_w = M @ w
-    w, _, objectives, _, converged = _accelerated(
+    w, _, _, objectives, _, converged = _accelerated(
         w, s_w, objective(w, s_w), linearize, stop, 0.1 * y.size * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
 

@@ -36,7 +36,9 @@ class SparseDataset:
     Rows are instances; column indices are 0-based features.  ``X`` is kept
     in canonical CSR form (sorted, duplicate-free indices per row).  A
     canonical float64 CSR is kept as given, sharing memory with the
-    caller's; any other input is converted or copied, never changed.
+    caller's; any other sparse input is converted or copied, never changed.
+    An array (0-D and 1-D ones become one row) is converted in one pass
+    into a new CSR that shares no memory with it.
     ``dense`` is None except on a :meth:`fit_view`, where it may hold X as
     an array for the BLAS kernels.
     """
@@ -47,7 +49,7 @@ class SparseDataset:
 
     def __post_init__(self):
         if not sp.issparse(self.X):
-            self.X = sp.csr_matrix(np.asarray(self.X, dtype=float))
+            self.X = _dense_to_csr(np.asarray(self.X, dtype=float))
         self.X = self.X.tocsr().astype(float, copy=False)
         if not self.X.has_canonical_format:
             self.X = self.X.copy()
@@ -96,6 +98,25 @@ class SparseDataset:
         if self.dense is not None:
             return np.take(self.dense, ids, axis=1)
         return np.asarray(self.X[:, ids].todense())
+
+
+def _dense_to_csr(X: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR of a float array, equal to ``sp.csr_matrix(X)`` to the bit.
+
+    One mask of the nonzeros (``-0.0`` counts as zero, NaN as nonzero)
+    gives the row counts and gathers values and column ids in row order,
+    in the index dtype scipy picks, without scipy's COO detour.
+    """
+    X = np.atleast_2d(X)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got {X.ndim}-D")
+    nonzero = X != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    index = sp.get_index_dtype(maxval=max(*X.shape, int(counts.sum())))
+    indptr = np.zeros(X.shape[0] + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.broadcast_to(np.arange(X.shape[1], dtype=index), X.shape)[nonzero]
+    return sp.csr_matrix((X[nonzero], indices, indptr), shape=X.shape)
 
 
 @dataclass
@@ -346,15 +367,13 @@ def write_libsvm(data: SparseDataset, path: str | Path) -> None:
     """Write ``data`` in the sparse text format (1-based, 17 significant digits)."""
     path = Path(path)
     X = data.X
+    indptr = X.indptr.tolist()
     with path.open("w") as fh:
-        for i in range(data.n):
-            row = [f"{int(data.y[i]):+d}"]
-            for j, v in zip(
-                X.indices[X.indptr[i]:X.indptr[i + 1]],
-                X.data[X.indptr[i]:X.indptr[i + 1]],
-            ):
-                row.append(f"{j + 1}:{v:.17g}")
-            fh.write(" ".join(row) + "\n")
+        for i, label in enumerate(data.y.tolist()):
+            lo, hi = indptr[i], indptr[i + 1]
+            pairs = [f"{j + 1}:{v:.17g}"
+                     for j, v in zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist())]
+            fh.write(" ".join([f"{label:+d}", *pairs]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +611,7 @@ def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
     truth = _truth_from_rng(rng, m, k, weighting)
     X = rng.standard_normal((n, m))
     y = _labels(X, truth.weights)
-    return SparseDataset(sp.csr_matrix(X), y), truth
+    return SparseDataset(X, y), truth
 
 
 def generate_test_set(truth: GroundTruth, n: int, seed: int = 0) -> SparseDataset:
@@ -606,4 +625,4 @@ def generate_test_set(truth: GroundTruth, n: int, seed: int = 0) -> SparseDatase
     rng = np.random.default_rng([seed, 1])
     X = rng.standard_normal((n, truth.m))
     y = _labels(X, truth.weights)
-    return SparseDataset(sp.csr_matrix(X), y)
+    return SparseDataset(X, y)

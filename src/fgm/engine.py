@@ -24,7 +24,9 @@ from .blocks import BlockWeights, ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
                       TreeStructure, compute_scaling_prior, group_scaling_prior,
                       _inverse_set_norms)
-from .loss import LossKind, dual_value_terms, eval_loss, recover_duals
+# eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
+from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
+                   recover_duals)
 from .subsolver import NumericalError, _relative_change, apg_solve
 from .worstcase import (Constraint, poly_columns, score_features, score_groups,
                         score_polynomial_streamed, score_tree_pruned, select_top_b)
@@ -351,8 +353,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
                                  iteration=exc.iteration) from exc
         w, tau_prev = result.weights, result.tau
         f_curr = result.objectives[-1]
-        _, xi = eval_loss(w, active.cache, labels, kind)
-        alpha = recover_duals(xi, kind)
+        alpha = recover_duals(margins_from_scores(result.scores, labels, kind), kind)
         bounds.record(eval_bounds(alpha, active, labels, kind), phi_candidate)
         trace.append(TraceRecord(it, f_curr, bounds.beta[-1], bounds.phi[-1],
                                  result.n_iters, proposal.ids,

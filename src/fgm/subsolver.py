@@ -83,6 +83,7 @@ class ApgResult:
     tau: float                 # last accepted inverse step size
     objectives: list[float]    # accepted objective values, index 0 = start
     max_tau: float             # largest accepted inverse step size
+    scores: np.ndarray         # cache.matrix @ weights, per instance
 
     @property
     def n_iters(self) -> int:
@@ -94,7 +95,8 @@ def _relative_change(f_prev: float, f_curr: float) -> float:
 
 
 def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, tau: float,
-                 eta: float, max_iter: int) -> tuple[np.ndarray, float, list[float], float, bool]:
+                 eta: float, max_iter: int
+                 ) -> tuple[np.ndarray, np.ndarray, float, list[float], float, bool]:
     """Accelerated proximal gradient loop shared by every solver in the package.
 
     ``s`` holds the scores ``X @ x`` of the start, all that a loss reads; the
@@ -104,9 +106,10 @@ def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, t
     for inverse step size ``tau``, its scores (a fresh product, so rounding
     never accumulates), its objective and its non-smooth penalty.
     ``stop(x, f_prev, f_curr)`` is asked after every accepted iteration.
-    Returns ``(x, tau, objectives, max_tau, stopped)``: the final point,
-    the last accepted ``tau``, the accepted objective trace (index 0 =
-    start), the largest accepted ``tau`` and whether ``stop`` fired.
+    Returns ``(x, s, tau, objectives, max_tau, stopped)``: the final point
+    and its scores, the last accepted ``tau``, the accepted objective trace
+    (index 0 = start), the largest accepted ``tau`` and whether ``stop``
+    fired.
     """
     if not np.isfinite(f_curr):
         raise NumericalError("non-finite objective at the starting point", iteration=0)
@@ -155,8 +158,8 @@ def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, t
         f_prev, f_curr = f_curr, f_new
         objectives.append(f_curr)
         if stop(x, f_prev, f_curr):
-            return x, tau, objectives, max_tau, True
-    return x, tau, objectives, max_tau, False
+            return x, s, tau, objectives, max_tau, True
+    return x, s, tau, objectives, max_tau, False
 
 
 def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
@@ -188,10 +191,11 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     Returns
     -------
     ApgResult
-        Final weights, last accepted ``tau`` (fed forward as
-        ``eta^2 * tau`` when the cache grows), and the accepted objective
-        trace, which is non-increasing by construction (extrapolation is
-        reset whenever it would raise the objective).
+        Final weights and their scores ``cache.matrix @ w``, last accepted
+        ``tau`` (fed forward as ``eta^2 * tau`` when the cache grows), and
+        the accepted objective trace, which is non-increasing by
+        construction (extrapolation is reset whenever it would raise the
+        objective).
 
     Notes
     -----
@@ -233,8 +237,8 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         return loss_from_margins(xi_v, kind), grad, step
 
     s_w = cache.scores(w)
-    flat, tau, objectives, max_tau, _ = _accelerated(
+    flat, scores, tau, objectives, max_tau, _ = _accelerated(
         w.flat.copy(), s_w, loss(s_w) + regularizer(w), linearize,
         lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         float(L_init), eta, max_inner)
-    return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau)
+    return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau, scores)

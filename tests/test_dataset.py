@@ -1,14 +1,16 @@
 """Data containers, file formats, scaling priors, and the synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
-                         compute_scaling_prior, generate_synthetic, generate_test_set,
-                         group_scaling_prior, load_ground_truth, load_groups, load_libsvm,
-                         load_tree, write_ground_truth, write_libsvm)
+                         _truth_from_rng, compute_scaling_prior, generate_synthetic,
+                         generate_test_set, group_scaling_prior, load_ground_truth, load_groups,
+                         load_libsvm, load_tree, write_ground_truth, write_libsvm)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +49,77 @@ def test_dataset_canonicalizes_a_copy_and_shares_a_canonical_csr():
     data = SparseDataset(canonical, np.ones(6, dtype=int))
     assert np.shares_memory(data.X.data, canonical.data)
     assert np.shares_memory(data.X.indices, canonical.indices)
+
+
+def _assert_same_csr(got, want):
+    """Bit-for-bit equal CSR arrays, dtypes, shape and canonical flag."""
+    assert got.shape == want.shape
+    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.has_canonical_format and want.has_canonical_format
+
+
+def _arrays_to_convert():
+    rng = np.random.default_rng(5)
+    sparse_ish = rng.standard_normal((7, 9))
+    sparse_ish[rng.random(sparse_ish.shape) < 0.4] = 0.0
+    empty_lines = rng.standard_normal((5, 6))
+    empty_lines[2] = 0.0
+    empty_lines[:, 4] = 0.0
+    return {
+        "random": sparse_ish,
+        "fortran_order": np.asfortranarray(sparse_ish),
+        "strided": sparse_ish[::2, ::3],
+        "zero_rows_and_columns": empty_lines,
+        "all_zero": np.zeros((3, 4)),
+        "signed_zero_nan_inf": np.array([[-0.0, np.nan, 1.0], [np.inf, 0.0, -np.inf]]),
+        "no_rows": np.zeros((0, 3)),
+        "no_columns": np.zeros((2, 0)),
+        "scalar": np.float64(2.5),
+        "zero_scalar": np.array(0.0),
+        "vector": np.array([0.0, 1.5, 0.0, -2.0]),
+        "int": np.array([[0, 3, 0], [-2, 0, 7]]),
+        "bool": np.array([[True, False], [False, True]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_arrays_to_convert()))
+def test_array_converts_to_scipy_csr_bit_for_bit(name):
+    X = _arrays_to_convert()[name]
+    want = sp.csr_matrix(np.asarray(X, dtype=float))
+    data = SparseDataset(X, np.ones(want.shape[0], dtype=int))
+    _assert_same_csr(data.X, want)
+
+
+def test_array_conversion_leaves_the_array_unchanged_and_unshared():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((6, 5))
+    X[X < -0.5] = 0.0
+    before = X.copy()
+    data = SparseDataset(X, np.ones(6, dtype=int))
+    assert X.tobytes() == before.tobytes()
+    for a in (data.X.data, data.X.indices, data.X.indptr):
+        assert not np.shares_memory(a, X)
+
+
+def test_array_of_three_dimensions_rejected():
+    with pytest.raises(ValueError):
+        SparseDataset(np.zeros((2, 2, 2)), np.ones(2, dtype=int))
+
+
+def test_array_conversion_memory_peak_below_twice_the_array():
+    # scipy's dense -> COO -> CSR route peaks at 4x the array's bytes
+    X = np.random.default_rng(0).standard_normal((256, 1024))
+    y = np.ones(256, dtype=int)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        SparseDataset(X, y)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * X.nbytes
 
 
 def test_dense_columns_out_of_range():
@@ -158,6 +231,20 @@ def test_libsvm_empty_file(tmp_path):
     f.write_text("# nothing\n")
     with pytest.raises(FormatError, match="no instances"):
         load_libsvm(f)
+
+
+def test_write_libsvm_exact_bytes(tmp_path):
+    X = np.array([[1.5, 0.0, -2.25e-300, 0.1],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [-1e300, 5e-324, 0.0, -3.0],
+                  [0.0, 1.7976931348623157e308, 1.2345678901234568e17, 0.0]])
+    f = tmp_path / "d.txt"
+    write_libsvm(SparseDataset(X, np.array([1, -1, 1, -1])), f)
+    assert f.read_bytes() == (
+        b"+1 1:1.5 3:-2.25e-300 4:0.10000000000000001\n"
+        b"-1\n"
+        b"+1 1:-1.0000000000000001e+300 2:4.9406564584124654e-324 4:-3\n"
+        b"-1 2:1.7976931348623157e+308 3:1.2345678901234568e+17\n")
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,6 +481,17 @@ def test_test_set_is_independent_stream():
     assert (test1.X != data.X).nnz > 0
     scores = np.asarray(test1.X.todense()) @ truth.weights
     np.testing.assert_array_equal(test1.y, np.where(scores >= 0, 1, -1))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_generators_give_scipy_csr_of_their_pcg64_draws(seed):
+    n, m, k = 33, 47, 6
+    data, truth = generate_synthetic(n, m, k, weighting=2, seed=seed)
+    rng = np.random.default_rng([seed, 0])
+    _truth_from_rng(rng, m, k, 2)
+    _assert_same_csr(data.X, sp.csr_matrix(rng.standard_normal((n, m))))
+    test = generate_test_set(truth, 21, seed=seed)
+    _assert_same_csr(test.X, sp.csr_matrix(np.random.default_rng([seed, 1]).standard_normal((21, m))))
 
 
 def test_synthetic_argument_validation():

@@ -176,6 +176,8 @@ def test_apg_result_bookkeeping():
     assert result.n_iters <= 50
     assert result.max_tau >= result.tau
     assert result.max_tau > 0
+    # the scores of the final point are the product the recovered duals need
+    assert result.scores.tobytes() == cache.scores(result.weights).tobytes()
     # final objective consistent with direct evaluation of the weights
     assert result.objectives[-1] == pytest.approx(
         _objective(cache, labels, SQ, result.weights), rel=1e-9, abs=1e-9)
