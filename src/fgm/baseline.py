@@ -25,8 +25,6 @@ from .dataset import SparseDataset
 from .loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
 from .subsolver import _accelerated, _relative_change
 
-_DENSIFY_THRESHOLD = 0.25
-
 
 @dataclass
 class DenseWeights:
@@ -49,14 +47,6 @@ class DenseWeights:
         return int(np.count_nonzero(self.w))
 
 
-def _design(data: SparseDataset):
-    """Dense matrix when the data is mostly dense, CSR otherwise."""
-    density = data.X.nnz / max(1, data.n * data.m)
-    if density >= _DENSIFY_THRESHOLD:
-        return np.asarray(data.X.todense())
-    return data.X
-
-
 def _loss_and_coef(scores: np.ndarray, y: np.ndarray, kind: LossKind):
     xi = margins_from_scores(scores, y, kind)
     return loss_from_margins(xi, kind), _instance_weights(xi, y, kind)
@@ -76,7 +66,8 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     """
     if reg < 0:
         raise ValueError("reg must be non-negative")
-    M = _design(data)
+    view = data.fit_view()
+    M = view.X if view.dense is None else view.dense
     y = data.y.astype(float)
     w = np.zeros(data.m) if warm is None else np.asarray(warm, dtype=float).copy()
     if w.shape != (data.m,):
@@ -149,7 +140,9 @@ def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,
 
     Stops when the gradient norm falls to ``eps * (1 + ||w||)``.
     """
-    return _l2_solve(_design(data), data.y.astype(float), data.m, kind, eps, max_iter, warm)
+    view = data.fit_view()
+    M = view.X if view.dense is None else view.dense
+    return _l2_solve(M, data.y.astype(float), data.m, kind, eps, max_iter, warm)
 
 
 def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
@@ -203,7 +196,8 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     targets = sorted(set(int(t) for t in targets))
     if not targets or targets[0] < 1:
         raise ValueError("targets must be positive integers")
-    M = _design(data)
+    view = data.fit_view()
+    M = view.X if view.dense is None else view.dense
     y = data.y.astype(float)
     _, coef0 = _loss_and_coef(np.zeros(data.n), y, kind)
     reg_max = float(np.max(np.abs(np.asarray(M.T @ coef0).ravel())))

@@ -71,19 +71,24 @@ class SparseDataset:
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of every feature column, shape ``(m,)``."""
-        sq = np.asarray(self.X.multiply(self.X).sum(axis=0)).ravel()
-        return np.sqrt(sq)
+        return np.sqrt(_column_sq_sums(self))
 
     def fit_view(self) -> "SparseDataset":
         """Shallow copy that also carries ``dense``, X as a C-ordered array.
 
-        The array is built only when it takes no more memory than the CSR
-        values and indices it mirrors (density at least 2/3 with 32-bit
-        indices); otherwise ``dense`` stays None and every kernel reads the
+        A canonical CSR storing every cell, none zero, is that array in
+        row-major order: ``dense`` is then a read-only view of ``X.data``
+        (a stored zero is copied, as ``toarray`` turns ``-0.0`` into ``+0.0``).
+        Otherwise the array is built only when it takes no more memory than
+        the CSR values and indices it mirrors (density at least 2/3 with
+        32-bit indices), else ``dense`` stays None and every kernel reads the
         CSR.  Training builds one view per fit and drops it on return.
         """
         view = copy.copy(self)
-        if self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
+        if self.X.nnz == self.n * self.m and self.X.data.all():
+            view.dense = self.X.data.reshape(self.X.shape)
+            view.dense.flags.writeable = False
+        elif self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
             view.dense = self.X.toarray()
         return view
 
@@ -98,6 +103,13 @@ class SparseDataset:
         if self.dense is not None:
             return np.take(self.dense, ids, axis=1)
         return np.asarray(self.X[:, ids].todense())
+
+
+def _column_sq_sums(data: SparseDataset) -> np.ndarray:
+    """Column sums of squares of X, added in row order (as scipy's are) without a squared X."""
+    if data.dense is not None:
+        return np.einsum("ij,ij->j", data.dense, data.dense)
+    return np.bincount(data.X.indices, data.X.data * data.X.data, data.m)
 
 
 def _dense_to_csr(X: np.ndarray) -> sp.csr_matrix:
@@ -208,12 +220,7 @@ class TreeStructure:
             if negative[i]:
                 raise ValueError(f"node {self.names[i]!r} has a negative feature index")
             raise ValueError(f"node {self.names[i]!r} repeats a feature")
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for child, parent in enumerate(self.parents.tolist()):
-            if parent >= 0:
-                self.children[parent].append(child)
-        self.roots = np.flatnonzero(self.parents == -1).tolist()
-        if not self.roots:
+        if not (self.parents == -1).any():
             raise ValueError("tree has no root node")
         self._check_laminar(node, feat)
         self._assert_acyclic()
@@ -532,10 +539,7 @@ def compute_scaling_prior(data: SparseDataset, policy: str = "ones") -> np.ndarr
         return np.ones(data.m)
     if policy == "inverse_norm":
         norms = data.column_norms()
-        out = np.zeros(data.m)
-        nz = norms > 0
-        out[nz] = 1.0 / norms[nz]
-        return out
+        return np.divide(1.0, norms, out=np.zeros(data.m), where=norms > 0)
     raise ValueError(f"unknown scaling policy {policy!r}")
 
 
@@ -557,12 +561,9 @@ def group_scaling_prior(data: SparseDataset, groups: GroupStructure, policy: str
 
 def _inverse_set_norms(data: SparseDataset, sets: list[np.ndarray]) -> np.ndarray:
     """Reciprocal Frobenius norm of each set's column block (0 for an all-zero block)."""
-    col_sq = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
-    out = np.zeros(len(sets))
-    for j, s in enumerate(sets):
-        norm = np.sqrt(col_sq[s].sum())
-        out[j] = 1.0 / norm if norm > 0 else 0.0
-    return out
+    col_sq = _column_sq_sums(data)
+    norms = np.sqrt([col_sq[s].sum() for s in sets])
+    return np.divide(1.0, norms, out=np.zeros(len(sets)), where=norms > 0)
 
 
 # ---------------------------------------------------------------------------

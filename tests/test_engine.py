@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,43 @@ def test_fit_trains_on_a_dense_view_and_leaves_data_alone(monkeypatch):
     monkeypatch.setattr(SparseDataset, "fit_view", spy)
     fgm_train(data, SolverConfig(budget=3, max_outer=2))
     assert len(views) == 1 and views[0].dense is not None and data.dense is None
+
+
+def test_fit_on_fully_stored_data_reads_x_in_place_and_leaves_it_alone(monkeypatch):
+    data, _ = _small_problem(seed=4)
+    before = [a.copy() for a in (data.X.data, data.X.indices, data.X.indptr)]
+    views = []
+    fit_view = SparseDataset.fit_view
+
+    def spy(self):
+        views.append(fit_view(self))
+        return views[-1]
+
+    monkeypatch.setattr(SparseDataset, "fit_view", spy)
+    groups = GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(10)],
+                            [f"g{g}" for g in range(10)])
+    for structure in (None, groups):
+        fgm_train(data, SolverConfig(budget=2, max_outer=3, lambda_policy="inverse_norm"),
+                  structure)
+    assert len(views) == 2 and data.dense is None
+    assert all(np.shares_memory(view.dense, data.X.data) for view in views)
+    for old, new in zip(before, (data.X.data, data.X.indices, data.X.indptr)):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+
+def test_fit_on_fully_stored_data_allocates_no_copy_of_x():
+    data, _ = generate_synthetic(512, 2048, 20, seed=1)
+    groups = GroupStructure([np.arange(8 * g, 8 * g + 8) for g in range(256)],
+                            [f"g{g}" for g in range(256)])
+    cfg = SolverConfig(budget=5, max_outer=3, eps_outer=0.0, lambda_policy="inverse_norm")
+    for structure in (None, groups):
+        tracemalloc.start()
+        try:
+            fgm_train(data, cfg, structure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.X.data.nbytes / 2
 
 
 THREADED_FITS = """
