@@ -210,7 +210,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     top = max(targets)
     for _ in range(max_points):
         reg *= decay
-        sol = l1_prox_train(data, kind, reg, eps=eps, max_iter=max_iter, warm=warm)
+        sol = l1_prox_train(view, kind, reg, eps=eps, max_iter=max_iter, warm=warm)
         warm = sol.w
         path.append((reg, sol))
         if sol.support_size >= top * (1.0 + tol):
@@ -234,7 +234,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
                 reg_hi = min(p[0] for p in below)
                 for _ in range(20):
                     mid = float(np.sqrt(reg_lo * reg_hi))
-                    sol = l1_prox_train(data, kind, mid, eps=eps, max_iter=max_iter,
+                    sol = l1_prox_train(view, kind, mid, eps=eps, max_iter=max_iter,
                                         warm=sol_best.w)
                     path.append((mid, sol))
                     if abs(sol.support_size - t) < abs(sol_best.support_size - t):

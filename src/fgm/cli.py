@@ -17,10 +17,13 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import scipy.sparse as sp
+
 from . import __version__
 from .bench import load_config, run_config, thread_count
-from .dataset import (FormatError, generate_synthetic, generate_test_set, load_ground_truth,
-                      load_groups, load_libsvm, load_tree, write_ground_truth, write_libsvm)
+from .dataset import (FormatError, SparseDataset, generate_synthetic, generate_test_set,
+                      load_ground_truth, load_groups, load_libsvm, load_tree,
+                      write_ground_truth, write_libsvm)
 from .engine import (PolyMap, SolverConfig, TraceRecord, evaluate_recovery, fgm_train,
                      load_model, predict, save_model)
 from .subsolver import NumericalError
@@ -144,10 +147,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_data_for_model(args: argparse.Namespace, model) -> tuple:
+def _load_data_for_model(args: argparse.Namespace, model) -> SparseDataset:
     data = load_libsvm(args.data, args.dim)
     if data.m < model.m:
-        data = load_libsvm(args.data, model.m)
+        # sparse test files often stop short of the model's last feature
+        X = data.X
+        data = SparseDataset(sp.csr_matrix((X.data, X.indices, X.indptr),
+                                           shape=(data.n, model.m)), data.y)
     if model.mode == "poly" and data.m != model.m:
         raise FormatError(
             f"data has {data.m} raw features but the model's virtual map expects {model.m}")

@@ -13,6 +13,8 @@ written with 17 significant digits so a write/load round trip is exact.
 from __future__ import annotations
 
 import copy
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,8 +84,12 @@ class SparseDataset:
         Otherwise the array is built only when it takes no more memory than
         the CSR values and indices it mirrors (density at least 2/3 with
         32-bit indices), else ``dense`` stays None and every kernel reads the
-        CSR.  Training builds one view per fit and drops it on return.
+        CSR.  Training builds one view per fit and drops it on return; a
+        view that carries an array is its own view, so a caller that fits
+        many times (a regularization path) builds the array once.
         """
+        if self.dense is not None:
+            return self
         view = copy.copy(self)
         if self.X.nnz == self.n * self.m and self.X.data.all():
             view.dense = self.X.data.reshape(self.X.shape)
@@ -315,41 +321,38 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     -------
     SparseDataset
         Rows hold 0-based, strictly increasing feature indices.
+
+    Notes
+    -----
+    Pairs are converted in batches of lines, one ``np.fromiter`` call for
+    the indices and one for the values (Python's ``int`` and ``float``
+    still parse every token), so a line costs little whether it holds one
+    pair or thousands.  Faults are reported in file order, each naming
+    its line and first bad pair, exactly as a token-by-token reader would.
     """
     path = Path(path)
     labels: list[float] = []
     indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
+    pairs = _PairBatches(path)
     with path.open() as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
+            label_s, *tokens = line.split()
             try:
-                label = float(parts[0])
+                label = float(label_s)
             except ValueError:
-                raise FormatError(f"{path}:{line_no}: invalid label {parts[0]!r}") from None
+                label = None
             if label not in (-1.0, 1.0, 0.0):
-                raise FormatError(f"{path}:{line_no}: label {parts[0]!r} not in -1/+1 (or 0/1)")
+                pairs.convert()             # a bad pair on an earlier line comes first
+                if label is None:
+                    raise FormatError(f"{path}:{line_no}: invalid label {label_s!r}")
+                raise FormatError(f"{path}:{line_no}: label {label_s!r} not in -1/+1 (or 0/1)")
             labels.append(label)
-            prev = -1
-            for tok in parts[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise FormatError(f"{path}:{line_no}: invalid pair {tok!r}") from None
-                if idx < 1:
-                    raise FormatError(f"{path}:{line_no}: index {idx} must be >= 1")
-                if idx - 1 <= prev:
-                    raise FormatError(f"{path}:{line_no}: indices must be strictly increasing")
-                prev = idx - 1
-                indices.append(idx - 1)
-                values.append(val)
-            indptr.append(len(indices))
+            pairs.add(line_no, tokens)
+            indptr.append(indptr[-1] + len(tokens))
+    pairs.convert()
     if not labels:
         raise FormatError(f"{path}: no instances found")
     y = np.asarray(labels)
@@ -358,29 +361,112 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
             raise FormatError(f"{path}: labels mix 0/1 and -1/+1 conventions")
         warnings.warn(f"{path}: remapping 0/1 labels to -1/+1", stacklevel=2)
         y = np.where(y == 0.0, -1.0, 1.0)
-    max_idx = max(indices, default=-1)
+    indices = np.concatenate(pairs.indices)
+    indices -= 1
+    max_idx = int(indices.max(initial=-1))
     if dim is None:
         dim = max_idx + 1
     elif max_idx >= dim:
         raise FormatError(f"{path}: feature index {max_idx + 1} exceeds dim={dim}")
-    X = sp.csr_matrix(
-        (np.asarray(values), np.asarray(indices, dtype=np.intp), np.asarray(indptr, dtype=np.intp)),
-        shape=(len(labels), dim),
-    )
+    X = sp.csr_matrix((np.concatenate(pairs.values), indices, np.asarray(indptr, dtype=np.intp)),
+                      shape=(len(labels), dim))
     return SparseDataset(X, y.astype(int))
+
+
+class _PairBatches:
+    """The ``index:value`` pairs of a sparse text file, converted a batch of lines at a time.
+
+    ``indices`` (1-based) and ``values`` hold the converted arrays.  The
+    index and value strings of the lines added since the last conversion
+    wait in ``index_strs`` and ``value_strs``, about ``BATCH`` at most;
+    ``line_nos`` and ``starts`` give each waiting line's number and first pair.
+    """
+
+    BATCH = 1 << 14
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.indices = [np.empty(0, dtype=np.intp)]
+        self.values = [np.empty(0)]
+        self.line_nos: list[int] = []
+        self.starts: list[int] = []
+        self.index_strs: list[str] = []
+        self.value_strs: list[str] = []
+
+    def add(self, line_no: int, tokens: list[str]) -> None:
+        if not tokens:
+            return
+        # every token must hold exactly one colon; the colon count settles a
+        # one-token line, but would let "2 3:4:5" pass as two pairs
+        flat = ":".join(tokens).split(":")
+        if len(flat) != 2 * len(tokens) or (
+                len(tokens) > 1 and not all(map(operator.contains, tokens, itertools.repeat(":")))):
+            self.convert()
+            raise FormatError(f"{self.path}:{line_no}: {_pair_fault(tokens)}")
+        self.line_nos.append(line_no)
+        self.starts.append(len(self.index_strs))
+        self.index_strs += flat[0::2]
+        self.value_strs += flat[1::2]
+        if len(self.index_strs) >= self.BATCH:
+            self.convert()
+
+    def convert(self) -> None:
+        """Convert the waiting pairs, or raise for the first bad one in file order."""
+        k = len(self.index_strs)
+        if not k:
+            return
+        try:
+            idx = np.fromiter(map(int, self.index_strs), np.intp, k)
+            val = np.fromiter(map(float, self.value_strs), float, k)
+        except (ValueError, OverflowError):
+            idx = None
+        first = np.zeros(k, dtype=bool)
+        first[self.starts] = True
+        if idx is None or not ((idx[1:] > idx[:-1]) | first[1:]).all() or (idx[first] < 1).any():
+            for line_no, lo, hi in zip(self.line_nos, self.starts, self.starts[1:] + [k]):
+                fault = _pair_fault([f"{i}:{v}" for i, v in zip(self.index_strs[lo:hi],
+                                                                 self.value_strs[lo:hi])])
+                if fault is not None:
+                    raise FormatError(f"{self.path}:{line_no}: {fault}")
+            raise AssertionError("a refused batch holds no bad pair")
+        self.indices.append(idx)
+        self.values.append(val)
+        self.line_nos, self.starts, self.index_strs, self.value_strs = [], [], [], []
+
+
+def _pair_fault(tokens: list[str]) -> str | None:
+    """Message for the first bad ``index:value`` token of one line, None if all are good."""
+    prev = 0
+    for tok in tokens:
+        try:
+            idx_s, val_s = tok.split(":", 1)
+            idx = int(idx_s)
+            float(val_s)
+        except ValueError:
+            return f"invalid pair {tok!r}"
+        if idx < 1:
+            return f"index {idx} must be >= 1"
+        if idx > np.iinfo(np.intp).max:
+            return f"index {idx} is too large"
+        if idx <= prev:
+            return "indices must be strictly increasing"
+        prev = idx
+    return None
 
 
 def write_libsvm(data: SparseDataset, path: str | Path) -> None:
     """Write ``data`` in the sparse text format (1-based, 17 significant digits)."""
     path = Path(path)
     X = data.X
+    cols = X.indices + 1
     indptr = X.indptr.tolist()
     with path.open("w") as fh:
         for i, label in enumerate(data.y.tolist()):
             lo, hi = indptr[i], indptr[i + 1]
-            pairs = [f"{j + 1}:{v:.17g}"
-                     for j, v in zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist())]
-            fh.write(" ".join([f"{label:+d}", *pairs]) + "\n")
+            row = [label] * (2 * (hi - lo) + 1)
+            row[1::2] = cols[lo:hi].tolist()
+            row[2::2] = X.data[lo:hi].tolist()
+            fh.write(("%+d" + " %d:%.17g" * (hi - lo) + "\n") % tuple(row))
 
 
 # ---------------------------------------------------------------------------

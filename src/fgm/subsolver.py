@@ -45,23 +45,21 @@ def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     common threshold subtracted from the surviving norms.  Blocks are
     sorted by norm; the active count is the largest ``j`` whose norm stays
     positive after subtracting ``s/(1+js)`` times the running norm sum.
+    There is one block per selection round, so the sorted norms are
+    scanned as Python floats, with the IEEE operations of the array form.
     """
     if s <= 0:
         raise ValueError("prox scale s must be positive")
-    order = np.argsort(-u, kind="stable")
-    u_sorted = u[order]
-    csum = np.cumsum(u_sorted)
-    j = np.arange(1, u.size + 1)
-    keep = u_sorted - (s / (1.0 + j * s)) * csum > 0
-    if not keep.any():
+    rho, total, csum = 0, 0.0, 0.0
+    for j, u_j in enumerate((-np.sort(-u)).tolist(), start=1):
+        csum += u_j
+        if u_j - (s / (1.0 + j * s)) * csum > 0:
+            rho, total = j, csum
+    if not rho:
         return np.zeros_like(u), 0.0
-    rho = int(j[keep].max())
-    threshold = (s / (1.0 + rho * s)) * float(csum[rho - 1])
+    threshold = (s / (1.0 + rho * s)) * total
     shrunk = np.maximum(u - threshold, 0.0)
-    c = np.zeros_like(u)
-    pos = shrunk > 0
-    c[pos] = shrunk[pos] / u[pos]
-    return c, threshold
+    return np.divide(shrunk, u, out=np.zeros_like(u), where=shrunk > 0), threshold
 
 
 def moreau_projection(g: BlockWeights, s: float) -> BlockWeights:

@@ -4,18 +4,23 @@ Each oracle takes a deliberately different algorithmic route from the code
 under test: exact cyclic block minimization for the squared-sum prox,
 projected gradient on a cone reformulation for the subproblem, quasi-Newton
 on split smooth reformulations for the dense baselines, and exhaustive
-enumeration (sort- or subset-based) for the selection searches.
+enumeration (sort- or subset-based) for the selection searches.  The
+sparse text reader and writer are written token by token, and the prox
+coefficients in whole-array form.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse as sp
 import scipy.special
 
 from fgm.blocks import BlockWeights, ColumnCache
+from fgm.dataset import FormatError
 
 # ---------------------------------------------------------------------------
 # loss formulas, written directly (no imports from fgm.loss)
@@ -68,6 +73,24 @@ def moreau_bcd(g_blocks: list[np.ndarray], s: float, sweeps: int = 500,
         else:
             out.append(np.zeros_like(np.asarray(b, dtype=float)))
     return out
+
+
+def moreau_coefficients_array(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
+    """Shrink factors and threshold of the squared-sum prox, all in array operations."""
+    order = np.argsort(-u, kind="stable")
+    u_sorted = u[order]
+    csum = np.cumsum(u_sorted)
+    j = np.arange(1, u.size + 1)
+    keep = u_sorted - (s / (1.0 + j * s)) * csum > 0
+    if not keep.any():
+        return np.zeros_like(u), 0.0
+    rho = int(j[keep].max())
+    threshold = (s / (1.0 + rho * s)) * float(csum[rho - 1])
+    shrunk = np.maximum(u - threshold, 0.0)
+    c = np.zeros_like(u)
+    pos = shrunk > 0
+    c[pos] = shrunk[pos] / u[pos]
+    return c, threshold
 
 
 def prox_objective(w_blocks, g_blocks, s: float) -> float:
@@ -236,3 +259,70 @@ def poly_full_matrix(X: np.ndarray, gamma: float, r: float) -> np.ndarray:
         for b in range(a + 1, m):
             cols.append(np.sqrt(2.0) * gamma * X[:, a] * X[:, b])
     return np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# sparse text format, one token at a time
+
+
+def libsvm_per_token(path, dim: int | None = None) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Read a sparse text file pair by pair: ``(X, y)`` or the reader's ``FormatError``."""
+    labels, indptr, indices, values = [], [0], [], []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            try:
+                label = float(parts[0])
+            except ValueError:
+                raise FormatError(f"{path}:{line_no}: invalid label {parts[0]!r}") from None
+            if label not in (-1.0, 1.0, 0.0):
+                raise FormatError(f"{path}:{line_no}: label {parts[0]!r} not in -1/+1 (or 0/1)")
+            labels.append(label)
+            prev = -1
+            for tok in parts[1:]:
+                try:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise FormatError(f"{path}:{line_no}: invalid pair {tok!r}") from None
+                if idx < 1:
+                    raise FormatError(f"{path}:{line_no}: index {idx} must be >= 1")
+                if idx > np.iinfo(np.intp).max:
+                    raise FormatError(f"{path}:{line_no}: index {idx} is too large")
+                if idx - 1 <= prev:
+                    raise FormatError(f"{path}:{line_no}: indices must be strictly increasing")
+                prev = idx - 1
+                indices.append(idx - 1)
+                values.append(val)
+            indptr.append(len(indices))
+    if not labels:
+        raise FormatError(f"{path}: no instances found")
+    y = np.asarray(labels)
+    if np.any(y == 0.0):
+        if np.any(y == -1.0):
+            raise FormatError(f"{path}: labels mix 0/1 and -1/+1 conventions")
+        warnings.warn(f"{path}: remapping 0/1 labels to -1/+1", stacklevel=2)
+        y = np.where(y == 0.0, -1.0, 1.0)
+    top = max(indices, default=-1)
+    if dim is None:
+        dim = top + 1
+    elif top >= dim:
+        raise FormatError(f"{path}: feature index {top + 1} exceeds dim={dim}")
+    X = sp.csr_matrix(
+        (np.asarray(values), np.asarray(indices, dtype=np.intp), np.asarray(indptr, dtype=np.intp)),
+        shape=(len(labels), dim))
+    return X, y.astype(int)
+
+
+def libsvm_text_per_value(X: sp.csr_matrix, y: np.ndarray) -> str:
+    """The sparse text of ``(X, y)``, formatted one value at a time."""
+    lines = []
+    for i, label in enumerate(y.tolist()):
+        row = X[i]
+        pairs = [f"{j + 1}:{v:.17g}" for j, v in zip(row.indices.tolist(), row.data.tolist())]
+        lines.append(" ".join([f"{label:+d}", *pairs]) + "\n")
+    return "".join(lines)

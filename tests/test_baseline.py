@@ -187,6 +187,44 @@ def test_sweep_hits_targets_within_window():
         assert res.reg > 0
 
 
+def _sweep_problem(density: float, seed: int = 0) -> SparseDataset:
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((120, 200)) * (rng.random((120, 200)) < density)
+    w = np.zeros(200)
+    w[:8] = rng.standard_normal(8)
+    return SparseDataset(X, np.where(X @ w + 0.1 * rng.standard_normal(120) >= 0, 1, -1))
+
+
+def _sweep_bytes(out) -> list:
+    return [(t, r.reg, r.support_size, r.weights.w.tobytes(), r.weights.objectives,
+             r.weights.converged) for t, r in sorted(out.items())]
+
+
+def test_sweep_builds_one_array_and_matches_a_per_point_build(monkeypatch):
+    kind = LossKind("squared_hinge", 1.0)
+    fit_view = SparseDataset.fit_view
+    for density, arrays in ((1.0, 0), (0.9, 1), (0.1, 0)):
+        data = _sweep_problem(density)
+        built = []
+
+        def spy(self):
+            view = fit_view(self)
+            if view.dense is not None and view.dense is not self.dense \
+                    and not np.shares_memory(view.dense, self.X.data):
+                built.append(view.dense)
+            return view
+
+        monkeypatch.setattr(SparseDataset, "fit_view", spy)
+        got = sweep_to_support(data, kind, [5, 15])
+        assert len(built) == arrays, density
+
+        def fresh(self):                  # every solve builds its own array from the CSR
+            return fit_view(SparseDataset(self.X, self.y))
+
+        monkeypatch.setattr(SparseDataset, "fit_view", fresh)
+        assert _sweep_bytes(got) == _sweep_bytes(sweep_to_support(data, kind, [5, 15]))
+
+
 def test_sweep_validation():
     data, _ = generate_synthetic(n=30, m=20, k=3, weighting=1, seed=0)
     kind = LossKind("squared_hinge", 1.0)

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from fgm.dataset import load_libsvm
-from fgm.engine import SolverConfig
+import fgm.cli as cli
+from fgm.dataset import load_ground_truth, load_libsvm, write_libsvm
+from fgm.engine import SolverConfig, evaluate_recovery, load_model, predict
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -209,6 +210,50 @@ def test_missing_and_malformed_data_exit_3(ws, tmp_path):
     r = run_cli("predict", "--model", broken, "--data", ws / "toy.train.libsvm",
                 "--out", tmp_path / "m.json")
     assert r.returncode == 3 and "not valid JSON" in r.stderr
+
+
+def test_index_beyond_the_integer_range_exits_3(tmp_path):
+    huge = tmp_path / "huge.libsvm"
+    huge.write_text("-1 1:0.5\n+1 99999999999999999999:1.0\n")
+    r = run_cli("train", "--data", huge, "--out", tmp_path / "m.json")
+    assert r.returncode == 3, r.stderr
+    assert f"{huge}:2: index 99999999999999999999 is too large" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_predict_and_eval_read_a_short_test_file_once(ws, tmp_path, monkeypatch):
+    model_path = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--dim", "60",
+                     "--out", str(model_path), "--budget", "3", "--max-outer", "3"]) == 0
+    model = load_model(model_path)
+    short = tmp_path / "short.libsvm"
+    full = load_libsvm(ws / "toy.test.libsvm", model.m)
+    full.X.data[full.X.indices >= 30] = 0.0
+    full.X.eliminate_zeros()
+    write_libsvm(full, short)
+    assert load_libsvm(short).m < model.m
+    reference = load_libsvm(short, model.m)
+    labels, accuracy = predict(model, reference)
+    truth = load_ground_truth(ws / "toy.truth.txt", model.m)
+
+    reads = []
+
+    def spy(*args):
+        reads.append(args)
+        return load_libsvm(*args)
+
+    monkeypatch.setattr(cli, "load_libsvm", spy)
+    assert cli.main(["predict", "--model", str(model_path), "--data", str(short),
+                     "--out", str(tmp_path / "p.json"),
+                     "--labels-out", str(tmp_path / "labels.txt")]) == 0
+    assert len(reads) == 1
+    assert (tmp_path / "labels.txt").read_text() == "".join(f"{v:+d}\n" for v in labels)
+    assert json.loads((tmp_path / "p.json").read_text())["accuracy"] == accuracy
+    assert cli.main(["eval", "--model", str(model_path), "--data", str(short),
+                     "--truth", str(ws / "toy.truth.txt"), "--out", str(tmp_path / "e.json")]) == 0
+    assert len(reads) == 2
+    ev = json.loads((tmp_path / "e.json").read_text())
+    assert (ev["accuracy"], ev["recovered"]) == (accuracy, evaluate_recovery(model, truth))
 
 
 def test_structure_beyond_dimension_exits_3(ws, tmp_path):

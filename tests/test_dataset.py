@@ -1,6 +1,8 @@
 """Data containers, file formats, scaling priors, and the synthetic generator."""
 
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
-                         _column_sq_sums, _inverse_set_norms, _truth_from_rng,
+                         _PairBatches, _column_sq_sums, _inverse_set_norms, _truth_from_rng,
                          compute_scaling_prior, generate_synthetic,
                          generate_test_set, group_scaling_prior, load_ground_truth, load_groups,
                          load_libsvm, load_tree, write_ground_truth, write_libsvm)
+
+from oracles import libsvm_per_token, libsvm_text_per_value
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +336,159 @@ def test_libsvm_round_trip(tmp_path_factory, n, m, seed, density):
     loaded = load_libsvm(path, dim=m)
     assert (loaded.X != original.X).nnz == 0
     np.testing.assert_array_equal(loaded.y, original.y)
+
+
+_LABELS = ["+1", "-1", "1", "0", "-1.0", "1e0", "+1.", "0.0"]
+_BAD_LABELS = ["2", "abc", "1:1", "+", "nan"]
+_VALUES = ["nan", "-inf", "inf", "1_0.5", "1e5", "-0", ".5", "5.", "0", "00.25", "-1E-320"]
+_FAULTS = ["no colon", "two colons", "moved colon", "empty value", "empty index", "index 0",
+           "negative", "repeat", "decrease", "overflow", "bad value", "bad label"]
+
+
+@st.composite
+def _index_text(draw, idx: int) -> str:
+    text = str(idx)
+    form = draw(st.sampled_from(["plain", "plain", "zeros", "plus", "underscore"]))
+    if form == "zeros":
+        return "0" * draw(st.integers(1, 3)) + text
+    if form == "plus":
+        return "+" + text
+    if form == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    return text
+
+
+@st.composite
+def _value_text(draw) -> str:
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_VALUES))
+    v = draw(st.floats(allow_nan=True, allow_infinity=True))
+    return draw(st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3e}"]))
+
+
+@st.composite
+def _libsvm_file(draw) -> tuple[str, int | None]:
+    """Text of a sparse data file whose rows may carry planted faults, and a ``dim``."""
+    lines = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# header", "  #", "#1 2:3"])))
+            continue
+        label = draw(st.sampled_from(_LABELS))
+        ids = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        tokens = [f"{draw(_index_text(i))}:{draw(_value_text())}" for i in ids]
+        fault = draw(st.sampled_from([None] * 20 + _FAULTS))
+        at = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if fault == "bad label":
+            label = draw(st.sampled_from(_BAD_LABELS))
+        elif fault == "decrease" and len(tokens) >= 2:
+            tokens[at], tokens[at - 1] = tokens[at - 1], tokens[at]
+        elif fault == "moved colon" and len(tokens) >= 2:
+            # "a:b c:d" -> "a b:c:d": as many colons as tokens, but misplaced
+            at = max(at, 1)
+            idx, val = tokens[at - 1].split(":")
+            tokens[at - 1:at + 1] = [idx, f"{val}:{tokens[at]}"]
+        elif fault == "repeat" and tokens:
+            tokens.insert(at, tokens[at])
+        elif fault in ("no colon", "two colons", "empty value", "empty index", "bad value"):
+            idx, val = (tokens[at].split(":") if tokens else ("3", "1.5"))
+            bad = {"no colon": idx, "two colons": f"{idx}:{val}:{val}",
+                   "empty value": f"{idx}:", "empty index": f":{val}",
+                   "bad value": f"{idx}:{draw(st.sampled_from(['x', '1.2.3', '0x1p3', '--1']))}"}
+            tokens[at:at + 1] = [bad[fault]]
+        elif fault in ("index 0", "negative", "overflow"):
+            idx = {"index 0": "0", "negative": "-3",
+                   "overflow": draw(st.sampled_from(["9223372036854775808",
+                                                     "99999999999999999999",
+                                                     "-99999999999999999999"]))}[fault]
+            tokens.insert(at, f"{idx}:1.0")
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        line = sep.join([label, *tokens])
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(
+                st.sampled_from(["", "  # note", "\t#x:y", " "]))
+        lines.append(line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, draw(st.one_of(st.none(), st.integers(1, 50)))
+
+
+def _read_outcome(reader, path, dim):
+    """Everything a read gives, as bytes: the arrays and their dtypes, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            X, y = reader(path, dim)
+        except FormatError as exc:
+            return ("error", str(exc))
+    return ("ok", X.shape, [(a.dtype.str, a.tobytes()) for a in (X.data, X.indices, X.indptr, y)],
+            [str(w.message) for w in caught])
+
+
+def _load_pair(path, dim):
+    data = load_libsvm(path, dim)
+    return data.X, data.y
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_libsvm_file(), batch=st.sampled_from([1, 2, 5, _PairBatches.BATCH]))
+def test_load_libsvm_matches_the_per_token_reader(tmp_path_factory, case, batch):
+    text, dim = case
+    path = tmp_path_factory.mktemp("diff") / "d.libsvm"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(_PairBatches, "BATCH", batch):     # also convert mid-file
+        got = _read_outcome(_load_pair, path, dim)
+    assert got == _read_outcome(libsvm_per_token, path, dim)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("+1 2 3:4:5", "invalid pair '2'"),                     # colon count matches the token count
+    ("+1 1:1 2:3:4", "invalid pair '2:3:4'"),
+    ("+1 1:", "invalid pair '1:'"),
+    ("+1 :1", "invalid pair ':1'"),
+    ("+1 99999999999999999999:1.0", "index 99999999999999999999 is too large"),
+    ("+1 2:1 -99999999999999999999:1.0", "index -99999999999999999999 must be >= 1"),
+    ("+1 5:1 99999999999999999999:1.0 3:1", "index 99999999999999999999 is too large"),
+])
+def test_libsvm_line_faults_name_the_first_bad_token(tmp_path, line, message):
+    f = tmp_path / "d.txt"
+    f.write_text("-1 1:0.5\n" + line + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == f"{f}:2: {message}"
+
+
+def test_libsvm_accepts_python_number_spellings_and_empty_rows(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_text("+1 +3:1_0.5 0012:1e2 1_5:nan\r\n-1\n+1\t1:-inf\n")
+    data = load_libsvm(f)
+    assert data.X.indptr.tolist() == [0, 3, 3, 4]
+    assert data.X.indices.tolist() == [2, 11, 14, 0]
+    np.testing.assert_array_equal(data.X.data, [10.5, 100.0, np.nan, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 3_000_000), seed=st.integers(0, 10_000))
+def test_write_libsvm_matches_the_per_value_writer(tmp_path_factory, n, m, seed):
+    rng = np.random.default_rng(seed)
+    nnz = int(rng.integers(0, 3 * n + 1))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-300, 300, nnz)
+    vals = np.where(rng.random(nnz) < 0.2, rng.choice(specials, nnz), vals)
+    X = sp.csr_matrix((vals, (rng.integers(0, n, nnz), rng.integers(0, m, nnz))), shape=(n, m))
+    X.sum_duplicates()
+    data = SparseDataset(X, rng.choice([-1, 1], size=n))
+    path = tmp_path_factory.mktemp("w") / "d.libsvm"
+    write_libsvm(data, path)
+    assert path.read_text() == libsvm_text_per_value(data.X, data.y)
 
 
 # ---------------------------------------------------------------------------

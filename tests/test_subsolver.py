@@ -9,7 +9,7 @@ from fgm.loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_loss
 from fgm.subsolver import (ApgResult, NumericalError, apg_solve, moreau_projection,
                            regularizer, _moreau_coefficients)
 
-from oracles import moreau_bcd, prox_objective, soc_projected_gradient
+from oracles import moreau_bcd, moreau_coefficients_array, prox_objective, soc_projected_gradient
 
 SQ = LossKind(SQUARED_HINGE, 10.0)
 LG = LossKind(LOGISTIC, 10.0)
@@ -119,6 +119,38 @@ def test_prox_beats_random_perturbations(seed):
         delta = rng.standard_normal(w.flat.size) * 10.0 ** rng.uniform(-6, 0)
         cand = BlockWeights(w.flat + delta, w.offsets)
         assert val <= prox_objective(cand.blocks(), blocks, s) + 1e-12
+
+
+def _norm_vectors(rng):
+    """Block-norm vectors with ties, zeros, one block, every block shrunk, and wide ranges."""
+    yield np.array([0.0])
+    yield np.array([2.5])
+    yield np.zeros(5)
+    yield np.full(6, 3.0)
+    for _ in range(400):
+        u = np.abs(rng.standard_normal(int(rng.integers(1, 40)))) * 10.0 ** rng.uniform(-8, 8)
+        if rng.random() < 0.3:
+            u = np.round(u / u.max(), 1) * u.max()                  # ties
+        if rng.random() < 0.3:
+            u[rng.random(u.size) < 0.4] = 0.0
+        if rng.random() < 0.2:
+            u *= 10.0 ** rng.uniform(-250, 250)
+        yield u
+
+
+def test_prox_coefficients_bitwise_equal_to_the_array_formula():
+    rng = np.random.default_rng(2024)
+    seen = {"every block shrunk": 0, "all kept": 0, "some shrunk": 0}
+    for u in _norm_vectors(rng):
+        for s in 10.0 ** np.linspace(-8, 8, 9):
+            c, threshold = _moreau_coefficients(u, float(s))
+            c_ref, threshold_ref = moreau_coefficients_array(u, float(s))
+            assert c.tobytes() == c_ref.tobytes() and c.dtype == c_ref.dtype
+            assert np.float64(threshold).tobytes() == np.float64(threshold_ref).tobytes()
+            kept = int(np.count_nonzero(c))
+            seen["every block shrunk" if kept == 0 else
+                 "all kept" if kept == u.size else "some shrunk"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
