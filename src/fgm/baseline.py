@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Model, ModelEntry
 from .dataset import SparseDataset
-from .loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
+from .loss import LossKind, _instance_weights, margins_from_scores
 from .subsolver import _accelerated, _relative_change
 
 
@@ -47,11 +47,6 @@ class DenseWeights:
         return int(np.count_nonzero(self.w))
 
 
-def _loss_and_coef(scores: np.ndarray, y: np.ndarray, kind: LossKind):
-    xi = margins_from_scores(scores, y, kind)
-    return loss_from_margins(xi, kind), _instance_weights(xi, y, kind)
-
-
 def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
                   eps: float = 1e-7, max_iter: int = 2000,
                   warm: np.ndarray | None = None) -> DenseWeights:
@@ -66,71 +61,39 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     """
     if reg < 0:
         raise ValueError("reg must be non-negative")
-    view = data.fit_view()
-    M = view.X if view.dense is None else view.dense
-    y = data.y.astype(float)
     w = np.zeros(data.m) if warm is None else np.asarray(warm, dtype=float).copy()
     if w.shape != (data.m,):
         raise ValueError("warm start has the wrong dimension")
 
-    def penalty(x: np.ndarray) -> float:
-        return reg * float(np.abs(x).sum())
+    def soft_threshold(g: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+        x = np.sign(g) * np.maximum(np.abs(g) - reg / tau, 0.0)
+        return x, reg * float(np.abs(x).sum())
 
-    def linearize(v: np.ndarray, s_v: np.ndarray):
-        p_v, coef = _loss_and_coef(s_v, y, kind)
-        grad = -np.asarray(M.T @ coef).ravel()
-
-        def step(tau: float):
-            g = v - grad / tau
-            x = np.sign(g) * np.maximum(np.abs(g) - reg / tau, 0.0)   # soft threshold
-            s_x = M @ x
-            pen = penalty(x)
-            return x, s_x, _loss_and_coef(s_x, y, kind)[0] + pen, pen
-
-        return p_v, grad, step
-
-    s_w = M @ w
     w, _, _, objectives, _, converged = _accelerated(
-        w, s_w, _loss_and_coef(s_w, y, kind)[0] + penalty(w), linearize,
-        lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
+        data.fit_view().design, data.y.astype(float), kind, w, reg * float(np.abs(w).sum()),
+        soft_threshold, lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         0.1 * data.n * kind.C, 0.8, max_iter)
     return DenseWeights(w, objectives, converged)
 
 
 def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
               max_iter: int, warm: np.ndarray | None = None) -> DenseWeights:
-    """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix (ridge in the smooth part)."""
+    """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix (the ridge is the prox)."""
     w = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
-    coef_last = None        # loss coefficients at the last point whose objective was taken
 
-    def objective(x: np.ndarray, s_x: np.ndarray) -> float:
-        nonlocal coef_last
-        loss, coef_last = _loss_and_coef(s_x, y, kind)
-        return 0.5 * float(x @ x) + loss
+    def ridge_prox(g: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+        x = g * (tau / (1.0 + tau))
+        return x, 0.5 * float(x @ x)
 
-    def gradient(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        return x - np.asarray(M.T @ coef).ravel()
-
-    def linearize(v: np.ndarray, s_v: np.ndarray):
-        p_v, coef = _loss_and_coef(s_v, y, kind)
-        grad = gradient(v, coef)
-
-        def step(tau: float):
-            x = v - grad / tau
-            s_x = M @ x
-            return x, s_x, objective(x, s_x), 0.0
-
-        return 0.5 * float(v @ v) + p_v, grad, step
-
-    def stop(x: np.ndarray, f_prev: float, f_curr: float) -> bool:
-        # x is the accepted trial step, the last point passed to objective
-        grad_norm = float(np.linalg.norm(gradient(x, coef_last)))
+    def stop(x: np.ndarray, s: np.ndarray, f_prev: float, f_curr: float) -> bool:
+        coef = _instance_weights(margins_from_scores(s, y, kind), y, kind)
+        grad_norm = float(np.linalg.norm(x - M.T @ coef))
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
-    s_w = M @ w
     w, _, _, objectives, _, converged = _accelerated(
-        w, s_w, objective(w, s_w), linearize, stop, 0.1 * y.size * kind.C, 0.8, max_iter)
+        M, y, kind, w, 0.5 * float(w @ w), ridge_prox, stop, 0.1 * y.size * kind.C, 0.8,
+        max_iter)
     return DenseWeights(w, objectives, converged)
 
 
@@ -140,9 +103,8 @@ def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,
 
     Stops when the gradient norm falls to ``eps * (1 + ||w||)``.
     """
-    view = data.fit_view()
-    M = view.X if view.dense is None else view.dense
-    return _l2_solve(M, data.y.astype(float), data.m, kind, eps, max_iter, warm)
+    return _l2_solve(data.fit_view().design, data.y.astype(float), data.m, kind, eps,
+                     max_iter, warm)
 
 
 def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
@@ -197,10 +159,9 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     if not targets or targets[0] < 1:
         raise ValueError("targets must be positive integers")
     view = data.fit_view()
-    M = view.X if view.dense is None else view.dense
     y = data.y.astype(float)
-    _, coef0 = _loss_and_coef(np.zeros(data.n), y, kind)
-    reg_max = float(np.max(np.abs(np.asarray(M.T @ coef0).ravel())))
+    coef0 = _instance_weights(margins_from_scores(np.zeros(data.n), y, kind), y, kind)
+    reg_max = float(np.max(np.abs(view.design.T @ coef0)))
     if reg_max == 0:
         raise ValueError("zero gradient at the origin; nothing to sweep")
 

@@ -129,7 +129,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         eps_outer=args.eps_outer, max_outer=args.max_outer, max_inner=args.max_inner,
         eta=args.eta, L0=args.L0, seed=args.seed,
     )
-    model = fgm_train(data, cfg, structure)
+    # training keeps a few float arrays of length m; an m whose byte size no
+    # address can hold is a data error, and so is one the machine cannot hold
+    if data.m > sys.maxsize // 8:
+        raise FormatError(f"feature dimension m={data.m} is too large to train on")
+    try:
+        model = fgm_train(data, cfg, structure)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise FormatError(f"training on n={data.n} x m={data.m} data ran out of memory{detail}"
+                          ) from exc
     out = Path(args.out)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)

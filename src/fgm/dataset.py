@@ -71,6 +71,11 @@ class SparseDataset:
     def m(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def design(self):
+        """X as the fit kernels read it: ``dense`` when this view carries it, else the CSR."""
+        return self.X if self.dense is None else self.dense
+
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of every feature column, shape ``(m,)``."""
         return np.sqrt(_column_sq_sums(self))

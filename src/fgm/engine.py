@@ -134,19 +134,6 @@ class TraceRecord:
 
 
 @dataclass
-class BoundsTrace:
-    """Certified bound sequences: beta rises to the optimum, phi falls to it."""
-
-    beta: list[float] = field(default_factory=list)
-    phi: list[float] = field(default_factory=list)
-
-    def record(self, beta: float, phi_candidate: float) -> None:
-        phi = min(self.phi[-1], phi_candidate) if self.phi else phi_candidate
-        self.beta.append(beta)
-        self.phi.append(phi)
-
-
-@dataclass
 class ModelEntry:
     """Aggregated weight on one unit: prediction adds ``weight * lam * x_id``."""
 
@@ -324,7 +311,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     alpha = np.ones(data.n)
     labels = data.y.astype(float)
     active = ActiveSet(ColumnCache.empty(data.n))
-    bounds = BoundsTrace()
+    phi = float("inf")          # certified upper bound: the running minimum of the candidates
     trace: list[TraceRecord] = []
     w: BlockWeights | None = None
     tau_prev: float | None = None
@@ -355,8 +342,8 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         w, tau_prev = result.weights, result.tau
         f_curr = result.objectives[-1]
         alpha = recover_duals(margins_from_scores(result.scores, labels, kind), kind)
-        bounds.record(eval_bounds(alpha, active, labels, kind), phi_candidate)
-        trace.append(TraceRecord(it, f_curr, bounds.beta[-1], bounds.phi[-1],
+        phi = min(phi, phi_candidate)
+        trace.append(TraceRecord(it, f_curr, eval_bounds(alpha, active, labels, kind), phi,
                                  result.n_iters, proposal.ids,
                                  time.perf_counter() - started))
         if f_prev is not None and _relative_change(f_prev, f_curr) <= cfg.eps_outer:

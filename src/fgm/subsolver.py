@@ -10,7 +10,9 @@ operator of the squared sum of block norms (a sort-and-threshold rule in
 the block-norm domain).  The line search backtracks upward from an
 optimistic step, with a growing ceiling that guarantees termination, and a
 function-value restart keeps the accepted objective sequence non-increasing.
-The same loop also drives the dense l1 and l2 baselines.
+The same loop also drives the dense l1 and l2 baselines: it owns the loss,
+its gradient and every product with the design, and each solver supplies
+only the prox of its penalty (sum of norms, soft threshold, or ridge).
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockWeights, ColumnCache
-from .loss import LossKind, loss_from_margins, margins_from_scores, recover_duals  # noqa: F401
-from .loss import _instance_weights
+from .loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
 
 
 class NumericalError(RuntimeError):
@@ -92,23 +93,28 @@ def _relative_change(f_prev: float, f_curr: float) -> float:
     return abs(f_prev - f_curr) / max(abs(f_prev), 1e-12)
 
 
-def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, tau: float,
-                 eta: float, max_iter: int
+def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: float,
+                 prox, stop, tau: float, eta: float, max_iter: int
                  ) -> tuple[np.ndarray, np.ndarray, float, list[float], float, bool]:
-    """Accelerated proximal gradient loop shared by every solver in the package.
+    """Accelerated proximal gradient for ``loss(M @ x) + penalty(x)``, shared by every solver.
 
-    ``s`` holds the scores ``X @ x`` of the start, all that a loss reads; the
-    loop extrapolates them with the same momentum as the point.
-    ``linearize(v, s_v)`` gives the smooth value and gradient at the
-    extrapolated point and a trial ``step(tau)`` returning the prox point
-    for inverse step size ``tau``, its scores (a fresh product, so rounding
-    never accumulates), its objective and its non-smooth penalty.
-    ``stop(x, f_prev, f_curr)`` is asked after every accepted iteration.
-    Returns ``(x, s, tau, objectives, max_tau, stopped)``: the final point
-    and its scores, the last accepted ``tau``, the accepted objective trace
-    (index 0 = start), the largest accepted ``tau`` and whether ``stop``
-    fired.
+    The loop owns the loss, its gradient and every product with ``M``; a
+    solver supplies only ``prox(g, tau) -> (x, penalty)``, the minimizer of
+    ``penalty(x) + 0.5 * tau * ||x - g||^2`` with its penalty value, and
+    ``stop(x, s, f_prev, f_curr)``, asked after every accepted iteration with
+    the point and its scores ``s = M @ x``.  ``penalty`` is the start's.  The
+    scores at the extrapolated point are extrapolated with the same momentum
+    as the point; each line-search trial takes fresh ones in one product, so
+    rounding never accumulates.  Returns ``(x, s, tau, objectives, max_tau,
+    stopped)``: the final point and its scores, the last accepted ``tau``,
+    the accepted objective trace (index 0 = start), the largest accepted
+    ``tau`` and whether ``stop`` fired.
     """
+    def loss(scores: np.ndarray) -> float:
+        return loss_from_margins(margins_from_scores(scores, labels, kind), kind)
+
+    s = M @ x
+    f_curr = loss(s) + penalty
     if not np.isfinite(f_curr):
         raise NumericalError("non-finite objective at the starting point", iteration=0)
     x_prev, s_prev = x, s
@@ -120,11 +126,15 @@ def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, t
         while True:
             momentum = (rho_prev - 1.0) / rho
             v = x + momentum * (x - x_prev)
-            p_v, grad, step = linearize(v, s + momentum * (s - s_prev))
+            xi_v = margins_from_scores(s + momentum * (s - s_prev), labels, kind)
+            p_v = loss_from_margins(xi_v, kind)
+            grad = -(M.T @ _instance_weights(xi_v, labels, kind))
             trial = eta * tau
             cap_hits = 0
             for _ in range(500):
-                x_new, s_new, f_new, penalty = step(trial)
+                x_new, penalty = prox(v - grad / trial, trial)
+                s_new = M @ x_new
+                f_new = loss(s_new) + penalty
                 diff = x_new - v
                 q_val = p_v + float(grad @ diff) + penalty + 0.5 * trial * float(diff @ diff)
                 if not np.isfinite(f_new):
@@ -155,7 +165,7 @@ def _accelerated(x: np.ndarray, s: np.ndarray, f_curr: float, linearize, stop, t
         rho_prev, rho = rho, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * rho * rho))
         f_prev, f_curr = f_curr, f_new
         objectives.append(f_curr)
-        if stop(x, f_prev, f_curr):
+        if stop(x, s, f_prev, f_curr):
             return x, s, tau, objectives, max_tau, True
     return x, s, tau, objectives, max_tau, False
 
@@ -216,27 +226,13 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         raise ValueError("warm start does not match the cache layout")
     starts, sizes = cache.offsets[:-1], np.diff(cache.offsets)
 
-    def loss(scores: np.ndarray) -> float:
-        return loss_from_margins(margins_from_scores(scores, labels, kind), kind)
+    def prox(g: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+        norms = np.sqrt(np.add.reduceat(g * g, starts))
+        c, _ = _moreau_coefficients(norms, 1.0 / tau)
+        return np.repeat(c, sizes) * g, 0.5 * float((c * norms).sum()) ** 2
 
-    def linearize(v: np.ndarray, s_v: np.ndarray):
-        xi_v = margins_from_scores(s_v, labels, kind)
-        grad = -(cache.matrix.T @ _instance_weights(xi_v, labels, kind))
-
-        def step(tau: float):
-            g = v - grad / tau
-            norms = np.sqrt(np.add.reduceat(g * g, starts))
-            c, _ = _moreau_coefficients(norms, 1.0 / tau)
-            omega = 0.5 * float((c * norms).sum()) ** 2
-            x = np.repeat(c, sizes) * g
-            s_x = cache.matrix @ x
-            return x, s_x, loss(s_x) + omega, omega
-
-        return loss_from_margins(xi_v, kind), grad, step
-
-    s_w = cache.scores(w)
     flat, scores, tau, objectives, max_tau, _ = _accelerated(
-        w.flat.copy(), s_w, loss(s_w) + regularizer(w), linearize,
-        lambda x, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
+        cache.matrix, labels, kind, w.flat.copy(), regularizer(w), prox,
+        lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         float(L_init), eta, max_inner)
     return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau, scores)

@@ -67,8 +67,7 @@ def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
 
 def _omega(alpha: np.ndarray, data: SparseDataset) -> np.ndarray:
     """Weighted label-signed column sums ``omega = X' (alpha .* y)``."""
-    X = data.X if data.dense is None else data.dense
-    return X.T @ (alpha * data.y)
+    return data.design.T @ (alpha * data.y)
 
 
 def score_features(alpha: np.ndarray, data: SparseDataset, lam: np.ndarray) -> np.ndarray:

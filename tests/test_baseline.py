@@ -8,7 +8,7 @@ from fgm.baseline import (DenseWeights, dense_to_model, l1_prox_train, l2_full_t
                           retrain_unbiased, sweep_to_support)
 from fgm.dataset import SparseDataset, generate_synthetic
 from fgm.engine import predict
-from fgm.loss import LossKind, loss_from_margins, margins_from_scores
+from fgm.loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
 from fgm.subsolver import NumericalError
 
 from oracles import l1_split_lbfgs, l2_lbfgs
@@ -119,6 +119,51 @@ def test_l2_objective_trace_non_increasing(loss):
     sol = l2_full_train(data, LossKind(loss, 2.0), eps=1e-10)
     assert len(sol.objectives) > 2
     assert np.all(np.diff(sol.objectives) <= 1e-12)
+
+
+def test_ridge_prox_step_hand_values():
+    # the ridge is the prox: one iteration from w0 (no momentum yet) at the
+    # first trial tau = 0.8 * 0.1 * n * C = 0.32 lands on g * tau / (1 + tau)
+    # with g = w0 - grad / tau; X'X's largest eigenvalue, 0.140625, is below tau,
+    # so that trial is accepted
+    X = np.array([[0.25, 0.0], [0.0, 0.125], [0.125, 0.25], [-0.25, 0.125]])
+    data = SparseDataset(X, [1, -1, 1, -1])
+    w0 = np.array([1.0, -1.0])
+    sol = l2_full_train(data, LossKind("squared_hinge", 1.0), max_iter=1, warm=w0)
+    # scores (0.25, -0.125, -0.125, -0.375), margins (0.75, 0.875, 1.125, 0.625),
+    # loss gradient -X'c = -(0.484375, 0.09375), g = (2.513671875, -0.70703125)
+    np.testing.assert_allclose(sol.w, [0.804375 / 1.32, -0.22625 / 1.32], rtol=1e-14)
+    assert sol.objectives[1] < sol.objectives[0]
+
+
+def _meets_l2_stop_rule(X, y, kind, w, eps):
+    coef = _instance_weights(margins_from_scores(X @ w, y, kind), y, kind)
+    return np.linalg.norm(w - X.T @ coef) <= eps * (1.0 + np.linalg.norm(w))
+
+
+@pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense-view", "csr-only"])
+@pytest.mark.parametrize("loss", ["squared_hinge", "logistic"])
+def test_converged_l2_solves_meet_their_stop_rule_recomputed_from_x(loss, density):
+    # the solver reads its gradient off the scores of the accepted point;
+    # recomputed from X, the gradient must pass the same test.  At eps=1e-4 the
+    # gradient test is what stops these solves; at the default 1e-6 the
+    # solver's other exit, a relative objective change of at most 1e-14, often
+    # comes first with the gradient still above the bound.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((60, 40)) * (rng.random((60, 40)) < density)
+    y = np.where(X[:, :5].sum(axis=1) + 0.3 * rng.standard_normal(60) >= 0, 1, -1)
+    data = SparseDataset(X, y)
+    assert (data.fit_view().dense is None) == (density < 1)
+    eps = 1e-4
+    kind = LossKind(loss, 1.0)
+    full = l2_full_train(data, kind, eps=eps)
+    assert full.converged and _meets_l2_stop_rule(X, y, kind, full.w, eps)
+    support = np.arange(0, 40, 3)
+    kind = LossKind(loss, 20.0)
+    refit = retrain_unbiased(data, support, kind, eps=eps)
+    w = np.array([e.weight for e in refit.entries])
+    assert [e.id for e in refit.entries] == support.tolist()
+    assert refit.config["converged"] and _meets_l2_stop_rule(X[:, support], y, kind, w, eps)
 
 
 @pytest.mark.parametrize("solve", [

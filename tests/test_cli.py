@@ -221,6 +221,31 @@ def test_index_beyond_the_integer_range_exits_3(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_dimension_beyond_any_array_exits_3(tmp_path, capsys):
+    # m = 2^63 - 1 fits the index type, but no float array of that length can exist;
+    # the check runs before training allocates anything
+    huge = tmp_path / "huge.libsvm"
+    huge.write_text("+1 9223372036854775807:1.0\n-1 1:1.0\n")
+    assert cli.main(["train", "--data", str(huge), "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == ("fgm: data error: feature dimension m=9223372036854775807 "
+                   "is too large to train on\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_training_out_of_memory_exits_3(ws, tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000000,)")
+
+    monkeypatch.setattr(cli, "fgm_train", exhausted)
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--dim", "60",
+                     "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fgm: data error: training on n=80 x m=60 data ran out of memory: ")
+    assert "29.8 GiB" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_predict_and_eval_read_a_short_test_file_once(ws, tmp_path, monkeypatch):
     model_path = tmp_path / "m.json"
     assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--dim", "60",
