@@ -8,7 +8,7 @@ implicit degree-2 polynomial interactions scored without materializing the
 quadratic feature space.
 """
 
-from .blocks import BlockWeights, ColumnCache
+from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
                       compute_scaling_prior, generate_synthetic, generate_test_set,
                       group_scaling_prior, load_ground_truth, load_groups, load_libsvm,
@@ -28,7 +28,7 @@ from .bench import fgm_target_support, run_config, setting_id
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet", "ApgResult", "BlockWeights", "ColumnCache", "Constraint",
+    "ActiveSet", "ApgResult", "ColumnCache", "Constraint",
     "DenseWeights", "FormatError", "GroundTruth", "GroupStructure", "LOGISTIC",
     "LossKind", "Model", "ModelEntry", "NumericalError", "PolyMap", "SQUARED_HINGE",
     "SolverConfig", "SparseDataset", "SweepResult", "TraceRecord", "TreeStructure",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Model, ModelEntry
 from .dataset import SparseDataset
-from .loss import LossKind, _instance_weights, margins_from_scores
+from .loss import LossKind, gradient_from_margins, margins_from_scores
 from .subsolver import _accelerated, _relative_change
 
 
@@ -31,7 +31,8 @@ class DenseWeights:
     """Dense weight vector with the objective values of its solve.
 
     ``converged`` is False when the solver stopped at its iteration cap
-    instead of on its stopping rule.
+    instead of on its stopping rule.  The l2 solves have two stopping
+    exits, and True means either fired: see :func:`l2_full_train`.
     """
 
     w: np.ndarray
@@ -86,8 +87,8 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         return x, 0.5 * float(x @ x)
 
     def stop(x: np.ndarray, s: np.ndarray, f_prev: float, f_curr: float) -> bool:
-        coef = _instance_weights(margins_from_scores(s, y, kind), y, kind)
-        grad_norm = float(np.linalg.norm(x - M.T @ coef))
+        grad = gradient_from_margins(M, margins_from_scores(s, y, kind), y, kind)
+        grad_norm = float(np.linalg.norm(x + grad))
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
@@ -101,7 +102,10 @@ def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,
                   max_iter: int = 1000, warm: np.ndarray | None = None) -> DenseWeights:
     """Minimize ``0.5 ||w||^2 + loss`` over all features.
 
-    Stops when the gradient norm falls to ``eps * (1 + ||w||)``.
+    Stops, with ``converged=True``, when the gradient norm falls to
+    ``eps * (1 + ||w||)`` or when an accepted step changes the objective by
+    at most 1e-14 relative.  Near the optimum the second exit can fire
+    first, leaving the gradient norm several times that bound.
     """
     return _l2_solve(data.fit_view().design, data.y.astype(float), data.m, kind, eps,
                      max_iter, warm)
@@ -113,7 +117,9 @@ def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
 
     Returns a plain-feature model whose entries cover exactly ``support``;
     features outside it keep weight zero.  Used to remove the shrinkage
-    bias of a sparse fit before measuring accuracy.
+    bias of a sparse fit before measuring accuracy.  The solve stops on
+    either exit of :func:`l2_full_train`; ``config["converged"]`` is False
+    only at ``max_iter``.
     """
     support = np.unique(np.asarray(list(support), dtype=np.intp))
     if support.size == 0:
@@ -160,8 +166,9 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
         raise ValueError("targets must be positive integers")
     view = data.fit_view()
     y = data.y.astype(float)
-    coef0 = _instance_weights(margins_from_scores(np.zeros(data.n), y, kind), y, kind)
-    reg_max = float(np.max(np.abs(view.design.T @ coef0)))
+    grad0 = gradient_from_margins(view.design, margins_from_scores(np.zeros(data.n), y, kind),
+                                  y, kind)
+    reg_max = float(np.max(np.abs(grad0)))
     if reg_max == 0:
         raise ValueError("zero gradient at the origin; nothing to sweep")
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockWeights, ColumnCache
+from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
                       TreeStructure, compute_scaling_prior, group_scaling_prior,
                       _inverse_set_norms)
@@ -313,7 +313,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     active = ActiveSet(ColumnCache.empty(data.n))
     phi = float("inf")          # certified upper bound: the running minimum of the candidates
     trace: list[TraceRecord] = []
-    w: BlockWeights | None = None
+    w = np.zeros(0)             # flat weights in the layout of active.cache
     tau_prev: float | None = None
     f_prev: float | None = None
     stop_reason = "max_outer"
@@ -330,8 +330,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         phi_candidate = new_energy + dual_value_terms(alpha, kind)
         active = active.extend(proposal, cols, feats, scales)
 
-        warm = (w.zero_extend(active.cache.offsets) if w is not None
-                else BlockWeights.zeros(active.cache.offsets))
+        warm = np.concatenate([w, np.zeros(cols.shape[1])])    # zeros for the new block
         L_init = cfg.L0 if tau_prev is None else cfg.eta ** 2 * tau_prev
         try:
             result = apg_solve(active.cache, labels, kind, warm=warm, L_init=L_init,
@@ -351,18 +350,16 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
             break
         f_prev = f_curr
 
-    if w is None:
-        raise ValueError("training produced no selection")
     return _assemble_model(data, cfg, units, active, w, stop_reason, trace)
 
 
 def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
-                    active: ActiveSet, w: BlockWeights, stop_reason: str,
+                    active: ActiveSet, w: np.ndarray, stop_reason: str,
                     trace: list[TraceRecord]) -> Model:
     agg: dict[int, ModelEntry] = {}
-    for col in range(w.flat.size):
+    for col in range(w.size):
         fid = int(active.col_feature[col])
-        weight = float(w.flat[col])
+        weight = float(w[col])
         lam_col = float(active.col_lambda[col])
         if units.fold_scale:
             weight, lam_col = weight * lam_col, 1.0
@@ -376,7 +373,7 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
     unit_features = None if units.sets is None else {
         int(u): tuple(int(f) for f in units.sets[u]) for u in active.units()}
 
-    norms = w.norms()
+    norms = active.cache.block_norms(w)
     total = float(norms.sum())
     shares = (norms / total).tolist() if total > 0 else [0.0] * norms.size
 

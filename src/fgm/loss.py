@@ -1,8 +1,8 @@
 """Classification losses on cached column blocks.
 
-Implements the two supported empirical losses, their gradients with respect
-to block weights, and the recovery of per-instance dual variables from the
-margins of a solved subproblem:
+Implements the two supported empirical losses, their gradient with respect
+to the flat weights of the cached columns, and the recovery of per-instance
+dual variables from the margins of a solved subproblem:
 
 * squared hinge: ``(C/2) * sum_i max(1 - y_i u_i, 0)^2`` with duals
   ``alpha_i = C * xi_i``;
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockWeights, ColumnCache
+from .blocks import ColumnCache
 
 SQUARED_HINGE = "squared_hinge"
 LOGISTIC = "logistic"
@@ -41,8 +41,8 @@ class LossKind:
             raise ValueError("C must be positive")
 
 
-def _check(w: BlockWeights, cache: ColumnCache, labels: np.ndarray) -> None:
-    if w.flat.size != cache.offsets[-1] or w.n_blocks != cache.n_blocks:
+def _check(w: np.ndarray, cache: ColumnCache, labels: np.ndarray) -> None:
+    if np.shape(w) != (cache.offsets[-1],):
         raise ValueError("weight layout does not match the cache")
     if labels.shape != (cache.n_instances,):
         raise ValueError("labels length does not match the cache")
@@ -66,29 +66,33 @@ def loss_from_margins(xi: np.ndarray, kind: LossKind) -> float:
     return kind.C * float(np.sum(np.maximum(xi, 0.0) + np.log1p(np.exp(-np.abs(xi)))))
 
 
-def eval_loss(w: BlockWeights, cache: ColumnCache, labels: np.ndarray,
+def eval_loss(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
               kind: LossKind) -> tuple[float, np.ndarray]:
-    """Loss value and the per-instance margins xi it was computed from."""
+    """Loss value at the flat weights ``w`` and the margins xi it was computed from."""
     _check(w, cache, labels)
-    xi = margins_from_scores(cache.scores(w), labels, kind)
+    xi = margins_from_scores(cache.matrix @ w, labels, kind)
     return loss_from_margins(xi, kind), xi
 
 
 def _instance_weights(xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Coefficients ``c_i`` such that the gradient is ``-X_t' c`` per block."""
+    """Coefficients ``c_i`` such that the gradient is ``-M' c``."""
     if kind.kind == SQUARED_HINGE:
         return kind.C * labels * xi
     sig = 1.0 / (1.0 + np.exp(-np.clip(xi, -700, 700)))
     return kind.C * labels * sig
 
 
-def eval_gradient(w: BlockWeights, cache: ColumnCache, labels: np.ndarray,
-                  kind: LossKind) -> BlockWeights:
-    """Gradient of the loss with respect to every weight block."""
+def gradient_from_margins(M, xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Gradient of the loss of ``M @ w`` with respect to ``w``, from the margins xi there."""
+    return -(M.T @ _instance_weights(xi, labels, kind))
+
+
+def eval_gradient(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
+                  kind: LossKind) -> np.ndarray:
+    """Gradient of the loss at the flat weights ``w``, in the cache's layout."""
     _check(w, cache, labels)
-    xi = margins_from_scores(cache.scores(w), labels, kind)
-    coef = _instance_weights(xi, labels, kind)
-    return BlockWeights(-(cache.matrix.T @ coef), cache.offsets)
+    xi = margins_from_scores(cache.matrix @ w, labels, kind)
+    return gradient_from_margins(cache.matrix, xi, labels, kind)
 
 
 def recover_duals(xi: np.ndarray, kind: LossKind) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockWeights, ColumnCache
-from .loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
+from .blocks import ColumnCache
+from .loss import LossKind, gradient_from_margins, loss_from_margins, margins_from_scores
 
 
 class NumericalError(RuntimeError):
@@ -33,9 +33,9 @@ class NumericalError(RuntimeError):
         self.iteration = iteration
 
 
-def regularizer(w: BlockWeights) -> float:
-    """Half the squared sum of block norms, ``0.5 * (sum_t ||w_t||)^2``."""
-    return 0.5 * float(w.norms().sum()) ** 2
+def regularizer(w: np.ndarray, cache: ColumnCache) -> float:
+    """Half the squared sum of block norms, ``0.5 * (sum_t ||w_t||)^2``, in the cache's layout."""
+    return 0.5 * float(cache.block_norms(w).sum()) ** 2
 
 
 def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
@@ -63,22 +63,28 @@ def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     return np.divide(shrunk, u, out=np.zeros_like(u), where=shrunk > 0), threshold
 
 
-def moreau_projection(g: BlockWeights, s: float) -> BlockWeights:
-    """Minimizer of ``0.5 ||w - g||^2 + (s/2)(sum_t ||w_t||)^2``.
+def _sum_of_norms_prox(g: np.ndarray, cache: ColumnCache, s: float) -> tuple[np.ndarray, float]:
+    """The point of :func:`moreau_projection` and its ``regularizer``, for the APG loop."""
+    norms = cache.block_norms(g)
+    c, _ = _moreau_coefficients(norms, s)
+    return np.repeat(c, cache.sizes) * g, 0.5 * float((c * norms).sum()) ** 2
+
+
+def moreau_projection(g: np.ndarray, cache: ColumnCache, s: float) -> np.ndarray:
+    """Minimizer of ``0.5 ||w - g||^2 + (s/2)(sum_t ||w_t||)^2`` in the cache's block layout.
 
     Every output block is either zero or a positive multiple of the
     corresponding input block; surviving block norms are the input norms
     minus a common threshold.
     """
-    c, _ = _moreau_coefficients(g.norms(), s)
-    return BlockWeights(np.repeat(c, np.diff(g.offsets)) * g.flat, g.offsets)
+    return _sum_of_norms_prox(g, cache, s)[0]
 
 
 @dataclass
 class ApgResult:
-    """Outcome of one subproblem solve."""
+    """Outcome of one subproblem solve; ``weights`` are flat, in the solved cache's layout."""
 
-    weights: BlockWeights
+    weights: np.ndarray
     tau: float                 # last accepted inverse step size
     objectives: list[float]    # accepted objective values, index 0 = start
     max_tau: float             # largest accepted inverse step size
@@ -128,7 +134,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
             v = x + momentum * (x - x_prev)
             xi_v = margins_from_scores(s + momentum * (s - s_prev), labels, kind)
             p_v = loss_from_margins(xi_v, kind)
-            grad = -(M.T @ _instance_weights(xi_v, labels, kind))
+            grad = gradient_from_margins(M, xi_v, labels, kind)
             trial = eta * tau
             cap_hits = 0
             for _ in range(500):
@@ -171,7 +177,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
 
 
 def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
-              warm: BlockWeights | None = None, L_init: float | None = None,
+              warm: np.ndarray | None = None, L_init: float | None = None,
               eta: float = 0.8, eps: float = 1e-4, max_inner: int = 1000) -> ApgResult:
     """Accelerated proximal gradient for the cached-column subproblem.
 
@@ -183,8 +189,9 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         -1/+1 labels, one per instance.
     kind : LossKind
         Loss family and weight ``C``.
-    warm : BlockWeights, optional
-        Starting point (existing blocks extended with zeros); defaults to 0.
+    warm : ndarray, optional
+        Flat starting point in the cache's layout (the previous round's
+        weights with zeros appended for the new block); defaults to 0.
     L_init : float, optional
         Initial inverse step size; defaults to ``0.1 * n * C``.
     eta : float
@@ -199,11 +206,11 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     Returns
     -------
     ApgResult
-        Final weights and their scores ``cache.matrix @ w``, last accepted
-        ``tau`` (fed forward as ``eta^2 * tau`` when the cache grows), and
-        the accepted objective trace, which is non-increasing by
-        construction (extrapolation is reset whenever it would raise the
-        objective).
+        Final flat weights in the cache's layout and their scores
+        ``cache.matrix @ w``, last accepted ``tau`` (fed forward as
+        ``eta^2 * tau`` when the cache grows), and the accepted objective
+        trace, which is non-increasing by construction (extrapolation is
+        reset whenever it would raise the objective).
 
     Notes
     -----
@@ -221,18 +228,12 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         L_init = 0.1 * cache.n_instances * kind.C
     if not L_init > 0:
         raise ValueError("L_init must be positive")
-    w = warm if warm is not None else BlockWeights.zeros(cache.offsets)
-    if not np.array_equal(w.offsets, cache.offsets):
+    w = np.zeros(cache.offsets[-1]) if warm is None else np.array(warm, dtype=float)
+    if w.shape != (cache.offsets[-1],):
         raise ValueError("warm start does not match the cache layout")
-    starts, sizes = cache.offsets[:-1], np.diff(cache.offsets)
-
-    def prox(g: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-        norms = np.sqrt(np.add.reduceat(g * g, starts))
-        c, _ = _moreau_coefficients(norms, 1.0 / tau)
-        return np.repeat(c, sizes) * g, 0.5 * float((c * norms).sum()) ** 2
-
-    flat, scores, tau, objectives, max_tau, _ = _accelerated(
-        cache.matrix, labels, kind, w.flat.copy(), regularizer(w), prox,
+    w, scores, tau, objectives, max_tau, _ = _accelerated(
+        cache.matrix, labels, kind, w, regularizer(w, cache),
+        lambda g, tau: _sum_of_norms_prox(g, cache, 1.0 / tau),
         lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         float(L_init), eta, max_inner)
-    return ApgResult(BlockWeights(flat, cache.offsets), tau, objectives, max_tau, scores)
+    return ApgResult(w, tau, objectives, max_tau, scores)

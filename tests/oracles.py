@@ -19,7 +19,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.special
 
-from fgm.blocks import BlockWeights, ColumnCache
+from fgm.blocks import ColumnCache
 from fgm.dataset import FormatError
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,9 @@ def _cone_project(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
 
 
 def soc_projected_gradient(cache: ColumnCache, labels: np.ndarray, kind,
-                           iters: int = 6000) -> tuple[BlockWeights, float]:
+                           iters: int = 6000) -> tuple[np.ndarray, float]:
     offsets = cache.offsets
-    T = cache.n_blocks
+    T = offsets.size - 1
     w = np.zeros(int(offsets[-1]))
     z = np.zeros(T)
 
@@ -159,7 +159,7 @@ def soc_projected_gradient(cache: ColumnCache, labels: np.ndarray, kind,
         step *= 1.05
         if done:
             break
-    return BlockWeights(w, offsets), f
+    return w, f
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 from fgm.baseline import dense_to_model, retrain_unbiased, sweep_to_support
 from fgm.bench import fgm_target_support
-from fgm.blocks import BlockWeights, ColumnCache
+from fgm.blocks import ColumnCache
 from fgm.dataset import SparseDataset, generate_synthetic, generate_test_set
 from fgm.engine import SolverConfig, evaluate_recovery, fgm_train, predict
 from fgm.loss import LossKind, eval_gradient, eval_loss, margins_from_scores, recover_duals
@@ -127,9 +127,11 @@ def test_criterion_01_projection_matches_numeric_minimizer():
         blocks = [rng.standard_normal(int(rng.integers(1, 21)))
                   for _ in range(int(rng.integers(1, 11)))]
         s = float(10.0 ** rng.uniform(-3, 3))
-        ours = moreau_projection(BlockWeights.from_blocks(blocks), s)
+        offsets = np.concatenate([[0], np.cumsum([b.size for b in blocks])])
+        layout = ColumnCache(np.zeros((0, int(offsets[-1]))), offsets)
+        ours = np.split(moreau_projection(np.concatenate(blocks), layout, s), offsets[1:-1])
         ref = moreau_bcd(blocks, s, tol=1e-9)
-        diff = abs(prox_objective(ours.blocks(), blocks, s) - prox_objective(ref, blocks, s))
+        diff = abs(prox_objective(ours, blocks, s) - prox_objective(ref, blocks, s))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-6, worst
@@ -151,15 +153,13 @@ def test_criterion_02_gradients_match_finite_differences():
         cache = ColumnCache(rng.standard_normal((n, int(offsets[-1]))), offsets)
         labels = rng.choice([-1.0, 1.0], size=n)
         while True:
-            w = BlockWeights(0.7 * rng.standard_normal(int(offsets[-1])), offsets)
+            w = 0.7 * rng.standard_normal(int(offsets[-1]))
             if kind.kind != "squared_hinge":
                 break
-            if np.all(np.abs(1.0 - labels * cache.scores(w)) > 1e-3):
+            if np.all(np.abs(1.0 - labels * (cache.matrix @ w)) > 1e-3):
                 break  # keep the probe away from the hinge corner
-        grad = eval_gradient(w, cache, labels, kind).flat
-        fd = central_fd_gradient(
-            lambda flat: eval_loss(BlockWeights(flat, offsets), cache, labels, kind)[0],
-            w.flat)
+        grad = eval_gradient(w, cache, labels, kind)
+        fd = central_fd_gradient(lambda flat: eval_loss(flat, cache, labels, kind)[0], w)
         rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - started
@@ -260,7 +260,7 @@ def test_criterion_06_accelerated_rate_bound():
         run = apg_solve(cache, labels, kind, eps=0.0, max_inner=250)
         ref = apg_solve(cache, labels, kind, eps=0.0, max_inner=2500)
         f_star = ref.objectives[-1]
-        dist_sq = float(ref.weights.flat @ ref.weights.flat)  # start is the origin
+        dist_sq = float(ref.weights @ ref.weights)  # start is the origin
         scale = max(1.0, abs(f_star))
         for k, fk in enumerate(run.objectives):
             bound = 2.0 * run.max_tau * dist_sq / (0.8 * (k + 1) ** 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fgm.blocks import BlockWeights, ColumnCache
+from fgm.blocks import ColumnCache
 from fgm.loss import (LOGISTIC, SQUARED_HINGE, LossKind, dual_value_terms, eval_gradient,
                       eval_loss, loss_from_margins, margins_from_scores, recover_duals)
 
@@ -17,7 +17,7 @@ def _random_instance(rng, n=12, blocks=(3, 2, 4)):
     offsets = np.concatenate([[0], np.cumsum(blocks)])
     cache = ColumnCache(rng.standard_normal((n, int(offsets[-1]))), offsets)
     labels = rng.choice([-1.0, 1.0], size=n)
-    w = BlockWeights(rng.standard_normal(int(offsets[-1])), offsets)
+    w = rng.standard_normal(int(offsets[-1]))
     return cache, labels, w
 
 
@@ -31,7 +31,7 @@ def test_loss_kind_validation():
 def test_squared_hinge_value_at_zero_weights():
     n = 4
     cache = ColumnCache(np.ones((n, 2)), np.array([0, 2]))
-    w = BlockWeights.zeros(cache.offsets)
+    w = np.zeros(2)
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     val, xi = eval_loss(w, cache, labels, SQ)
     # all margins are 1, so the loss is C/2 * n = 20
@@ -42,7 +42,7 @@ def test_squared_hinge_value_at_zero_weights():
 def test_logistic_value_at_zero_weights():
     n = 4
     cache = ColumnCache(np.ones((n, 2)), np.array([0, 2]))
-    w = BlockWeights.zeros(cache.offsets)
+    w = np.zeros(2)
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     val, _ = eval_loss(w, cache, labels, LG)
     assert val == pytest.approx(10.0 * n * np.log(2.0))
@@ -69,7 +69,7 @@ def test_loss_matches_independent_formula(kind):
     for _ in range(5):
         cache, labels, w = _random_instance(rng)
         val, _ = eval_loss(w, cache, labels, kind)
-        direct = loss_value_direct(cache.scores(w), labels, kind)
+        direct = loss_value_direct(cache.matrix @ w, labels, kind)
         assert val == pytest.approx(direct, rel=1e-12)
 
 
@@ -80,14 +80,14 @@ def test_gradient_against_central_differences(kind):
         cache, labels, w = _random_instance(rng)
         if kind.kind == SQUARED_HINGE:
             # keep margins away from the hinge kink for clean differences
-            while np.min(np.abs(1.0 - labels * cache.scores(w))) < 1e-3:
-                w = BlockWeights(rng.standard_normal(w.flat.size), w.offsets)
-        grad = eval_gradient(w, cache, labels, kind).flat
+            while np.min(np.abs(1.0 - labels * (cache.matrix @ w))) < 1e-3:
+                w = rng.standard_normal(w.size)
+        grad = eval_gradient(w, cache, labels, kind)
 
         def fun(flat):
-            return eval_loss(BlockWeights(flat, w.offsets), cache, labels, kind)[0]
+            return eval_loss(flat, cache, labels, kind)[0]
 
-        fd = central_fd_gradient(fun, w.flat.copy())
+        fd = central_fd_gradient(fun, w.copy())
         err = np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(fd))
         assert err < 1e-4
 
@@ -156,7 +156,7 @@ def test_dual_terms_minimized_near_recovered_duals(kind):
 def test_gradient_shape_mismatch_raises():
     rng = np.random.default_rng(1)
     cache, labels, w = _random_instance(rng)
-    bad = BlockWeights(np.zeros(3), np.array([0, 3]))
+    bad = np.zeros(3)   # the cache holds 9 columns
     with pytest.raises(ValueError, match="layout"):
         eval_gradient(bad, cache, labels, SQ)
     with pytest.raises(ValueError, match="labels"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgm.blocks import BlockWeights, ColumnCache
+from fgm.blocks import ColumnCache
 from fgm.loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_loss
 from fgm.subsolver import (ApgResult, NumericalError, apg_solve, moreau_projection,
                            regularizer, _moreau_coefficients)
@@ -15,8 +15,15 @@ SQ = LossKind(SQUARED_HINGE, 10.0)
 LG = LossKind(LOGISTIC, 10.0)
 
 
-def _bw(blocks):
-    return BlockWeights.from_blocks([np.asarray(b, dtype=float) for b in blocks])
+def _layout(blocks):
+    """The concatenated ``blocks`` and a cache without rows that carries their layout."""
+    offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
+    flat = np.concatenate([np.asarray(b, dtype=float) for b in blocks])
+    return flat, ColumnCache(np.zeros((0, int(offsets[-1]))), offsets)
+
+
+def _split(w, cache):
+    return np.split(w, cache.offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -24,35 +31,35 @@ def _bw(blocks):
 
 
 def test_prox_single_block_hand_value():
-    g = _bw([[3.0, 4.0]])
-    w = moreau_projection(g, 1.0)
-    np.testing.assert_allclose(w.flat, [1.5, 2.0], rtol=1e-15)
+    g, cache = _layout([[3.0, 4.0]])
+    w = moreau_projection(g, cache, 1.0)
+    np.testing.assert_allclose(w, [1.5, 2.0], rtol=1e-15)
 
 
 def test_prox_two_symmetric_unit_blocks():
-    g = _bw([[1.0, 0.0], [0.0, 1.0]])
-    w = moreau_projection(g, 1.0)
-    np.testing.assert_allclose(w.block(0), [1.0 / 3.0, 0.0], rtol=1e-14)
-    np.testing.assert_allclose(w.block(1), [0.0, 1.0 / 3.0], rtol=1e-14)
+    g, cache = _layout([[1.0, 0.0], [0.0, 1.0]])
+    w0, w1 = _split(moreau_projection(g, cache, 1.0), cache)
+    np.testing.assert_allclose(w0, [1.0 / 3.0, 0.0], rtol=1e-14)
+    np.testing.assert_allclose(w1, [0.0, 1.0 / 3.0], rtol=1e-14)
 
 
 def test_prox_drops_dominated_block():
     # a tiny block next to a huge one is zeroed by the common threshold
-    g = _bw([[100.0], [1e-4]])
-    w = moreau_projection(g, 1.0)
-    assert np.linalg.norm(w.block(1)) == 0.0
-    assert np.linalg.norm(w.block(0)) > 0.0
+    g, cache = _layout([[100.0], [1e-4]])
+    w0, w1 = _split(moreau_projection(g, cache, 1.0), cache)
+    assert np.linalg.norm(w1) == 0.0
+    assert np.linalg.norm(w0) > 0.0
 
 
 def test_prox_zero_input_stays_zero():
-    g = _bw([[0.0, 0.0], [0.0]])
-    w = moreau_projection(g, 2.5)
-    np.testing.assert_array_equal(w.flat, np.zeros(3))
+    g, cache = _layout([[0.0, 0.0], [0.0]])
+    w = moreau_projection(g, cache, 2.5)
+    np.testing.assert_array_equal(w, np.zeros(3))
 
 
 def test_prox_scale_validation():
     with pytest.raises(ValueError, match="positive"):
-        moreau_projection(_bw([[1.0]]), 0.0)
+        moreau_projection(*_layout([[1.0]]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +82,10 @@ def test_prox_matches_cyclic_minimization_oracle():
     rng = np.random.default_rng(123)
     for _ in range(40):
         blocks, s = _random_prox_instance(rng)
-        w = moreau_projection(_bw(blocks), s)
+        g, cache = _layout(blocks)
+        w = moreau_projection(g, cache, s)
         ref = moreau_bcd(blocks, s)
-        got = prox_objective(w.blocks(), blocks, s)
+        got = prox_objective(_split(w, cache), blocks, s)
         want = prox_objective(ref, blocks, s)
         assert got <= want + 1e-9
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -88,21 +96,20 @@ def test_prox_matches_cyclic_minimization_oracle():
 def test_prox_structure_properties(seed, s):
     rng = np.random.default_rng(seed)
     blocks, _ = _random_prox_instance(rng)
-    g = _bw(blocks)
-    w = moreau_projection(g, s)
-    u = g.norms()
+    g, cache = _layout(blocks)
+    w = moreau_projection(g, cache, s)
+    u = cache.block_norms(g)
     _, threshold = _moreau_coefficients(u, s)
     # every surviving block norm is the input norm minus a common threshold
-    np.testing.assert_allclose(w.norms(), np.maximum(u - threshold, 0.0),
+    np.testing.assert_allclose(cache.block_norms(w), np.maximum(u - threshold, 0.0),
                                rtol=1e-10, atol=1e-12)
     # blocks stay parallel to the input: w_t' g_t == ||w_t|| ||g_t||
-    for t in range(g.n_blocks):
-        wt, gt = w.block(t), g.block(t)
+    for wt, gt in zip(_split(w, cache), _split(g, cache)):
         lhs = float(wt @ gt)
         rhs = float(np.linalg.norm(wt) * np.linalg.norm(gt))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
     # objective at the prox point beats the input and the origin
-    val = prox_objective(w.blocks(), blocks, s)
+    val = prox_objective(_split(w, cache), blocks, s)
     assert val <= prox_objective(blocks, blocks, s) + 1e-12
     assert val <= prox_objective([np.zeros_like(b) for b in blocks], blocks, s) + 1e-12
 
@@ -112,13 +119,12 @@ def test_prox_structure_properties(seed, s):
 def test_prox_beats_random_perturbations(seed):
     rng = np.random.default_rng(seed)
     blocks, s = _random_prox_instance(rng)
-    g = _bw(blocks)
-    w = moreau_projection(g, s)
-    val = prox_objective(w.blocks(), blocks, s)
+    g, cache = _layout(blocks)
+    w = moreau_projection(g, cache, s)
+    val = prox_objective(_split(w, cache), blocks, s)
     for _ in range(10):
-        delta = rng.standard_normal(w.flat.size) * 10.0 ** rng.uniform(-6, 0)
-        cand = BlockWeights(w.flat + delta, w.offsets)
-        assert val <= prox_objective(cand.blocks(), blocks, s) + 1e-12
+        delta = rng.standard_normal(w.size) * 10.0 ** rng.uniform(-6, 0)
+        assert val <= prox_objective(_split(w + delta, cache), blocks, s) + 1e-12
 
 
 def _norm_vectors(rng):
@@ -154,6 +160,25 @@ def test_prox_coefficients_bitwise_equal_to_the_array_formula():
 
 
 # ---------------------------------------------------------------------------
+# the cache owns the block layout
+
+
+def test_column_cache_rejects_a_bad_layout():
+    with pytest.raises(ValueError, match="starting at 0"):
+        ColumnCache(np.zeros((2, 3)), np.array([1, 3]))
+    for offsets in ([0, 2, 2, 3], [0, 3, 2, 3]):
+        with pytest.raises(ValueError, match="non-empty"):
+            ColumnCache(np.zeros((2, 3)), np.array(offsets))
+    with pytest.raises(ValueError, match="width"):
+        ColumnCache(np.zeros((2, 4)), np.array([0, 1, 3]))
+
+
+def test_block_norms_hand_values():
+    cache = ColumnCache(np.zeros((0, 3)), np.array([0, 2, 3]))
+    np.testing.assert_array_equal(cache.block_norms(np.array([3.0, 4.0, -2.0])), [5.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
 # accelerated solver
 
 
@@ -165,7 +190,7 @@ def _random_subproblem(rng, n=24, blocks=(3, 4, 2), scale=1.0):
 
 
 def _objective(cache, labels, kind, w):
-    return eval_loss(w, cache, labels, kind)[0] + regularizer(w)
+    return eval_loss(w, cache, labels, kind)[0] + regularizer(w, cache)
 
 
 @pytest.mark.parametrize("kind", [SQ, LG, LossKind(SQUARED_HINGE, 1.0)])
@@ -209,7 +234,7 @@ def test_apg_result_bookkeeping():
     assert result.max_tau >= result.tau
     assert result.max_tau > 0
     # the scores of the final point are the product the recovered duals need
-    assert result.scores.tobytes() == cache.scores(result.weights).tobytes()
+    assert result.scores.tobytes() == (cache.matrix @ result.weights).tobytes()
     # final objective consistent with direct evaluation of the weights
     assert result.objectives[-1] == pytest.approx(
         _objective(cache, labels, SQ, result.weights), rel=1e-9, abs=1e-9)
@@ -242,9 +267,8 @@ def test_apg_rejects_bad_arguments():
         apg_solve(cache, labels, SQ, eta=1.5)
     with pytest.raises(ValueError, match="L_init"):
         apg_solve(cache, labels, SQ, L_init=-1.0)
-    bad_warm = BlockWeights.zeros(np.array([0, 3]))
     with pytest.raises(ValueError, match="warm start"):
-        apg_solve(cache, labels, SQ, warm=bad_warm)
+        apg_solve(cache, labels, SQ, warm=np.zeros(3))   # the cache holds 9 columns
 
 
 def test_apg_non_finite_data_raises_numerical_error():
@@ -261,7 +285,7 @@ def test_apg_rate_bound_single_instance():
     short = apg_solve(cache, labels, SQ, eps=0.0, max_inner=120)
     long = apg_solve(cache, labels, SQ, eps=1e-15, max_inner=1200)
     f_star = long.objectives[-1]
-    dist_sq = float(np.sum((long.weights.flat - 0.0) ** 2))
+    dist_sq = float(np.sum((long.weights - 0.0) ** 2))
     eta = 0.8
     for k in range(1, short.n_iters + 1):
         bound = 2.0 * short.max_tau * dist_sq / (eta * (k + 1) ** 2)
