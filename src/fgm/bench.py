@@ -57,6 +57,8 @@ def validate_config(config: dict) -> None:
     data = config.get("data")
     if not isinstance(data, dict) or not ("synthetic" in data or "train" in data):
         raise ValueError("bench config needs data.synthetic or data.train")
+    if not isinstance(data.get("synthetic", {}), dict):
+        raise ValueError("bench config's data.synthetic must be an object")
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ValueError("bench config needs a non-empty integer list 'seeds'")
@@ -65,6 +67,8 @@ def validate_config(config: dict) -> None:
         raise ValueError("bench config needs a non-empty 'methods' list")
     ids = set()
     for spec in methods:
+        if not isinstance(spec, dict):
+            raise ValueError(f"bench config's method entry {spec!r} must be an object")
         name = spec.get("name")
         if name not in _METHODS:
             raise ValueError(f"unknown method name {name!r}; expected one of {_METHODS}")

@@ -28,7 +28,7 @@ from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
                    recover_duals)
 from .subsolver import NumericalError, _relative_change, apg_solve
-from .worstcase import (Constraint, poly_columns, score_features, score_groups,
+from .worstcase import (poly_columns, poly_dim, score_features, score_groups,
                         score_polynomial_streamed, score_tree_pruned, select_top_b)
 
 MODEL_FORMAT_VERSION = 1
@@ -83,41 +83,6 @@ class SolverConfig:
 
     def loss_kind(self) -> LossKind:
         return LossKind(self.loss, self.C)
-
-
-@dataclass
-class ActiveSet:
-    """Stored selections and their cached, scale-applied dense columns.
-
-    Per cached column, ``col_feature`` holds the underlying raw-feature id
-    (the flat virtual id in polynomial mode) and ``col_lambda`` the scale
-    folded into the column.  The cache is append-only; blocks are never
-    mutated after creation.
-    """
-
-    cache: ColumnCache
-    constraints: list[Constraint] = field(default_factory=list)
-    col_feature: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    col_lambda: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def has(self, constraint: Constraint) -> bool:
-        return any(c.ids == constraint.ids for c in self.constraints)
-
-    def extend(self, constraint: Constraint, columns: np.ndarray, features: np.ndarray,
-               lams: np.ndarray) -> "ActiveSet":
-        return ActiveSet(
-            self.cache.extend(columns),
-            self.constraints + [constraint],
-            np.concatenate([self.col_feature, features]),
-            np.concatenate([self.col_lambda, lams]),
-        )
-
-    def units(self) -> tuple[int, ...]:
-        """Sorted union of all selected unit ids."""
-        out: set[int] = set()
-        for c in self.constraints:
-            out.update(c.ids)
-        return tuple(sorted(out))
 
 
 @dataclass
@@ -185,7 +150,7 @@ class _Units:
     """How one unit type is searched, materialized and recorded in the model."""
 
     mode: str
-    propose: Callable[[np.ndarray, int], Constraint]    # (alpha, budget) -> most violated set
+    propose: Callable[[np.ndarray, int], tuple]         # (alpha, budget) -> worst set's sorted ids
     columns: Callable[[np.ndarray], tuple]              # ids -> (columns, features, scales)
     sets: list[np.ndarray] | None = None    # each group's or node's features
     fold_scale: bool = False                # fold node scales into the model's weights
@@ -240,9 +205,9 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
 # bounds
 
 
-def eval_bounds(alpha: np.ndarray, active: ActiveSet, labels: np.ndarray,
+def eval_bounds(alpha: np.ndarray, cache: ColumnCache, labels: np.ndarray,
                 kind: LossKind) -> float:
-    """Dual value over the stored selections at the given ``alpha``.
+    """Dual value over the selections stored in ``cache``, one block each, at ``alpha``.
 
     Takes the largest stored-selection energy plus the alpha-only dual
     terms.  A selection's energy is half the squared norm of its cached
@@ -254,10 +219,10 @@ def eval_bounds(alpha: np.ndarray, active: ActiveSet, labels: np.ndarray,
     toward it as selections accumulate; an inexact solve can overshoot by
     its remaining dual gap.
     """
-    if not active.constraints:
+    if cache.offsets.size == 1:
         raise ValueError("no stored constraints")
-    u = active.cache.matrix.T @ (alpha * labels)
-    energies = 0.5 * np.add.reduceat(u * u, active.cache.offsets[:-1])
+    u = cache.matrix.T @ (alpha * labels)
+    energies = 0.5 * np.add.reduceat(u * u, cache.offsets[:-1])
     return float(energies.max()) + dual_value_terms(alpha, kind)
 
 
@@ -287,10 +252,13 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     Notes
     -----
     Per-instance weights start at all ones.  Each round scores all units
-    under the current weights, keeps the top ``budget``, and re-solves the
+    under the current weights, keeps the top ``budget`` as a sorted id
+    tuple, caches their columns as one more block, and re-solves the
     subproblem over every stored selection, warm-started from the previous
     blocks with the inverse step size carried over as ``eta^2 * tau``.
-    Re-proposing a stored selection proves no unit set scores higher, so
+    The column cache and the trace are the loop's only records: a round's
+    ids are its ``TraceRecord.selected``.  Re-proposing a stored selection
+    (ids equal to an earlier round's) proves no unit set scores higher, so
     training stops with a global certificate for the selection problem.
     Data holding a non-finite value raises :class:`NumericalError` for
     outer iteration 1 before any search.  Data dense enough that an array
@@ -310,10 +278,12 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
 
     alpha = np.ones(data.n)
     labels = data.y.astype(float)
-    active = ActiveSet(ColumnCache.empty(data.n))
+    cache = ColumnCache.empty(data.n)
+    features: list[np.ndarray] = []     # per round: the feature id behind each new column
+    scales: list[np.ndarray] = []       # per round: the scale folded into each new column
     phi = float("inf")          # certified upper bound: the running minimum of the candidates
     trace: list[TraceRecord] = []
-    w = np.zeros(0)             # flat weights in the layout of active.cache
+    w = np.zeros(0)             # flat weights in the layout of cache
     tau_prev: float | None = None
     f_prev: float | None = None
     stop_reason = "max_outer"
@@ -321,19 +291,21 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     for it in range(1, cfg.max_outer + 1):
         started = time.perf_counter()
         proposal = units.propose(alpha, cfg.budget)
-        if active.has(proposal):
+        if any(t.selected == proposal for t in trace):
             stop_reason = "duplicate"
             break
-        cols, feats, scales = units.columns(np.asarray(proposal.ids, dtype=np.intp))
+        cols, feats, lams = units.columns(np.asarray(proposal, dtype=np.intp))
         z = alpha * labels
         new_energy = 0.5 * float(np.sum((cols.T @ z) ** 2))
         phi_candidate = new_energy + dual_value_terms(alpha, kind)
-        active = active.extend(proposal, cols, feats, scales)
+        cache = cache.extend(cols)
+        features.append(feats)
+        scales.append(lams)
 
         warm = np.concatenate([w, np.zeros(cols.shape[1])])    # zeros for the new block
         L_init = cfg.L0 if tau_prev is None else cfg.eta ** 2 * tau_prev
         try:
-            result = apg_solve(active.cache, labels, kind, warm=warm, L_init=L_init,
+            result = apg_solve(cache, labels, kind, warm=warm, L_init=L_init,
                                eta=cfg.eta, eps=cfg.eps_apg, max_inner=cfg.max_inner)
         except NumericalError as exc:
             raise NumericalError(f"outer iteration {it}: {exc}",
@@ -342,25 +314,25 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         f_curr = result.objectives[-1]
         alpha = recover_duals(margins_from_scores(result.scores, labels, kind), kind)
         phi = min(phi, phi_candidate)
-        trace.append(TraceRecord(it, f_curr, eval_bounds(alpha, active, labels, kind), phi,
-                                 result.n_iters, proposal.ids,
-                                 time.perf_counter() - started))
+        trace.append(TraceRecord(it, f_curr, eval_bounds(alpha, cache, labels, kind), phi,
+                                 result.n_iters, proposal, time.perf_counter() - started))
         if f_prev is not None and _relative_change(f_prev, f_curr) <= cfg.eps_outer:
             stop_reason = "outer_tol"
             break
         f_prev = f_curr
 
-    return _assemble_model(data, cfg, units, active, w, stop_reason, trace)
+    return _assemble_model(data, cfg, units, cache, features, scales, w, stop_reason, trace)
 
 
 def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
-                    active: ActiveSet, w: np.ndarray, stop_reason: str,
-                    trace: list[TraceRecord]) -> Model:
+                    cache: ColumnCache, features: list[np.ndarray], scales: list[np.ndarray],
+                    w: np.ndarray, stop_reason: str, trace: list[TraceRecord]) -> Model:
+    features, scales = np.concatenate(features), np.concatenate(scales)
     agg: dict[int, ModelEntry] = {}
     for col in range(w.size):
-        fid = int(active.col_feature[col])
+        fid = int(features[col])
         weight = float(w[col])
-        lam_col = float(active.col_lambda[col])
+        lam_col = float(scales[col])
         if units.fold_scale:
             weight, lam_col = weight * lam_col, 1.0
         entry = agg.get(fid)
@@ -370,15 +342,16 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
             entry.weight += weight
     entries = [agg[fid] for fid in sorted(agg)]
 
+    selected = tuple(sorted({u for t in trace for u in t.selected}))
     unit_features = None if units.sets is None else {
-        int(u): tuple(int(f) for f in units.sets[u]) for u in active.units()}
+        u: tuple(int(f) for f in units.sets[u]) for u in selected}
 
-    norms = active.cache.block_norms(w)
+    norms = cache.block_norms(w)
     total = float(norms.sum())
     shares = (norms / total).tolist() if total > 0 else [0.0] * norms.size
 
-    return Model(units.mode, cfg.budget, len(active.constraints), stop_reason,
-                 cfg.loss_kind(), cfg.lambda_policy, data.m, active.units(),
+    return Model(units.mode, cfg.budget, len(trace), stop_reason,
+                 cfg.loss_kind(), cfg.lambda_policy, data.m, selected,
                  entries, unit_features, units.gamma, units.r, asdict(cfg), trace,
                  [float(s) for s in shares])
 
@@ -459,6 +432,12 @@ def model_from_dict(payload: dict) -> Model:
             raise FormatError(f"unsupported model format version {version!r}")
         entries = [ModelEntry(int(e["id"]), float(e["weight"]), float(e["lambda"]))
                    for e in payload["entries"]]
+        if payload["mode"] == "poly":
+            PolyMap(float(payload["gamma"]), float(payload["r"]))
+            dim = poly_dim(int(payload["m"]))
+            for e in entries:
+                if not 0 <= e.id < dim:
+                    raise FormatError(f"model entry id {e.id} outside [0, {dim})")
         unit_features = payload.get("unit_features")
         if unit_features is not None:
             unit_features = {int(k): tuple(int(f) for f in v) for k, v in unit_features.items()}

@@ -12,6 +12,8 @@ and keeping the ``B`` largest scores.  With ``omega = sum_i alpha_i y_i x_i``:
 
 Selection is exact: ties are broken toward the smallest unit index, and
 zero-score units remain selectable so exactly ``min(B, p)`` units return.
+Every search returns its selection as a sorted tuple of distinct Python
+ints, the form in which training compares and records it.
 It works on whole score arrays: a partition finds the B-th best score,
 every candidate at or above it is kept so ties across that boundary
 survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
@@ -32,28 +34,9 @@ safe to run concurrently and results do not depend on thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import GroupStructure, SparseDataset, TreeStructure
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """A selected unit set: sorted ids and the budget that produced it."""
-
-    ids: tuple[int, ...]
-    budget: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
-        if list(self.ids) != sorted(set(self.ids)):
-            raise ValueError("constraint ids must be sorted and unique")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if len(self.ids) > self.budget:
-            raise ValueError("constraint holds more ids than its budget")
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -94,8 +77,8 @@ def _top(scores: np.ndarray, ids: np.ndarray, budget: int) -> tuple[np.ndarray, 
     return scores[order], ids[order]
 
 
-def select_top_b(scores: np.ndarray, budget: int) -> Constraint:
-    """Ids of the ``B`` largest scores; ties go to the smallest index.
+def select_top_b(scores: np.ndarray, budget: int) -> tuple[int, ...]:
+    """Ids of the ``B`` largest scores as a sorted tuple; ties go to the smallest index.
 
     Returns all ids when fewer than ``B`` candidates exist.  Zero scores
     are selectable, so the result always has ``min(B, p)`` ids.
@@ -104,7 +87,7 @@ def select_top_b(scores: np.ndarray, budget: int) -> Constraint:
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a non-empty vector")
     _, ids = _top(scores, np.arange(scores.size), budget)
-    return Constraint(tuple(np.sort(ids)), budget)
+    return tuple(np.sort(ids).tolist())
 
 
 def _set_scores(alpha: np.ndarray, data: SparseDataset, sets: list[np.ndarray],
@@ -130,8 +113,8 @@ def score_groups(alpha: np.ndarray, data: SparseDataset, groups: GroupStructure,
 
 
 def score_tree_pruned(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure,
-                      budget: int) -> Constraint:
-    """Top-``B`` tree nodes by ``lambda_h^2 ||omega_{G_h}||^2``.
+                      budget: int) -> tuple[int, ...]:
+    """Sorted ids of the top-``B`` tree nodes by ``lambda_h^2 ||omega_{G_h}||^2``.
 
     Every node is scored in one vectorized pass and ranked like any other
     score array.  Nothing is pruned: scoring all nodes costs one gather
@@ -231,8 +214,8 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
 
 
 def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: float,
-                              r: float, budget: int, block: int = 64) -> Constraint:
-    """Top-``B`` degree-2 virtual features without materializing the expansion.
+                              r: float, budget: int, block: int = 64) -> tuple[int, ...]:
+    """Sorted ids of the top-``B`` degree-2 virtual features, never materializing them.
 
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``.  Interaction terms are
@@ -277,5 +260,5 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
         best, best_ids = _top(np.concatenate([best, cross]),
                               np.concatenate([best_ids, np.arange(first, first + cross.size)]),
                               budget)
-    return Constraint(tuple(np.sort(best_ids)), budget)
+    return tuple(np.sort(best_ids).tolist())
 

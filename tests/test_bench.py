@@ -37,9 +37,11 @@ def test_validate_config_accepts_valid():
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda c: c.pop("data"), "data"),
     (lambda c: c.update(data={"other": 1}), "data"),
+    (lambda c: c.update(data={"synthetic": 5}), "synthetic must be an object"),
     (lambda c: c.update(seeds=[]), "seeds"),
     (lambda c: c.update(seeds=["a"]), "seeds"),
     (lambda c: c.pop("methods"), "methods"),
+    (lambda c: c.update(methods=[1]), "method entry 1 must be an object"),
     (lambda c: c.update(methods=[{"name": "mystery"}]), "unknown method"),
     (lambda c: c.update(methods=[{"name": "fgm"}, {"name": "fgm"}]), "duplicate"),
     (lambda c: c.update(methods=[{"name": "fgm-debias", "base": "fgm-B10"},

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fgm.cli as cli
-from fgm.dataset import load_ground_truth, load_libsvm, write_libsvm
+from fgm.dataset import generate_synthetic, load_ground_truth, load_libsvm, write_libsvm
 from fgm.engine import SolverConfig, evaluate_recovery, load_model, predict
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -210,6 +210,19 @@ def test_missing_and_malformed_data_exit_3(ws, tmp_path):
     r = run_cli("predict", "--model", broken, "--data", ws / "toy.train.libsvm",
                 "--out", tmp_path / "m.json")
     assert r.returncode == 3 and "not valid JSON" in r.stderr
+
+
+def test_predict_with_a_corrupt_poly_model_exits_3(tmp_path):
+    data = tmp_path / "d.libsvm"
+    write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], data)
+    model = tmp_path / "poly.model.json"
+    assert cli.main(["train", "--data", str(data), "--out", str(model), "--poly",
+                     "--budget", "3", "--max-outer", "2"]) == 0
+    payload = json.loads(model.read_text())
+    payload["entries"][0]["id"] = 10 ** 6
+    model.write_text(json.dumps(payload))
+    r = run_cli("predict", "--model", model, "--data", data, "--out", tmp_path / "p.json")
+    assert r.returncode == 3 and "model entry id 1000000 outside [0, 28)" in r.stderr
 
 
 def test_index_beyond_the_integer_range_exits_3(tmp_path):

@@ -132,7 +132,7 @@ def test_first_round_selection_uses_all_ones_duals():
     cfg = SolverConfig(budget=4, max_outer=1)
     model = fgm_train(data, cfg)
     expected = select_top_b(score_features(np.ones(data.n), data, np.ones(data.m)), 4)
-    assert model.trace[0].selected == expected.ids
+    assert model.trace[0].selected == expected
 
 
 def test_numerical_error_carries_outer_context():
@@ -486,9 +486,21 @@ def test_load_model_rejects_bad_payloads(tmp_path):
         model_from_dict({"format_version": 1})
 
 
+@pytest.mark.parametrize("edit", [
+    lambda p: p["entries"][0].update(id=10 ** 6),
+    lambda p: p.update(gamma=None),
+    lambda p: p.update(gamma=-1),
+], ids=["entry-id-out-of-range", "gamma-null", "gamma-negative"])
+def test_load_model_rejects_a_corrupt_poly_model(edit):
+    data, _ = _small_problem(seed=12, n=30, m=6)
+    payload = model_to_dict(fgm_train(data, SolverConfig(budget=3, max_outer=2), PolyMap()))
+    model_from_dict(payload)
+    edit(payload)
+    with pytest.raises(FormatError):
+        model_from_dict(payload)
+
+
 def test_eval_bounds_requires_constraints():
-    from fgm.engine import ActiveSet
     from fgm.blocks import ColumnCache
-    active = ActiveSet(ColumnCache.empty(3))
     with pytest.raises(ValueError, match="no stored constraints"):
-        eval_bounds(np.ones(3), active, np.ones(3), LossKind())
+        eval_bounds(np.ones(3), ColumnCache.empty(3), np.ones(3), LossKind())

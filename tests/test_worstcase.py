@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import GroupStructure, SparseDataset, TreeStructure
-from fgm.worstcase import (Constraint, poly_columns, poly_dim, poly_flat, poly_variant,
-                           score_features, score_groups, score_polynomial_streamed,
-                           score_tree_pruned, select_top_b)
+from fgm.worstcase import (poly_columns, poly_dim, poly_flat, poly_variant, score_features,
+                           score_groups, score_polynomial_streamed, score_tree_pruned,
+                           select_top_b)
 
 from oracles import best_subset_lex, poly_full_matrix, sort_top_b, tree_scores_exhaustive
 
@@ -67,18 +67,18 @@ def test_score_features_validation():
 
 
 def test_select_top_b_hand_ties():
-    assert select_top_b(np.array([1.0, 3.0, 3.0, 2.0]), 2).ids == (1, 2)
-    assert select_top_b(np.array([3.0, 3.0, 3.0]), 2).ids == (0, 1)
-    assert select_top_b(np.zeros(3), 2).ids == (0, 1)
-    assert select_top_b(np.array([5.0, 1.0]), 4).ids == (0, 1)
+    assert select_top_b(np.array([1.0, 3.0, 3.0, 2.0]), 2) == (1, 2)
+    assert select_top_b(np.array([3.0, 3.0, 3.0]), 2) == (0, 1)
+    assert select_top_b(np.zeros(3), 2) == (0, 1)
+    assert select_top_b(np.array([5.0, 1.0]), 4) == (0, 1)
 
 
 def test_select_top_b_budget_at_or_above_size_keeps_everything():
     scores = np.array([0.0, 2.0, 2.0, 1.0])
     for budget in (4, 5, 100):
         got = select_top_b(scores, budget)
-        assert got.ids == (0, 1, 2, 3) == sort_top_b(scores, budget)
-        assert got.budget == budget
+        assert got == (0, 1, 2, 3) == sort_top_b(scores, budget)
+        assert type(got) is tuple and all(type(i) is int for i in got)
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -94,15 +94,6 @@ def test_select_top_b_rejects_nan_scores(budget):
         select_top_b(np.array([1.0, np.nan, 0.5]), budget)
 
 
-def test_constraint_validation():
-    with pytest.raises(ValueError, match="sorted and unique"):
-        Constraint((2, 1), 3)
-    with pytest.raises(ValueError, match="more ids than"):
-        Constraint((0, 1, 2), 2)
-    with pytest.raises(ValueError, match="budget"):
-        Constraint((0,), 0)
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     scores=st.lists(st.integers(0, 6), min_size=1, max_size=9),
@@ -110,7 +101,7 @@ def test_constraint_validation():
 )
 def test_select_top_b_matches_subset_enumeration(scores, budget):
     scores = np.asarray(scores, dtype=float)
-    got = select_top_b(scores, budget).ids
+    got = select_top_b(scores, budget)
     assert got == best_subset_lex(scores, budget)
     assert got == sort_top_b(scores, budget)
 
@@ -119,7 +110,7 @@ def test_select_top_b_matches_subset_enumeration(scores, budget):
 @given(seed=st.integers(0, 10_000), p=st.integers(1, 30), budget=st.integers(1, 30))
 def test_select_top_b_random_continuous(seed, p, budget):
     scores = np.random.default_rng(seed).random(p)
-    got = select_top_b(scores, budget).ids
+    got = select_top_b(scores, budget)
     assert got == sort_top_b(scores, budget)
     assert len(got) == min(budget, p)
 
@@ -163,7 +154,7 @@ def test_group_top_b_matches_oracles_with_ties(seed):
     groups = GroupStructure(sets, [f"g{j}" for j in range(p)])
     expected = np.array([lam[j] ** 2 * (omega ** 2)[g].sum() for j, g in enumerate(sets)])
     for view, budget in itertools.product(_layouts(data), range(1, p + 1)):
-        got = select_top_b(score_groups(alpha, view, groups, lam), budget).ids
+        got = select_top_b(score_groups(alpha, view, groups, lam), budget)
         assert got == sort_top_b(expected, budget)
         if p <= 15:
             assert got == best_subset_lex(expected, budget)
@@ -208,7 +199,7 @@ def test_tree_pruned_equals_exhaustive_small_hand_case():
         9.0 * omega_sq[0],
     ])
     got = score_tree_pruned(alpha, data, tree, 2)
-    assert got.ids == sort_top_b(expected, 2)
+    assert got == sort_top_b(expected, 2)
 
 
 def test_tree_low_lambda_parent_does_not_hide_strong_leaf():
@@ -217,7 +208,8 @@ def test_tree_low_lambda_parent_does_not_hide_strong_leaf():
     tree = TreeStructure(sets, np.array([-1, 0, 0]), ["r", "a", "b"], [1e-6, 50.0, 1e-6])
     data, alpha = _dataset_with_omega([1.0, 1.0, 5.0, 5.0])
     got = score_tree_pruned(alpha, data, tree, 1)
-    assert got.ids == (1,)
+    assert got == (1,)
+    assert type(got) is tuple and all(type(i) is int for i in got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,7 +224,7 @@ def test_tree_pruned_equals_exhaustive_random(seed, budget):
     expected = np.array([tree.lambdas[i] ** 2 * omega_sq[tree.sets[i]].sum()
                          for i in range(tree.n_nodes)])
     got = score_tree_pruned(alpha, data, tree, budget)
-    assert got.ids == sort_top_b(expected, budget)
+    assert got == sort_top_b(expected, budget)
 
 
 def _three_node_tree():
@@ -268,7 +260,7 @@ def test_tree_pruned_ties_on_duplicate_columns():
     scores = tree_scores_exhaustive((data.X.T @ (alpha * data.y)) ** 2, tree)
     assert len(set(scores[1:5])) == 1 and len(set(scores[5:])) == 2
     for view, budget in itertools.product(_layouts(data), range(1, tree.n_nodes + 1)):
-        assert score_tree_pruned(alpha, view, tree, budget).ids == sort_top_b(scores, budget)
+        assert score_tree_pruned(alpha, view, tree, budget) == sort_top_b(scores, budget)
 
 
 def test_tree_rejects_feature_out_of_range():
@@ -369,7 +361,8 @@ def test_poly_streamed_equals_materialized(gamma, r, budget, block):
     scores = (poly_full_matrix(X, gamma, r).T @ z) ** 2
     for view in _layouts(SparseDataset(X, y)):
         got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
-        assert got.ids == sort_top_b(scores, budget)
+        assert got == sort_top_b(scores, budget)
+        assert type(got) is tuple and all(type(i) is int for i in got)
 
 
 def test_poly_streamed_tie_on_duplicate_columns():
@@ -381,7 +374,7 @@ def test_poly_streamed_tie_on_duplicate_columns():
     z = alpha * data.y
     scores = (poly_full_matrix(X, 1.0, 1.0).T @ z) ** 2
     for view in _layouts(data):
-        assert score_polynomial_streamed(alpha, view, 1.0, 1.0, 2, 64).ids == sort_top_b(scores, 2)
+        assert score_polynomial_streamed(alpha, view, 1.0, 1.0, 2, 64) == sort_top_b(scores, 2)
 
 
 def _poly_scores_exact(X, alpha, y, gamma, r):
@@ -411,7 +404,7 @@ def _check_every_budget(X, alpha, y, gamma, r, blocks):
             assert best_subset_lex(scores, budget) == want
         for view, block in itertools.product(_layouts(data), blocks):
             got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
-            assert got.ids == want, (budget, block, view.dense is None)
+            assert got == want, (budget, block, view.dense is None)
     return scores
 
 

@@ -1,0 +1,98 @@
+"""Print sha256 digests of fgm's deterministic outputs on the benchmark workloads.
+
+    python3 tools/output_digest.py > digests.txt
+
+Run it in two checkouts (say a commit and its parent) under the same thread
+settings and ``diff`` the two outputs: a refactor that should not change what
+the program computes must print the same lines.  Digested are:
+
+* the saved model of each in-memory workload of ``benchmarks/workloads.py``
+  at seeds 0, 1 and 2, trained at full size;
+* for the ``cli-files`` workload at seed 0, the libsvm files and the truth
+  file of ``fgm generate``, the model of ``fgm train``, the labels of
+  ``fgm predict``, and the ``--trace`` CSV without its ``seconds`` column.
+
+Manifests, metrics files and the trace's ``seconds`` column hold wall times
+and paths, so they are left out.  Set ``OPENBLAS_NUM_THREADS`` to compare at
+a given BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import fgm.cli as cli  # noqa: E402
+import fgm.engine as engine  # noqa: E402
+from workloads import WORKLOADS, CliFiles  # noqa: E402
+
+SEEDS = (0, 1, 2)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _trace_without_seconds(path: Path) -> bytes:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("seconds")
+    out = io.StringIO()
+    csv.writer(out).writerows([v for i, v in enumerate(row) if i != drop] for row in rows)
+    return out.getvalue().encode()
+
+
+def model_digests(work: Path):
+    for name, workload in WORKLOADS.items():
+        if isinstance(workload, CliFiles):
+            continue
+        for seed in SEEDS:
+            inputs = workload.setup(seed, work)
+            model = engine.fgm_train(inputs["train"], workload.cfg, inputs["structure"])
+            path = work / f"{name}-{seed}.json"
+            engine.save_model(model, path)
+            yield f"{name} seed {seed} model", _digest(path.read_bytes())
+
+
+def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
+    prefix = work / "data"
+    model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
+    steps = [
+        ["generate", "--n", str(workload.n), "--m", str(workload.m), "--k", str(workload.k),
+         "--n-test", str(workload.n_test), "--seed", str(seed), "--out-prefix", str(prefix)],
+        ["train", "--data", f"{prefix}.train.libsvm", "--out", str(model),
+         "--trace", str(trace), *workload.train_args],
+        ["predict", "--model", str(model), "--data", f"{prefix}.test.libsvm",
+         "--out", str(work / "metrics.json"), "--labels-out", str(labels)],
+    ]
+    for argv in steps:
+        code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"fgm {argv[0]} exited with {code}")
+    for suffix in ("train.libsvm", "test.libsvm", "truth.txt"):
+        path = Path(f"{prefix}.{suffix}")
+        yield f"{workload.name} seed {seed} {suffix}", _digest(path.read_bytes())
+    yield f"{workload.name} seed {seed} model", _digest(model.read_bytes())
+    yield f"{workload.name} seed {seed} labels", _digest(labels.read_bytes())
+    yield f"{workload.name} seed {seed} trace", _digest(_trace_without_seconds(trace))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        lines = list(model_digests(work))
+        lines += cli_digests(work, WORKLOADS["cli-files"])
+    for label, digest in lines:
+        print(f"{digest}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
