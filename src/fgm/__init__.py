@@ -11,13 +11,12 @@ quadratic feature space.
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
                       compute_scaling_prior, generate_synthetic, generate_test_set,
-                      group_scaling_prior, load_ground_truth, load_groups, load_libsvm,
-                      load_tree, write_ground_truth, write_libsvm)
+                      load_ground_truth, load_groups, load_libsvm, load_tree,
+                      write_ground_truth, write_libsvm)
 from .loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_gradient, eval_loss, recover_duals
 from .subsolver import ApgResult, NumericalError, apg_solve, moreau_projection, regularizer
 from .worstcase import (poly_columns, poly_dim, poly_flat, poly_variant, score_features,
-                        score_groups, score_polynomial_streamed, score_tree_pruned,
-                        select_top_b)
+                        score_polynomial_streamed, score_tree_pruned, select_top_b)
 from .engine import (Model, ModelEntry, PolyMap, SolverConfig, TraceRecord, eval_bounds,
                      evaluate_recovery, fgm_train, load_model, predict, save_model)
 from .baseline import (DenseWeights, SweepResult, dense_to_model, l1_prox_train,
@@ -33,10 +32,10 @@ __all__ = [
     "TraceRecord", "TreeStructure", "apg_solve", "compute_scaling_prior",
     "dense_to_model", "eval_bounds", "eval_gradient", "eval_loss", "evaluate_recovery",
     "fgm_target_support", "fgm_train", "generate_synthetic", "generate_test_set",
-    "group_scaling_prior", "l1_prox_train", "l2_full_train", "load_ground_truth",
-    "load_groups", "load_libsvm", "load_model", "load_tree", "moreau_projection",
-    "poly_columns", "poly_dim", "poly_flat", "poly_variant", "predict", "recover_duals",
-    "regularizer", "retrain_unbiased", "run_config", "save_model", "score_features",
-    "score_groups", "score_polynomial_streamed", "score_tree_pruned", "select_top_b",
-    "setting_id", "sweep_to_support", "write_ground_truth", "write_libsvm",
+    "l1_prox_train", "l2_full_train", "load_ground_truth", "load_groups", "load_libsvm",
+    "load_model", "load_tree", "moreau_projection", "poly_columns", "poly_dim",
+    "poly_flat", "poly_variant", "predict", "recover_duals", "regularizer",
+    "retrain_unbiased", "run_config", "save_model", "score_features",
+    "score_polynomial_streamed", "score_tree_pruned", "select_top_b", "setting_id",
+    "sweep_to_support", "write_ground_truth", "write_libsvm",
 ]

@@ -54,11 +54,11 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     """Minimize ``reg * ||w||_1 + loss`` over all features.
 
     Accelerated proximal gradient with backtracking: each iteration first
-    tries a more optimistic step, grows the denominator only while the
-    sufficient-decrease test fails (ceiling doubled if hit repeatedly),
-    and resets extrapolation whenever the objective would rise, so the
-    recorded objective sequence is non-increasing.  Zeros are exact
-    because the soft-threshold prox produces them.
+    tries a more optimistic step, grows the denominator by ``1/0.8`` only
+    while the sufficient-decrease test fails, and resets extrapolation
+    whenever the objective would rise, so the recorded objective sequence
+    is non-increasing.  Zeros are exact because the soft-threshold prox
+    produces them.
     """
     if reg < 0:
         raise ValueError("reg must be non-negative")

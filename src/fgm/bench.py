@@ -57,8 +57,20 @@ def validate_config(config: dict) -> None:
     data = config.get("data")
     if not isinstance(data, dict) or not ("synthetic" in data or "train" in data):
         raise ValueError("bench config needs data.synthetic or data.train")
-    if not isinstance(data.get("synthetic", {}), dict):
+    synthetic = data.get("synthetic", {})
+    if not isinstance(synthetic, dict):
         raise ValueError("bench config's data.synthetic must be an object")
+    ints = [(f"synthetic.{key}", synthetic.get(key)) for key in ("n", "m", "k")
+            if "synthetic" in data]
+    ints += [(f"synthetic.{key}", synthetic[key]) for key in ("type", "n_test")
+             if key in synthetic]
+    ints += [("dim", data["dim"])] if data.get("dim") is not None else []
+    for key, value in ints:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"bench config's data.{key} must be an integer")
+    for key in ("train", "test", "truth"):
+        if key in data and not isinstance(data[key], str):
+            raise ValueError(f"bench config's data.{key} must be a string")
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ValueError("bench config needs a non-empty integer list 'seeds'")

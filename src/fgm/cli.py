@@ -103,17 +103,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _structure_from_args(args: argparse.Namespace, m: int):
-    if args.groups:
-        structure = load_groups(args.groups)
-        sets = structure.groups
-    elif args.tree:
-        structure = load_tree(args.tree)
-        sets = structure.sets
-    elif args.poly:
+    if args.poly:
         return PolyMap(args.gamma, args.r, args.block)
-    else:
+    if not (args.groups or args.tree):
         return None
-    top = max(int(s[-1]) for s in sets)          # each set is sorted
+    structure = load_groups(args.groups) if args.groups else load_tree(args.tree)
+    top = max(int(s[-1]) for s in structure.sets)    # each set is sorted
     if top >= m:
         raise FormatError(f"structure references feature {top}, but data has m={m}")
     return structure

@@ -116,11 +116,22 @@ class SparseDataset:
         return np.asarray(self.X[:, ids].todense())
 
 
+_SQ_CHUNK = 1 << 16     # CSR values squared at a time by _column_sq_sums
+
+
 def _column_sq_sums(data: SparseDataset) -> np.ndarray:
-    """Column sums of squares of X, added in row order (as scipy's are) without a squared X."""
+    """Column sums of squares of X, added in row order (as scipy's are) without a squared X.
+
+    The CSR route squares and adds ``_SQ_CHUNK`` values at a time, so besides
+    the result it holds one chunk of squares, not a copy of every value.
+    """
     if data.dense is not None:
         return np.einsum("ij,ij->j", data.dense, data.dense)
-    return np.bincount(data.X.indices, data.X.data * data.X.data, data.m)
+    X, out = data.X, np.zeros(data.m)
+    for lo in range(0, X.nnz, _SQ_CHUNK):
+        values = X.data[lo:lo + _SQ_CHUNK]
+        np.add.at(out, X.indices[lo:lo + _SQ_CHUNK], values * values)
+    return out
 
 
 def _dense_to_csr(X: np.ndarray) -> sp.csr_matrix:
@@ -159,52 +170,21 @@ class GroundTruth:
 
 
 @dataclass
-class GroupStructure:
-    """Disjoint, non-empty feature groups with optional per-group scale."""
-
-    groups: list[np.ndarray]
-    names: list[str]
-    lambdas: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.groups = [np.sort(np.asarray(g, dtype=np.intp)) for g in self.groups]
-        if len(self.names) != len(self.groups):
-            raise ValueError("groups and names must have equal length")
-        if not self.groups:
-            raise ValueError("need at least one group")
-        seen: set[int] = set()
-        for name, g in zip(self.names, self.groups):
-            if g.size == 0:
-                raise ValueError(f"group {name!r} is empty")
-            if np.any(g < 0):
-                raise ValueError(f"group {name!r} has a negative feature index")
-            if np.unique(g).size != g.size or seen.intersection(g.tolist()):
-                raise ValueError(f"group {name!r} overlaps another group")
-            seen.update(g.tolist())
-        if self.lambdas is not None:
-            self.lambdas = np.asarray(self.lambdas, dtype=float)
-            if self.lambdas.size != len(self.groups) or np.any(self.lambdas < 0):
-                raise ValueError("per-group lambdas must be non-negative, one per group")
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-
-@dataclass
 class TreeStructure:
     """Hierarchical feature groups: each node's set contains its children's.
 
     Nodes are identified by their 0-based position in ``sets``.  ``parents``
     holds the parent node id, or -1 for roots.  Sibling sets are disjoint and
     every child set is contained in its parent's set, so any two node sets
-    are either nested or disjoint.
+    are either nested or disjoint.  ``lambdas`` holds one scale per node:
+    all ones unless given, with ``lambdas_given`` telling the two apart.
     """
 
     sets: list[np.ndarray]
     parents: np.ndarray
     names: list[str]
     lambdas: np.ndarray | None = None
+    _noun = "node"              # names a unit in error messages
 
     def __post_init__(self):
         self.sets = [np.sort(np.asarray(s, dtype=np.intp)) for s in self.sets]
@@ -224,13 +204,14 @@ class TreeStructure:
         faulty = np.flatnonzero(bad_parent | (sizes == 0) | negative | repeated)
         if faulty.size:
             i = faulty[0]
+            unit = f"{self._noun} {self.names[i]!r}"
             if bad_parent[i]:
-                raise ValueError(f"node {self.names[i]!r} has an invalid parent")
+                raise ValueError(f"{unit} has an invalid parent")
             if sizes[i] == 0:
-                raise ValueError(f"node {self.names[i]!r} is empty")
+                raise ValueError(f"{unit} is empty")
             if negative[i]:
-                raise ValueError(f"node {self.names[i]!r} has a negative feature index")
-            raise ValueError(f"node {self.names[i]!r} repeats a feature")
+                raise ValueError(f"{unit} has a negative feature index")
+            raise ValueError(f"{unit} repeats a feature")
         if not (self.parents == -1).any():
             raise ValueError("tree has no root node")
         self._check_laminar(node, feat)
@@ -274,7 +255,7 @@ class TreeStructure:
             raise ValueError(f"node {self.names[kids[0]]!r} overlaps a sibling")
         roots = np.flatnonzero(overlap & (self.parents == -1))
         if roots.size:
-            raise ValueError(f"node {self.names[roots[0]]!r} overlaps a sibling")
+            raise ValueError(f"{self._noun} {self.names[roots[0]]!r} overlaps a sibling")
 
     def _set_lambdas(self, lambdas: np.ndarray | None) -> None:
         self.lambdas_given = lambdas is not None
@@ -283,7 +264,8 @@ class TreeStructure:
         else:
             self.lambdas = np.asarray(lambdas, dtype=float)
             if self.lambdas.size != self.n_nodes or np.any(self.lambdas < 0):
-                raise ValueError("per-node lambdas must be non-negative, one per node")
+                raise ValueError(f"per-{self._noun} lambdas must be non-negative, "
+                                 f"one per {self._noun}")
 
     def _assert_acyclic(self) -> None:
         # pointer doubling: after k steps ``up`` holds each node's 2^k-th
@@ -303,6 +285,31 @@ class TreeStructure:
         tree = copy.copy(self)
         tree._set_lambdas(np.asarray(lambdas, dtype=float))
         return tree
+
+
+class GroupStructure(TreeStructure):
+    """Disjoint, non-empty feature groups: a tree whose nodes are all roots.
+
+    ``groups`` is ``sets`` and ``n_groups`` is ``n_nodes``; the tree's checks
+    and scale rule apply unchanged.
+    """
+
+    _noun = "group"
+
+    def __init__(self, groups: list[np.ndarray], names: list[str],
+                 lambdas: np.ndarray | None = None):
+        groups = list(groups)
+        if not groups:
+            raise ValueError("need at least one group")
+        super().__init__(groups, np.full(len(groups), -1), names, lambdas)
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        return self.sets
+
+    @property
+    def n_groups(self) -> int:
+        return self.n_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +638,6 @@ def compute_scaling_prior(data: SparseDataset, policy: str = "ones") -> np.ndarr
     if policy == "inverse_norm":
         norms = data.column_norms()
         return np.divide(1.0, norms, out=np.zeros(data.m), where=norms > 0)
-    raise ValueError(f"unknown scaling policy {policy!r}")
-
-
-def group_scaling_prior(data: SparseDataset, groups: GroupStructure, policy: str = "ones") -> np.ndarray:
-    """Per-group scale vector.
-
-    Explicit per-group lambdas from the group file take precedence.  The
-    ``"inverse_norm"`` policy uses the reciprocal Frobenius norm of the
-    group's column block (0 for an all-zero block).
-    """
-    if groups.lambdas is not None:
-        return groups.lambdas.copy()
-    if policy == "ones":
-        return np.ones(groups.n_groups)
-    if policy == "inverse_norm":
-        return _inverse_set_norms(data, groups.groups)
     raise ValueError(f"unknown scaling policy {policy!r}")
 
 

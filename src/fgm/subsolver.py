@@ -8,8 +8,9 @@ with ``p`` a smooth classification loss.  It is solved by an accelerated
 proximal gradient method whose key ingredient is the exact proximal
 operator of the squared sum of block norms (a sort-and-threshold rule in
 the block-norm domain).  The line search backtracks upward from an
-optimistic step, with a growing ceiling that guarantees termination, and a
-function-value restart keeps the accepted objective sequence non-increasing.
+optimistic step, growing the inverse step by ``1/eta`` per rejected trial
+(500 trials at most), and a function-value restart keeps the accepted
+objective sequence non-increasing.
 The same loop also drives the dense l1 and l2 baselines: it owns the loss,
 its gradient and every product with the design, and each solver supplies
 only the prox of its penalty (sum of norms, soft threshold, or ridge).
@@ -125,7 +126,6 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
         raise NumericalError("non-finite objective at the starting point", iteration=0)
     x_prev, s_prev = x, s
     rho_prev = rho = 1.0
-    cap = max(tau, 1e3 * tau)
     max_tau = 0.0
     objectives = [f_curr]
     for k in range(max_iter):
@@ -136,7 +136,6 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
             p_v = loss_from_margins(xi_v, kind)
             grad = gradient_from_margins(M, xi_v, labels, kind)
             trial = eta * tau
-            cap_hits = 0
             for _ in range(500):
                 x_new, penalty = prox(v - grad / trial, trial)
                 s_new = M @ x_new
@@ -147,14 +146,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
                     raise NumericalError("non-finite objective during line search", iteration=k)
                 if f_new <= q_val + 1e-12:
                     break
-                if trial >= cap:
-                    cap_hits += 1
-                    if cap_hits >= 2:
-                        cap *= 2.0
-                        cap_hits = 0
-                else:
-                    cap_hits = 0
-                trial = min(trial / eta, cap)
+                trial /= eta
             else:
                 raise NumericalError("line search failed to terminate", iteration=k)
             tau = trial

@@ -5,8 +5,9 @@ under a cardinality budget ``B`` is found by scoring every candidate unit
 and keeping the ``B`` largest scores.  With ``omega = sum_i alpha_i y_i x_i``:
 
 * plain features score ``c_j = lambda_j^2 * omega_j^2``;
-* disjoint groups score ``c_j = lambda_j^2 * ||omega_{G_j}||^2``;
-* tree nodes score like groups: every node is scored, whatever its depth;
+* tree nodes score ``c_j = lambda_j^2 * ||omega_{G_j}||^2``, every node
+  whatever its depth; disjoint groups are a tree whose nodes are all roots,
+  so :func:`score_tree_pruned` searches both;
 * degree-2 polynomial interaction features are scored blockwise from the
   raw data without materializing the expanded design.
 
@@ -17,9 +18,8 @@ ints, the form in which training compares and records it.
 It works on whole score arrays: a partition finds the B-th best score,
 every candidate at or above it is kept so ties across that boundary
 survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
-scores raise ``ValueError``.  Groups and tree nodes share one scorer that
-gathers ``omega^2`` over the concatenated member lists and sums each set
-with ``np.add.reduceat``.
+scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over the
+concatenated member lists and sums each set with ``np.add.reduceat``.
 
 Each kernel reads ``data.dense`` when a fit's view carries one
 (:meth:`SparseDataset.fit_view`): omega is then one dense matrix-vector
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import GroupStructure, SparseDataset, TreeStructure
+from .dataset import SparseDataset, TreeStructure
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -106,15 +106,9 @@ def _set_scores(alpha: np.ndarray, data: SparseDataset, sets: list[np.ndarray],
     return lam ** 2 * np.add.reduceat(omega_sq[members], starts)
 
 
-def score_groups(alpha: np.ndarray, data: SparseDataset, groups: GroupStructure,
-                 lam: np.ndarray) -> np.ndarray:
-    """Per-group scores ``lambda_j^2 * ||omega_{G_j}||^2``."""
-    return _set_scores(alpha, data, groups.groups, lam)
-
-
 def score_tree_pruned(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure,
                       budget: int) -> tuple[int, ...]:
-    """Sorted ids of the top-``B`` tree nodes by ``lambda_h^2 ||omega_{G_h}||^2``.
+    """Sorted ids of the top-``B`` tree nodes (or groups) by ``lambda_h^2 ||omega_{G_h}||^2``.
 
     Every node is scored in one vectorized pass and ranked like any other
     score array.  Nothing is pruned: scoring all nodes costs one gather

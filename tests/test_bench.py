@@ -38,6 +38,11 @@ def test_validate_config_accepts_valid():
     (lambda c: c.pop("data"), "data"),
     (lambda c: c.update(data={"other": 1}), "data"),
     (lambda c: c.update(data={"synthetic": 5}), "synthetic must be an object"),
+    (lambda c: c.update(data={"synthetic": {"m": 4, "k": 1}}), "synthetic.n must be an integer"),
+    (lambda c: c.update(data={"synthetic": {"n": 8, "m": 4, "k": 1, "type": 1.5}}),
+     "synthetic.type must be an integer"),
+    (lambda c: c.update(data={"train": 5}), "data.train must be a string"),
+    (lambda c: c.update(data={"train": "a.libsvm", "dim": "40"}), "data.dim must be an integer"),
     (lambda c: c.update(seeds=[]), "seeds"),
     (lambda c: c.update(seeds=["a"]), "seeds"),
     (lambda c: c.pop("methods"), "methods"),

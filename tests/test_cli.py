@@ -447,6 +447,13 @@ def test_bench_config_errors(tmp_path):
     cfg2.write_text(json.dumps(orphan))
     assert run_cli("bench", "--config", cfg2, "--out", tmp_path / "o.csv").returncode == 2
 
+    for data, fragment in [({"synthetic": {"m": 4, "k": 1}}, "data.synthetic.n"),
+                           ({"train": 5}, "data.train")]:
+        cfg3 = tmp_path / "data.json"
+        cfg3.write_text(json.dumps(dict(BENCH_CONFIG, data=data)))
+        r = run_cli("bench", "--config", cfg3, "--out", tmp_path / "o.csv")
+        assert r.returncode == 2 and fragment in r.stderr and "Traceback" not in r.stderr
+
 
 def test_bad_thread_environment_exits_2(tmp_path):
     cfg = tmp_path / "bench.json"

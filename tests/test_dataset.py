@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
                          _PairBatches, _column_sq_sums, _inverse_set_norms, _truth_from_rng,
                          compute_scaling_prior, generate_synthetic,
-                         generate_test_set, group_scaling_prior, load_ground_truth, load_groups,
+                         generate_test_set, load_ground_truth, load_groups,
                          load_libsvm, load_tree, write_ground_truth, write_libsvm)
 
 from oracles import libsvm_per_token, libsvm_text_per_value
@@ -230,6 +230,40 @@ def test_column_sq_sums_bit_identical_on_every_route():
             got = _column_sq_sums(d)
             assert got.shape == (data.m,) and got.tobytes() == want.tobytes()
         assert data.column_norms().tobytes() == np.sqrt(want).tobytes()
+
+
+def _many_valued_dataset(index_dtype):
+    """1,000 rows of 1,000 values over 100,000 columns; ten rows share each column."""
+    rng = np.random.default_rng(12)
+    n, per_row, m = 1000, 1000, 100_000
+    indices = (np.arange(per_row) * 100 + (np.arange(n) % 100)[:, None]).ravel()
+    values = rng.standard_normal(n * per_row) * 2.0 ** rng.integers(-60, 60, n * per_row)
+    X = sp.csr_matrix((values, indices, np.arange(0, n * per_row + 1, per_row)), shape=(n, m))
+    data = SparseDataset(X, np.where(np.arange(n) % 2, 1, -1))
+    data.X.indices = data.X.indices.astype(index_dtype)
+    data.X.indptr = data.X.indptr.astype(index_dtype)
+    return data
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_column_sq_sums_csr_route_equals_bincount_to_the_bit(index_dtype):
+    data = _many_valued_dataset(index_dtype)
+    want = np.bincount(data.X.indices, data.X.data ** 2, data.m)
+    assert _column_sq_sums(data).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_column_sq_sums_csr_route_holds_one_chunk_of_squares(index_dtype):
+    # besides the result, one chunk of 65,536 squares: no squared copy of
+    # the million values and no cast of their indices
+    data = _many_valued_dataset(index_dtype)
+    tracemalloc.start()
+    try:
+        _column_sq_sums(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * data.m * 8 + 65536 * 8
 
 
 def test_ground_truth_support():
@@ -507,7 +541,7 @@ def test_load_groups_with_lambda(tmp_path):
 def test_load_groups_without_lambda_has_none(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("a: 0 1\nb: 2\n")
-    assert load_groups(f).lambdas is None
+    assert not load_groups(f).lambdas_given
 
 
 @pytest.mark.parametrize("content,fragment", [
@@ -667,7 +701,7 @@ def test_inverse_norm_scales_equal_on_a_view_and_the_raw_dataset(density):
                          + [np.arange(4 * c, 4 * c + 4) for c in range(12)],
                          np.array([-1] * 3 + [c // 4 for c in range(12)]),
                          [f"n{i}" for i in range(15)])
-    pairs = [(group_scaling_prior(d, groups, "inverse_norm"), _inverse_set_norms(d, tree.sets),
+    pairs = [(_inverse_set_norms(d, groups.groups), _inverse_set_norms(d, tree.sets),
               compute_scaling_prior(d, "inverse_norm")) for d in (data, view)]
     for raw, viewed in zip(*pairs):
         assert raw.tobytes() == viewed.tobytes()
@@ -677,10 +711,15 @@ def test_group_scaling_prior_frobenius_and_precedence():
     X = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
     data = SparseDataset(X, np.array([1, -1]))
     g = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    inv = group_scaling_prior(data, g, "inverse_norm")
+    inv = _inverse_set_norms(data, g.groups)
     np.testing.assert_allclose(inv, [0.2, 1.0])
+    # training's scale rule: explicit lambdas win over the policy
+    from fgm.engine import SolverConfig, _units
+    cfg = SolverConfig(lambda_policy="inverse_norm")
+    np.testing.assert_allclose(_units(data, cfg, g).columns(np.array([0, 1]))[2], [0.2, 0.2, 1.0])
     g_fixed = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"], [7.0, 8.0])
-    np.testing.assert_allclose(group_scaling_prior(data, g_fixed, "inverse_norm"), [7.0, 8.0])
+    np.testing.assert_allclose(_units(data, cfg, g_fixed).columns(np.array([0, 1]))[2],
+                               [7.0, 7.0, 8.0])
 
 
 # ---------------------------------------------------------------------------

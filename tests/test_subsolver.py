@@ -214,6 +214,18 @@ def test_apg_objective_trace_monotone():
         assert np.all(diffs <= 1e-10)
 
 
+@pytest.mark.parametrize("kind", [SQ, LG], ids=["squared_hinge", "logistic"])
+def test_apg_tiny_initial_step_grows_to_the_default_start_optimum(kind):
+    # the first line search must raise the inverse step by about eleven
+    # orders of magnitude; each rejected trial divides the step by eta
+    rng = np.random.default_rng(13)
+    cache, labels = _random_subproblem(rng)
+    tiny = apg_solve(cache, labels, kind, L_init=1e-9, eps=1e-12, max_inner=3000)
+    default = apg_solve(cache, labels, kind, eps=1e-12, max_inner=3000)
+    assert np.all(np.diff(tiny.objectives) <= 1e-10)
+    assert tiny.objectives[-1] == pytest.approx(default.objectives[-1], rel=1e-9)
+
+
 def test_apg_warm_start_resumes_quickly():
     rng = np.random.default_rng(9)
     cache, labels = _random_subproblem(rng)

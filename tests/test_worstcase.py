@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import GroupStructure, SparseDataset, TreeStructure
-from fgm.worstcase import (poly_columns, poly_dim, poly_flat, poly_variant, score_features,
-                           score_groups, score_polynomial_streamed, score_tree_pruned,
+from fgm.worstcase import (_set_scores, poly_columns, poly_dim, poly_flat, poly_variant,
+                           score_features, score_polynomial_streamed, score_tree_pruned,
                            select_top_b)
 
 from oracles import best_subset_lex, poly_full_matrix, sort_top_b, tree_scores_exhaustive
@@ -122,9 +122,9 @@ def test_select_top_b_random_continuous(seed, p, budget):
 def test_score_groups_hand_value():
     data, alpha = _dataset_with_omega([-2.0, 3.0, 1.0])
     groups = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    scores = score_groups(alpha, data, groups, np.ones(2))
+    scores = _set_scores(alpha, data, groups.groups, np.ones(2))
     np.testing.assert_allclose(scores, [13.0, 1.0])
-    scaled = score_groups(alpha, data, groups, np.array([1.0, 3.0]))
+    scaled = _set_scores(alpha, data, groups.groups, np.array([1.0, 3.0]))
     np.testing.assert_allclose(scaled, [13.0, 9.0])
 
 
@@ -132,7 +132,7 @@ def test_score_groups_out_of_range():
     data, alpha = _dataset_with_omega([1.0, 1.0])
     groups = GroupStructure([np.array([0, 5])], ["a"])
     with pytest.raises(ValueError, match="out of range"):
-        score_groups(alpha, data, groups, np.ones(1))
+        score_tree_pruned(alpha, data, groups, 1)
 
 
 def _random_groups(rng, p):
@@ -151,10 +151,10 @@ def test_group_top_b_matches_oracles_with_ties(seed):
     omega = rng.integers(-3, 4, size=m).astype(float)
     data, alpha = _dataset_with_omega(omega)
     lam = rng.choice([0.5, 1.0, 2.0], size=p)
-    groups = GroupStructure(sets, [f"g{j}" for j in range(p)])
+    groups = GroupStructure(sets, [f"g{j}" for j in range(p)], lam)
     expected = np.array([lam[j] ** 2 * (omega ** 2)[g].sum() for j, g in enumerate(sets)])
     for view, budget in itertools.product(_layouts(data), range(1, p + 1)):
-        got = select_top_b(score_groups(alpha, view, groups, lam), budget)
+        got = score_tree_pruned(alpha, view, groups, budget)
         assert got == sort_top_b(expected, budget)
         if p <= 15:
             assert got == best_subset_lex(expected, budget)
@@ -275,13 +275,17 @@ def test_tree_of_roots_selects_like_groups(seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 21))
     sets, m = _random_groups(rng, p)
-    data, alpha = _dataset_with_omega(rng.standard_normal(m))
+    omega = rng.standard_normal(m)
+    data, alpha = _dataset_with_omega(omega)
     lam = rng.uniform(0.0, 2.0, size=p)
     names = [f"n{j}" for j in range(p)]
     tree = TreeStructure(sets, np.full(p, -1), names, lam)
-    scores = score_groups(alpha, data, GroupStructure(sets, names), lam)
+    groups = GroupStructure(sets, names, lam)
+    scores = tree_scores_exhaustive(omega ** 2, tree)
     for budget in range(1, p + 1):
-        assert score_tree_pruned(alpha, data, tree, budget) == select_top_b(scores, budget)
+        expected = sort_top_b(scores, budget)
+        assert score_tree_pruned(alpha, data, tree, budget) == expected
+        assert score_tree_pruned(alpha, data, groups, budget) == expected
 
 
 # ---------------------------------------------------------------------------

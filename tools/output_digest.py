@@ -8,6 +8,9 @@ the program computes must print the same lines.  Digested are:
 
 * the saved model of each in-memory workload of ``benchmarks/workloads.py``
   at seeds 0, 1 and 2, trained at full size;
+* group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
+  8 features under the ``ones`` and ``inverse_norm`` policies and under
+  explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
   file of ``fgm generate``, the model of ``fgm train``, the labels of
   ``fgm predict``, and the ``--trace`` CSV without its ``seconds`` column.
@@ -24,13 +27,17 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
+from fgm import GroupStructure  # noqa: E402
 from workloads import WORKLOADS, CliFiles  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -61,6 +68,25 @@ def model_digests(work: Path):
             yield f"{name} seed {seed} model", _digest(path.read_bytes())
 
 
+def group_digests(work: Path):
+    workload = WORKLOADS["plain-w1"]
+    groups = [np.arange(8 * g, 8 * g + 8) for g in range(512)]
+    names = [f"g{g}" for g in range(512)]
+    settings = {
+        "ones": (GroupStructure(groups, names), workload.cfg),
+        "inverse_norm": (GroupStructure(groups, names),
+                         replace(workload.cfg, lambda_policy="inverse_norm")),
+        "lambdas": (GroupStructure(groups, names, np.linspace(0.5, 2.0, 512)), workload.cfg),
+    }
+    for seed in SEEDS:
+        train = workload.setup(seed, work)["train"]
+        for setting, (structure, cfg) in settings.items():
+            model = engine.fgm_train(train, cfg, structure)
+            path = work / f"groups-{setting}-{seed}.json"
+            engine.save_model(model, path)
+            yield f"{workload.name} groups {setting} seed {seed} model", _digest(path.read_bytes())
+
+
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     prefix = work / "data"
     model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
@@ -88,6 +114,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         lines = list(model_digests(work))
+        lines += group_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
     for label, digest in lines:
         print(f"{digest}  {label}")
