@@ -36,7 +36,7 @@ print(f"\nbudgeted model: {model.support_size} features after "
 target = model.support_size
 sweep = sweep_to_support(train, cfg.loss_kind(), targets=[target], tol=0.05)
 dense = sweep[target]
-print(f"l1 baseline:    {dense.support_size} features at penalty "
+print(f"l1 baseline:    {dense.weights.support_size} features at penalty "
       f"{dense.reg:.3g}")
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ optimize over all features at once:
 * :func:`sweep_to_support` walks a warm-started regularization path to hit
   requested support sizes within a tolerance, for matched-sparsity
   comparisons.
+
+Every solve runs the subproblem solver's loop and returns its
+:class:`~fgm.subsolver.ApgResult`.
 """
 
 from __future__ import annotations
@@ -23,34 +26,16 @@ import numpy as np
 from .engine import Model, ModelEntry
 from .dataset import SparseDataset
 from .loss import LossKind, gradient_from_margins, margins_from_scores
-from .subsolver import _accelerated, _relative_change
+from .subsolver import ApgResult, _accelerated, _relative_change
 
-
-@dataclass
-class DenseWeights:
-    """Dense weight vector with the objective values of its solve.
-
-    ``converged`` is False when the solver stopped at its iteration cap
-    instead of on its stopping rule.  The l2 solves have two stopping
-    exits, and True means either fired: see :func:`l2_full_train`.
-    """
-
-    w: np.ndarray
-    objectives: list[float]
-    converged: bool = True
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.w)
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.w))
+# sweep_to_support's path: reg shrinks by _DECAY per point, for at most _MAX_POINTS points
+_DECAY = 0.8
+_MAX_POINTS = 120
 
 
 def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
                   eps: float = 1e-7, max_iter: int = 2000,
-                  warm: np.ndarray | None = None) -> DenseWeights:
+                  warm: np.ndarray | None = None) -> ApgResult:
     """Minimize ``reg * ||w||_1 + loss`` over all features.
 
     Accelerated proximal gradient with backtracking: each iteration first
@@ -70,15 +55,14 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
         x = np.sign(g) * np.maximum(np.abs(g) - reg / tau, 0.0)
         return x, reg * float(np.abs(x).sum())
 
-    w, _, _, objectives, _, converged = _accelerated(
+    return _accelerated(
         data.fit_view().design, data.y.astype(float), kind, w, reg * float(np.abs(w).sum()),
         soft_threshold, lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         0.1 * data.n * kind.C, 0.8, max_iter)
-    return DenseWeights(w, objectives, converged)
 
 
 def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
-              max_iter: int, warm: np.ndarray | None = None) -> DenseWeights:
+              max_iter: int, warm: np.ndarray | None = None) -> ApgResult:
     """Minimize ``0.5 ||w||^2 + loss`` for a given design matrix (the ridge is the prox)."""
     w = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
 
@@ -92,14 +76,12 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
-    w, _, _, objectives, _, converged = _accelerated(
-        M, y, kind, w, 0.5 * float(w @ w), ridge_prox, stop, 0.1 * y.size * kind.C, 0.8,
-        max_iter)
-    return DenseWeights(w, objectives, converged)
+    return _accelerated(M, y, kind, w, 0.5 * float(w @ w), ridge_prox, stop,
+                        0.1 * y.size * kind.C, 0.8, max_iter)
 
 
 def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,
-                  max_iter: int = 1000, warm: np.ndarray | None = None) -> DenseWeights:
+                  max_iter: int = 1000, warm: np.ndarray | None = None) -> ApgResult:
     """Minimize ``0.5 ||w||^2 + loss`` over all features.
 
     Stops, with ``converged=True``, when the gradient norm falls to
@@ -130,7 +112,7 @@ def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
         kind = LossKind("squared_hinge", 20.0)
     M = data.dense_columns(support)
     sol = _l2_solve(M, data.y.astype(float), support.size, kind, eps, max_iter)
-    entries = [ModelEntry(int(j), float(sol.w[i]), 1.0) for i, j in enumerate(support)]
+    entries = [ModelEntry(int(j), float(sol.weights[i]), 1.0) for i, j in enumerate(support)]
     return Model(
         mode="plain", budget=support.size, n_outer=1, stop_reason="retrain",
         loss=kind, lambda_policy="ones", m=data.m,
@@ -146,13 +128,12 @@ class SweepResult:
     """One matched-sparsity solution from a regularization path."""
 
     reg: float
-    weights: DenseWeights
-    support_size: int
+    weights: ApgResult
 
 
 def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
-                     tol: float = 0.05, decay: float = 0.8, eps: float = 1e-7,
-                     max_iter: int = 2000, max_points: int = 120) -> dict[int, SweepResult]:
+                     tol: float = 0.05, eps: float = 1e-7,
+                     max_iter: int = 2000) -> dict[int, SweepResult]:
     """Find l1 weights whose support sizes match the targets within ``tol``.
 
     Walks ``reg`` down a geometric grid from the smallest value that zeroes
@@ -172,19 +153,19 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     if reg_max == 0:
         raise ValueError("zero gradient at the origin; nothing to sweep")
 
-    path: list[tuple[float, DenseWeights]] = []
+    path: list[tuple[float, ApgResult]] = []
     reg = reg_max
     warm = None
     top = max(targets)
-    for _ in range(max_points):
-        reg *= decay
+    for _ in range(_MAX_POINTS):
+        reg *= _DECAY
         sol = l1_prox_train(view, kind, reg, eps=eps, max_iter=max_iter, warm=warm)
-        warm = sol.w
+        warm = sol.weights
         path.append((reg, sol))
         if sol.support_size >= top * (1.0 + tol):
             break
 
-    def closest(t: int) -> tuple[float, DenseWeights]:
+    def closest(t: int) -> tuple[float, ApgResult]:
         return min(path, key=lambda p: (abs(p[1].support_size - t), p[0]))
 
     out: dict[int, SweepResult] = {}
@@ -203,7 +184,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
                 for _ in range(20):
                     mid = float(np.sqrt(reg_lo * reg_hi))
                     sol = l1_prox_train(view, kind, mid, eps=eps, max_iter=max_iter,
-                                        warm=sol_best.w)
+                                        warm=sol_best.weights)
                     path.append((mid, sol))
                     if abs(sol.support_size - t) < abs(sol_best.support_size - t):
                         reg_best, sol_best = mid, sol
@@ -213,15 +194,15 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
                         reg_lo = mid
                     else:
                         reg_hi = mid
-        out[t] = SweepResult(reg_best, sol_best, sol_best.support_size)
+        out[t] = SweepResult(reg_best, sol_best)
     return out
 
 
-def dense_to_model(sol: DenseWeights, data: SparseDataset, kind: LossKind,
+def dense_to_model(sol: ApgResult, data: SparseDataset, kind: LossKind,
                    method: str = "l1") -> Model:
     """Wrap a dense baseline solution in the shared model container."""
     support = sol.support
-    entries = [ModelEntry(int(j), float(sol.w[j]), 1.0) for j in support]
+    entries = [ModelEntry(int(j), float(sol.weights[j]), 1.0) for j in support]
     return Model(
         mode="plain", budget=max(1, support.size), n_outer=1, stop_reason=method,
         loss=kind, lambda_policy="ones", m=data.m,

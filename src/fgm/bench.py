@@ -133,8 +133,7 @@ def _solver_config(spec: dict, seed: int) -> SolverConfig:
     return replace(base, **overrides)
 
 
-def fgm_target_support(train: SparseDataset, cfg: SolverConfig, target: int,
-                       tol: float = 0.05) -> Model:
+def fgm_target_support(train: SparseDataset, cfg: SolverConfig, target: int) -> Model:
     """Steer the selection loop to a support size near ``target``.
 
     Runs the full loop once, finds the round whose cumulative selection
@@ -181,8 +180,7 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
         if name == "fgm":
             cfg = _solver_config(spec, seed)
             if "target_support" in spec:
-                model = fgm_target_support(train, cfg, int(spec["target_support"]),
-                                           float(spec.get("tol", 0.05)))
+                model = fgm_target_support(train, cfg, int(spec["target_support"]))
             else:
                 model = fgm_train(train, cfg)
             budget, outer = model.budget, model.n_outer

@@ -290,8 +290,8 @@ class TreeStructure:
 class GroupStructure(TreeStructure):
     """Disjoint, non-empty feature groups: a tree whose nodes are all roots.
 
-    ``groups`` is ``sets`` and ``n_groups`` is ``n_nodes``; the tree's checks
-    and scale rule apply unchanged.
+    The groups are ``sets`` and their count is ``n_nodes``; the tree's
+    checks and scale rule apply unchanged.
     """
 
     _noun = "group"
@@ -302,14 +302,6 @@ class GroupStructure(TreeStructure):
         if not groups:
             raise ValueError("need at least one group")
         super().__init__(groups, np.full(len(groups), -1), names, lambdas)
-
-    @property
-    def groups(self) -> list[np.ndarray]:
-        return self.sets
-
-    @property
-    def n_groups(self) -> int:
-        return self.n_nodes
 
 
 # ---------------------------------------------------------------------------

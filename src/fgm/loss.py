@@ -41,13 +41,6 @@ class LossKind:
             raise ValueError("C must be positive")
 
 
-def _check(w: np.ndarray, cache: ColumnCache, labels: np.ndarray) -> None:
-    if np.shape(w) != (cache.offsets[-1],):
-        raise ValueError("weight layout does not match the cache")
-    if labels.shape != (cache.n_instances,):
-        raise ValueError("labels length does not match the cache")
-
-
 def margins_from_scores(scores: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
     """Per-instance loss argument xi from decision values.
 
@@ -69,7 +62,10 @@ def loss_from_margins(xi: np.ndarray, kind: LossKind) -> float:
 def eval_loss(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
               kind: LossKind) -> tuple[float, np.ndarray]:
     """Loss value at the flat weights ``w`` and the margins xi it was computed from."""
-    _check(w, cache, labels)
+    if np.shape(w) != (cache.offsets[-1],):
+        raise ValueError("weight layout does not match the cache")
+    if labels.shape != (cache.n_instances,):
+        raise ValueError("labels length does not match the cache")
     xi = margins_from_scores(cache.matrix @ w, labels, kind)
     return loss_from_margins(xi, kind), xi
 
@@ -85,14 +81,6 @@ def _instance_weights(xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.
 def gradient_from_margins(M, xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
     """Gradient of the loss of ``M @ w`` with respect to ``w``, from the margins xi there."""
     return -(M.T @ _instance_weights(xi, labels, kind))
-
-
-def eval_gradient(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
-                  kind: LossKind) -> np.ndarray:
-    """Gradient of the loss at the flat weights ``w``, in the cache's layout."""
-    _check(w, cache, labels)
-    xi = margins_from_scores(cache.matrix @ w, labels, kind)
-    return gradient_from_margins(cache.matrix, xi, labels, kind)
 
 
 def recover_duals(xi: np.ndarray, kind: LossKind) -> np.ndarray:

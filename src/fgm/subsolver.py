@@ -14,6 +14,7 @@ objective sequence non-increasing.
 The same loop also drives the dense l1 and l2 baselines: it owns the loss,
 its gradient and every product with the design, and each solver supplies
 only the prox of its penalty (sum of norms, soft threshold, or ridge).
+Every solve returns one record, :class:`ApgResult`.
 """
 
 from __future__ import annotations
@@ -64,36 +65,41 @@ def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     return np.divide(shrunk, u, out=np.zeros_like(u), where=shrunk > 0), threshold
 
 
-def _sum_of_norms_prox(g: np.ndarray, cache: ColumnCache, s: float) -> tuple[np.ndarray, float]:
-    """The point of :func:`moreau_projection` and its ``regularizer``, for the APG loop."""
+def moreau_projection(g: np.ndarray, cache: ColumnCache, s: float) -> tuple[np.ndarray, float]:
+    """Minimizer of ``0.5 ||w - g||^2 + (s/2)(sum_t ||w_t||)^2`` in the cache's block layout.
+
+    Returns the minimizer and its :func:`regularizer` value.  Every output
+    block is either zero or a positive multiple of the corresponding input
+    block; surviving block norms are the input norms minus a common
+    threshold.
+    """
     norms = cache.block_norms(g)
     c, _ = _moreau_coefficients(norms, s)
     return np.repeat(c, cache.sizes) * g, 0.5 * float((c * norms).sum()) ** 2
 
 
-def moreau_projection(g: np.ndarray, cache: ColumnCache, s: float) -> np.ndarray:
-    """Minimizer of ``0.5 ||w - g||^2 + (s/2)(sum_t ||w_t||)^2`` in the cache's block layout.
-
-    Every output block is either zero or a positive multiple of the
-    corresponding input block; surviving block norms are the input norms
-    minus a common threshold.
-    """
-    return _sum_of_norms_prox(g, cache, s)[0]
-
-
 @dataclass
 class ApgResult:
-    """Outcome of one subproblem solve; ``weights`` are flat, in the solved cache's layout."""
+    """Outcome of one accelerated solve; ``weights`` are flat, in the solved design's columns."""
 
     weights: np.ndarray
+    scores: np.ndarray         # design @ weights, per instance
     tau: float                 # last accepted inverse step size
-    objectives: list[float]    # accepted objective values, index 0 = start
     max_tau: float             # largest accepted inverse step size
-    scores: np.ndarray         # cache.matrix @ weights, per instance
+    objectives: list[float]    # accepted objective values, index 0 = start
+    converged: bool            # False when the iteration cap, not the stop rule, ended it
 
     @property
     def n_iters(self) -> int:
         return len(self.objectives) - 1
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.weights)
+
+    @property
+    def support_size(self) -> int:
+        return int(np.count_nonzero(self.weights))
 
 
 def _relative_change(f_prev: float, f_curr: float) -> float:
@@ -101,8 +107,7 @@ def _relative_change(f_prev: float, f_curr: float) -> float:
 
 
 def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: float,
-                 prox, stop, tau: float, eta: float, max_iter: int
-                 ) -> tuple[np.ndarray, np.ndarray, float, list[float], float, bool]:
+                 prox, stop, tau: float, eta: float, max_iter: int) -> ApgResult:
     """Accelerated proximal gradient for ``loss(M @ x) + penalty(x)``, shared by every solver.
 
     The loop owns the loss, its gradient and every product with ``M``; a
@@ -112,10 +117,8 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
     the point and its scores ``s = M @ x``.  ``penalty`` is the start's.  The
     scores at the extrapolated point are extrapolated with the same momentum
     as the point; each line-search trial takes fresh ones in one product, so
-    rounding never accumulates.  Returns ``(x, s, tau, objectives, max_tau,
-    stopped)``: the final point and its scores, the last accepted ``tau``,
-    the accepted objective trace (index 0 = start), the largest accepted
-    ``tau`` and whether ``stop`` fired.
+    rounding never accumulates.  ``converged`` in the result says whether
+    ``stop`` fired.
     """
     def loss(scores: np.ndarray) -> float:
         return loss_from_margins(margins_from_scores(scores, labels, kind), kind)
@@ -164,8 +167,8 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
         f_prev, f_curr = f_curr, f_new
         objectives.append(f_curr)
         if stop(x, s, f_prev, f_curr):
-            return x, s, tau, objectives, max_tau, True
-    return x, s, tau, objectives, max_tau, False
+            return ApgResult(x, s, tau, max_tau, objectives, True)
+    return ApgResult(x, s, tau, max_tau, objectives, False)
 
 
 def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
@@ -200,16 +203,10 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     ApgResult
         Final flat weights in the cache's layout and their scores
         ``cache.matrix @ w``, last accepted ``tau`` (fed forward as
-        ``eta^2 * tau`` when the cache grows), and the accepted objective
+        ``eta^2 * tau`` when the cache grows), the accepted objective
         trace, which is non-increasing by construction (extrapolation is
-        reset whenever it would raise the objective).
-
-    Notes
-    -----
-    Each line-search trial takes the scores of its candidate in one
-    product over the whole cache and each iteration one more for the
-    gradient; the scores at the extrapolated point are extrapolated from
-    those of the last two iterates.
+        reset whenever it would raise the objective), and whether the
+        ``eps`` rule stopped the solve before ``max_inner``.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
@@ -223,9 +220,8 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     w = np.zeros(cache.offsets[-1]) if warm is None else np.array(warm, dtype=float)
     if w.shape != (cache.offsets[-1],):
         raise ValueError("warm start does not match the cache layout")
-    w, scores, tau, objectives, max_tau, _ = _accelerated(
+    return _accelerated(
         cache.matrix, labels, kind, w, regularizer(w, cache),
-        lambda g, tau: _sum_of_norms_prox(g, cache, 1.0 / tau),
+        lambda g, tau: moreau_projection(g, cache, 1.0 / tau),
         lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         float(L_init), eta, max_inner)
-    return ApgResult(w, tau, objectives, max_tau, scores)

@@ -34,6 +34,8 @@ safe to run concurrently and results do not depend on thread count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dataset import SparseDataset, TreeStructure
@@ -148,14 +150,12 @@ def poly_variant(flat: int, m: int) -> tuple:
     if flat < m:
         return ("square", flat)
     flat -= m
-    # lexicographic pair (a, b), a < b
-    a = 0
-    row = m - 1
-    while flat >= row:
-        flat -= row
-        row -= 1
-        a += 1
-    return ("cross", a, a + 1 + flat)
+    # lexicographic pair (a, b), a < b.  Counted from the last pair, the
+    # rows hold 1, 2, 3, ... pairs, so the row of ``back`` is the largest
+    # ``j`` with ``j (j + 1) / 2 <= back``, an exact integer square root
+    back = m * (m - 1) // 2 - 1 - flat
+    j = (math.isqrt(8 * back + 1) - 1) // 2
+    return ("cross", m - 2 - j, m - 1 - (back - j * (j + 1) // 2))
 
 
 def poly_flat(variant: tuple, m: int) -> int:

@@ -23,7 +23,8 @@ from fgm.bench import fgm_target_support
 from fgm.blocks import ColumnCache
 from fgm.dataset import SparseDataset, generate_synthetic, generate_test_set
 from fgm.engine import SolverConfig, evaluate_recovery, fgm_train, predict
-from fgm.loss import LossKind, eval_gradient, eval_loss, margins_from_scores, recover_duals
+from fgm.loss import (LossKind, eval_loss, gradient_from_margins, margins_from_scores,
+                      recover_duals)
 from fgm.subsolver import apg_solve, moreau_projection
 from fgm.worstcase import (score_features, score_polynomial_streamed, score_tree_pruned,
                            select_top_b)
@@ -105,7 +106,7 @@ def replica():
             _, acc_fgm_db = predict(retrain_unbiased(train, model.feature_ids()), test)
             records.append({
                 "seed": seed, "target": target,
-                "support_l1": swept[target].support_size,
+                "support_l1": swept[target].weights.support_size,
                 "support_fgm": model.support_size,
                 "recovered_l1": len(set(sol.support.tolist()) & true_set),
                 "recovered_fgm": evaluate_recovery(model, truth),
@@ -129,7 +130,7 @@ def test_criterion_01_projection_matches_numeric_minimizer():
         s = float(10.0 ** rng.uniform(-3, 3))
         offsets = np.concatenate([[0], np.cumsum([b.size for b in blocks])])
         layout = ColumnCache(np.zeros((0, int(offsets[-1]))), offsets)
-        ours = np.split(moreau_projection(np.concatenate(blocks), layout, s), offsets[1:-1])
+        ours = np.split(moreau_projection(np.concatenate(blocks), layout, s)[0], offsets[1:-1])
         ref = moreau_bcd(blocks, s, tol=1e-9)
         diff = abs(prox_objective(ours, blocks, s) - prox_objective(ref, blocks, s))
         worst = max(worst, diff)
@@ -158,7 +159,8 @@ def test_criterion_02_gradients_match_finite_differences():
                 break
             if np.all(np.abs(1.0 - labels * (cache.matrix @ w)) > 1e-3):
                 break  # keep the probe away from the hinge corner
-        grad = eval_gradient(w, cache, labels, kind)
+        _, xi = eval_loss(w, cache, labels, kind)
+        grad = gradient_from_margins(cache.matrix, xi, labels, kind)
         fd = central_fd_gradient(lambda flat: eval_loss(flat, cache, labels, kind)[0], w)
         rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
         worst = max(worst, rel)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fgm.baseline import (DenseWeights, dense_to_model, l1_prox_train, l2_full_train,
-                          retrain_unbiased, sweep_to_support)
+from fgm.baseline import (dense_to_model, l1_prox_train, l2_full_train, retrain_unbiased,
+                          sweep_to_support)
 from fgm.dataset import SparseDataset, generate_synthetic
 from fgm.engine import predict
 from fgm.loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
-from fgm.subsolver import NumericalError
+from fgm.subsolver import ApgResult, NumericalError
 
 from oracles import l1_split_lbfgs, l2_lbfgs
 
@@ -49,7 +49,7 @@ def test_l1_zero_solution_above_critical_reg():
     reg_max = 1.0 * np.max(np.abs(X.T @ y))
     sol = l1_prox_train(data, LossKind("squared_hinge", 1.0), 1.01 * reg_max)
     assert sol.support_size == 0
-    assert np.all(sol.w == 0.0)
+    assert np.all(sol.weights == 0.0)
 
 
 def test_l1_zeros_are_exact_and_trace_monotone():
@@ -57,7 +57,7 @@ def test_l1_zeros_are_exact_and_trace_monotone():
     reg = 0.3 * np.max(np.abs(X.T @ y))
     sol = l1_prox_train(data, LossKind("squared_hinge", 1.0), reg, eps=1e-10)
     assert 0 < sol.support_size < data.m
-    zero_part = sol.w[np.setdiff1d(np.arange(data.m), sol.support)]
+    zero_part = sol.weights[np.setdiff1d(np.arange(data.m), sol.support)]
     assert np.all(zero_part == 0.0)  # prox produces literal zeros
     assert np.all(np.diff(sol.objectives) <= 1e-12)
 
@@ -67,7 +67,7 @@ def test_l1_warm_start_and_validation():
     kind = LossKind("squared_hinge", 1.0)
     reg = 0.2 * np.max(np.abs(X.T @ y))
     cold = l1_prox_train(data, kind, reg, eps=1e-10)
-    warm = l1_prox_train(data, kind, reg, eps=1e-10, warm=cold.w)
+    warm = l1_prox_train(data, kind, reg, eps=1e-10, warm=cold.weights)
     assert len(warm.objectives) <= 3
     assert abs(warm.objectives[-1] - cold.objectives[-1]) <= 1e-8 * max(1.0, cold.objectives[-1])
     with pytest.raises(ValueError):
@@ -94,9 +94,10 @@ def test_reported_objectives_match_direct_evaluation_at_every_cap(loss, density)
         l1 = l1_prox_train(data, kind, reg, eps=0.0, max_iter=cap)
         assert len(l1.objectives) == cap + 1
         assert l1.objectives[-1] == pytest.approx(
-            reg * np.abs(l1.w).sum() + loss_at(l1.w), rel=1e-12)
+            reg * np.abs(l1.weights).sum() + loss_at(l1.weights), rel=1e-12)
         l2 = l2_full_train(data, kind, eps=0.0, max_iter=cap)
-        assert l2.objectives[-1] == pytest.approx(0.5 * l2.w @ l2.w + loss_at(l2.w), rel=1e-12)
+        assert l2.objectives[-1] == pytest.approx(
+            0.5 * l2.weights @ l2.weights + loss_at(l2.weights), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_l2_matches_lbfgs_oracle(loss):
     sol = l2_full_train(data, kind, eps=1e-9, max_iter=4000)
     w_ref, f_ref = l2_lbfgs(X, y, kind)
     assert abs(sol.objectives[-1] - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
-    np.testing.assert_allclose(sol.w, w_ref, atol=1e-4)
+    np.testing.assert_allclose(sol.weights, w_ref, atol=1e-4)
 
 
 @pytest.mark.parametrize("loss", ["squared_hinge", "logistic"])
@@ -132,7 +133,7 @@ def test_ridge_prox_step_hand_values():
     sol = l2_full_train(data, LossKind("squared_hinge", 1.0), max_iter=1, warm=w0)
     # scores (0.25, -0.125, -0.125, -0.375), margins (0.75, 0.875, 1.125, 0.625),
     # loss gradient -X'c = -(0.484375, 0.09375), g = (2.513671875, -0.70703125)
-    np.testing.assert_allclose(sol.w, [0.804375 / 1.32, -0.22625 / 1.32], rtol=1e-14)
+    np.testing.assert_allclose(sol.weights, [0.804375 / 1.32, -0.22625 / 1.32], rtol=1e-14)
     assert sol.objectives[1] < sol.objectives[0]
 
 
@@ -157,7 +158,7 @@ def test_converged_l2_solves_meet_their_stop_rule_recomputed_from_x(loss, densit
     eps = 1e-4
     kind = LossKind(loss, 1.0)
     full = l2_full_train(data, kind, eps=eps)
-    assert full.converged and _meets_l2_stop_rule(X, y, kind, full.w, eps)
+    assert full.converged and _meets_l2_stop_rule(X, y, kind, full.weights, eps)
     support = np.arange(0, 40, 3)
     kind = LossKind(loss, 20.0)
     refit = retrain_unbiased(data, support, kind, eps=eps)
@@ -227,8 +228,7 @@ def test_sweep_hits_targets_within_window():
     assert sorted(out) == targets
     for t, res in out.items():
         window = max(1.0, 0.1 * t)
-        assert abs(res.support_size - t) <= window, (t, res.support_size)
-        assert res.support_size == res.weights.support_size
+        assert abs(res.weights.support_size - t) <= window, (t, res.weights.support_size)
         assert res.reg > 0
 
 
@@ -241,7 +241,7 @@ def _sweep_problem(density: float, seed: int = 0) -> SparseDataset:
 
 
 def _sweep_bytes(out) -> list:
-    return [(t, r.reg, r.support_size, r.weights.w.tobytes(), r.weights.objectives,
+    return [(t, r.reg, r.weights.support_size, r.weights.weights.tobytes(), r.weights.objectives,
              r.weights.converged) for t, r in sorted(out.items())]
 
 
@@ -294,14 +294,14 @@ def test_dense_to_model_predicts_like_the_weight_vector():
     model = dense_to_model(sol, data, kind, method="l1")
     assert model.stop_reason == "l1"
     assert model.units == tuple(int(j) for j in sol.support)
-    scores = X @ sol.w
+    scores = X @ sol.weights
     labels, accuracy = predict(model, data)
     np.testing.assert_array_equal(labels, np.where(scores >= 0, 1, -1))
     assert accuracy == np.mean(labels == data.y)
 
 
 def test_dense_weights_support_properties():
-    sol = DenseWeights(np.array([0.0, 1.5, 0.0, -2.0]), [3.0, 1.0])
+    sol = ApgResult(np.array([0.0, 1.5, 0.0, -2.0]), np.zeros(2), 1.0, 1.0, [3.0, 1.0], True)
     np.testing.assert_array_equal(sol.support, [1, 3])
     assert sol.support_size == 2
 

@@ -533,8 +533,8 @@ def test_load_groups_with_lambda(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("a: 0 1 2\nb: 3 4 | lambda=0.5\n# comment\n")
     g = load_groups(f)
-    assert g.n_groups == 2
-    np.testing.assert_array_equal(g.groups[0], [0, 1, 2])
+    assert g.n_nodes == 2
+    np.testing.assert_array_equal(g.sets[0], [0, 1, 2])
     np.testing.assert_allclose(g.lambdas, [1.0, 0.5])
 
 
@@ -701,7 +701,7 @@ def test_inverse_norm_scales_equal_on_a_view_and_the_raw_dataset(density):
                          + [np.arange(4 * c, 4 * c + 4) for c in range(12)],
                          np.array([-1] * 3 + [c // 4 for c in range(12)]),
                          [f"n{i}" for i in range(15)])
-    pairs = [(_inverse_set_norms(d, groups.groups), _inverse_set_norms(d, tree.sets),
+    pairs = [(_inverse_set_norms(d, groups.sets), _inverse_set_norms(d, tree.sets),
               compute_scaling_prior(d, "inverse_norm")) for d in (data, view)]
     for raw, viewed in zip(*pairs):
         assert raw.tobytes() == viewed.tobytes()
@@ -711,7 +711,7 @@ def test_group_scaling_prior_frobenius_and_precedence():
     X = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
     data = SparseDataset(X, np.array([1, -1]))
     g = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    inv = _inverse_set_norms(data, g.groups)
+    inv = _inverse_set_norms(data, g.sets)
     np.testing.assert_allclose(inv, [0.2, 1.0])
     # training's scale rule: explicit lambdas win over the policy
     from fgm.engine import SolverConfig, _units

@@ -241,7 +241,7 @@ save_model(fgm_train(poly, SolverConfig(budget=10, max_outer=1), PolyMap()),
            sys.argv[1] + "/poly.json")
 reg = 0.1 * float(np.abs(poly.X.T @ poly.y).max())
 sol = l1_prox_train(poly, LossKind("squared_hinge", 1.0), reg, max_iter=50)
-open(sys.argv[1] + "/l1.bin", "wb").write(sol.w.tobytes())
+open(sys.argv[1] + "/l1.bin", "wb").write(sol.weights.tobytes())
 """
 
 

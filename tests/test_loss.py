@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fgm.blocks import ColumnCache
-from fgm.loss import (LOGISTIC, SQUARED_HINGE, LossKind, dual_value_terms, eval_gradient,
-                      eval_loss, loss_from_margins, margins_from_scores, recover_duals)
+from fgm.loss import (LOGISTIC, SQUARED_HINGE, LossKind, dual_value_terms, eval_loss,
+                      gradient_from_margins, loss_from_margins, margins_from_scores,
+                      recover_duals)
 
 from oracles import central_fd_gradient, loss_value_direct
 
@@ -82,7 +83,8 @@ def test_gradient_against_central_differences(kind):
             # keep margins away from the hinge kink for clean differences
             while np.min(np.abs(1.0 - labels * (cache.matrix @ w))) < 1e-3:
                 w = rng.standard_normal(w.size)
-        grad = eval_gradient(w, cache, labels, kind)
+        _, xi = eval_loss(w, cache, labels, kind)
+        grad = gradient_from_margins(cache.matrix, xi, labels, kind)
 
         def fun(flat):
             return eval_loss(flat, cache, labels, kind)[0]
@@ -153,11 +155,11 @@ def test_dual_terms_minimized_near_recovered_duals(kind):
     assert np.isfinite(dual_value_terms(alpha, kind))
 
 
-def test_gradient_shape_mismatch_raises():
+def test_eval_loss_shape_mismatch_raises():
     rng = np.random.default_rng(1)
     cache, labels, w = _random_instance(rng)
     bad = np.zeros(3)   # the cache holds 9 columns
     with pytest.raises(ValueError, match="layout"):
-        eval_gradient(bad, cache, labels, SQ)
+        eval_loss(bad, cache, labels, SQ)
     with pytest.raises(ValueError, match="labels"):
         eval_loss(w, cache, labels[:-1], SQ)

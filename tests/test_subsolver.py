@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgm.baseline import l1_prox_train, l2_full_train
 from fgm.blocks import ColumnCache
+from fgm.dataset import SparseDataset
 from fgm.loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_loss
 from fgm.subsolver import (ApgResult, NumericalError, apg_solve, moreau_projection,
                            regularizer, _moreau_coefficients)
@@ -32,13 +34,13 @@ def _split(w, cache):
 
 def test_prox_single_block_hand_value():
     g, cache = _layout([[3.0, 4.0]])
-    w = moreau_projection(g, cache, 1.0)
+    w = moreau_projection(g, cache, 1.0)[0]
     np.testing.assert_allclose(w, [1.5, 2.0], rtol=1e-15)
 
 
 def test_prox_two_symmetric_unit_blocks():
     g, cache = _layout([[1.0, 0.0], [0.0, 1.0]])
-    w0, w1 = _split(moreau_projection(g, cache, 1.0), cache)
+    w0, w1 = _split(moreau_projection(g, cache, 1.0)[0], cache)
     np.testing.assert_allclose(w0, [1.0 / 3.0, 0.0], rtol=1e-14)
     np.testing.assert_allclose(w1, [0.0, 1.0 / 3.0], rtol=1e-14)
 
@@ -46,14 +48,14 @@ def test_prox_two_symmetric_unit_blocks():
 def test_prox_drops_dominated_block():
     # a tiny block next to a huge one is zeroed by the common threshold
     g, cache = _layout([[100.0], [1e-4]])
-    w0, w1 = _split(moreau_projection(g, cache, 1.0), cache)
+    w0, w1 = _split(moreau_projection(g, cache, 1.0)[0], cache)
     assert np.linalg.norm(w1) == 0.0
     assert np.linalg.norm(w0) > 0.0
 
 
 def test_prox_zero_input_stays_zero():
     g, cache = _layout([[0.0, 0.0], [0.0]])
-    w = moreau_projection(g, cache, 2.5)
+    w = moreau_projection(g, cache, 2.5)[0]
     np.testing.assert_array_equal(w, np.zeros(3))
 
 
@@ -83,7 +85,7 @@ def test_prox_matches_cyclic_minimization_oracle():
     for _ in range(40):
         blocks, s = _random_prox_instance(rng)
         g, cache = _layout(blocks)
-        w = moreau_projection(g, cache, s)
+        w = moreau_projection(g, cache, s)[0]
         ref = moreau_bcd(blocks, s)
         got = prox_objective(_split(w, cache), blocks, s)
         want = prox_objective(ref, blocks, s)
@@ -97,7 +99,8 @@ def test_prox_structure_properties(seed, s):
     rng = np.random.default_rng(seed)
     blocks, _ = _random_prox_instance(rng)
     g, cache = _layout(blocks)
-    w = moreau_projection(g, cache, s)
+    w, penalty = moreau_projection(g, cache, s)
+    assert penalty == pytest.approx(regularizer(w, cache), rel=1e-12, abs=1e-300)
     u = cache.block_norms(g)
     _, threshold = _moreau_coefficients(u, s)
     # every surviving block norm is the input norm minus a common threshold
@@ -120,7 +123,7 @@ def test_prox_beats_random_perturbations(seed):
     rng = np.random.default_rng(seed)
     blocks, s = _random_prox_instance(rng)
     g, cache = _layout(blocks)
-    w = moreau_projection(g, cache, s)
+    w = moreau_projection(g, cache, s)[0]
     val = prox_objective(_split(w, cache), blocks, s)
     for _ in range(10):
         delta = rng.standard_normal(w.size) * 10.0 ** rng.uniform(-6, 0)
@@ -250,6 +253,12 @@ def test_apg_result_bookkeeping():
     # final objective consistent with direct evaluation of the weights
     assert result.objectives[-1] == pytest.approx(
         _objective(cache, labels, SQ, result.weights), rel=1e-9, abs=1e-9)
+    # the dense baselines return the same record from the same loop
+    data = SparseDataset(rng.standard_normal((30, 12)), rng.choice([-1, 1], size=30))
+    design = data.fit_view().design
+    for dense in (l1_prox_train(data, SQ, 0.5), l2_full_train(data, SQ)):
+        assert isinstance(dense, ApgResult)
+        assert dense.scores.tobytes() == (design @ dense.weights).tobytes()
 
 
 @pytest.mark.parametrize("kind", [SQ, LG], ids=["squared_hinge", "logistic"])

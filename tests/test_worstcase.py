@@ -122,9 +122,9 @@ def test_select_top_b_random_continuous(seed, p, budget):
 def test_score_groups_hand_value():
     data, alpha = _dataset_with_omega([-2.0, 3.0, 1.0])
     groups = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    scores = _set_scores(alpha, data, groups.groups, np.ones(2))
+    scores = _set_scores(alpha, data, groups.sets, np.ones(2))
     np.testing.assert_allclose(scores, [13.0, 1.0])
-    scaled = _set_scores(alpha, data, groups.groups, np.array([1.0, 3.0]))
+    scaled = _set_scores(alpha, data, groups.sets, np.array([1.0, 3.0]))
     np.testing.assert_allclose(scaled, [13.0, 9.0])
 
 
@@ -307,6 +307,19 @@ def test_poly_codec_bijection(m):
         assert poly_flat(variant, m) == flat
         seen.add(variant)
     assert len(seen) == poly_dim(m)
+
+
+def test_poly_codec_round_trip_at_row_boundaries():
+    # the first and last pair of a row and their neighbours, at a width
+    # where walking the rows one by one would take a second per id
+    m = 10**6
+    for a in (0, 1, 2, m // 2, m - 3, m - 2):
+        for b in sorted({a + 1, a + 2, m - 2, m - 1} & set(range(a + 1, m))):
+            flat = poly_flat(("cross", a, b), m)
+            assert poly_variant(flat, m) == ("cross", a, b)
+    first_cross = poly_flat(("cross", 0, 1), m)
+    assert poly_variant(first_cross - 1, m) == ("square", m - 1)
+    assert poly_variant(poly_dim(m) - 1, m) == ("cross", m - 2, m - 1)
 
 
 def test_poly_layout_hand_values():

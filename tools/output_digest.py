@@ -13,11 +13,16 @@ the program computes must print the same lines.  Digested are:
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
   file of ``fgm generate``, the model of ``fgm train``, the labels of
-  ``fgm predict``, and the ``--trace`` CSV without its ``seconds`` column.
+  ``fgm predict``, and the ``--trace`` CSV without its ``seconds`` column;
+* every model file of ``fgm bench`` on a small synthetic config at seeds 0
+  and 1, covering ``fgm`` with and without ``target_support``, ``l1`` at a
+  fixed ``reg`` and swept to a support size, ``l2-full``, ``fgm-debias``
+  and ``l1-debias``.
 
-Manifests, metrics files and the trace's ``seconds`` column hold wall times
-and paths, so they are left out.  Set ``OPENBLAS_NUM_THREADS`` to compare at
-a given BLAS thread count.
+Manifests, metrics files, the bench CSV and the trace's ``seconds`` column
+hold wall times and paths, so they are left out.  Set
+``OPENBLAS_NUM_THREADS`` to compare at a given BLAS thread count, and
+``FGM_THREADS`` to run the bench seeds in that many processes.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from dataclasses import replace
@@ -41,6 +47,19 @@ from fgm import GroupStructure  # noqa: E402
 from workloads import WORKLOADS, CliFiles  # noqa: E402
 
 SEEDS = (0, 1, 2)
+BENCH_CONFIG = {
+    "data": {"synthetic": {"n": 200, "m": 400, "k": 20, "type": 1, "n_test": 200}},
+    "seeds": [0, 1],
+    "methods": [
+        {"name": "fgm", "budget": 5},
+        {"name": "fgm", "budget": 2, "target_support": 20},
+        {"name": "l1", "reg": 5.0},
+        {"name": "l1", "target_support": 20},
+        {"name": "l2-full"},
+        {"name": "fgm-debias", "base": "fgm-B5"},
+        {"name": "l1-debias", "base": "l1-s20"},
+    ],
+}
 
 
 def _digest(data: bytes) -> str:
@@ -110,12 +129,25 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     yield f"{workload.name} seed {seed} trace", _digest(_trace_without_seconds(trace))
 
 
+def bench_digests(work: Path):
+    config, models = work / "bench.json", work / "bench-models"
+    config.write_text(json.dumps(BENCH_CONFIG))
+    argv = ["bench", "--config", str(config), "--out", str(work / "bench.csv"),
+            "--models-dir", str(models)]
+    code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"fgm bench exited with {code}")
+    for path in sorted(models.iterdir()):
+        yield f"bench {path.name}", _digest(path.read_bytes())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         lines = list(model_digests(work))
         lines += group_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
+        lines += bench_digests(work)
     for label, digest in lines:
         print(f"{digest}  {label}")
     return 0
