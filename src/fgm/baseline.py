@@ -38,11 +38,9 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
                   warm: np.ndarray | None = None) -> ApgResult:
     """Minimize ``reg * ||w||_1 + loss`` over all features.
 
-    Accelerated proximal gradient with backtracking: each iteration first
-    tries a more optimistic step, grows the denominator by ``1/0.8`` only
-    while the sufficient-decrease test fails, and resets extrapolation
-    whenever the objective would rise, so the recorded objective sequence
-    is non-increasing.  Zeros are exact because the soft-threshold prox
+    Runs the subproblem solver's accelerated loop, with its step rule,
+    backtracking and restart, so the recorded objective sequence is
+    non-increasing.  Zeros are exact because the soft-threshold prox
     produces them.
     """
     if reg < 0:
@@ -58,7 +56,7 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
     return _accelerated(
         data.fit_view().design, data.y.astype(float), kind, w, reg * float(np.abs(w).sum()),
         soft_threshold, lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
-        0.1 * data.n * kind.C, 0.8, max_iter)
+        max_iter)
 
 
 def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
@@ -76,8 +74,7 @@ def _l2_solve(M, y: np.ndarray, dim: int, kind: LossKind, eps: float,
         return (grad_norm <= eps * (1.0 + float(np.linalg.norm(x)))
                 or _relative_change(f_prev, f_curr) <= 1e-14)
 
-    return _accelerated(M, y, kind, w, 0.5 * float(w @ w), ridge_prox, stop,
-                        0.1 * y.size * kind.C, 0.8, max_iter)
+    return _accelerated(M, y, kind, w, 0.5 * float(w @ w), ridge_prox, stop, max_iter)
 
 
 def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,

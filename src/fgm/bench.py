@@ -36,7 +36,15 @@ from .loss import LossKind
 
 CSV_COLUMNS = ["method", "setting", "seed", "accuracy", "support", "recovered",
                "budget", "outer_iters", "seconds"]
-_METHODS = ("fgm", "l1", "l2-full", "fgm-debias", "l1-debias")
+# the keys each method reads from its entry, besides "name" and "id"
+_METHOD_KEYS = {
+    "fgm": ("target_support", *(f.name for f in fields(SolverConfig))),
+    "l1": ("reg", "target_support", "tol", "loss", "C", "eps", "max_iter"),
+    "l2-full": ("loss", "C", "eps", "max_iter"),
+    "fgm-debias": ("base", "loss", "C_debias"),
+    "l1-debias": ("base", "loss", "C_debias"),
+}
+_METHODS = tuple(_METHOD_KEYS)
 
 
 def load_config(path: str | Path) -> dict:
@@ -72,8 +80,9 @@ def validate_config(config: dict) -> None:
         if key in data and not isinstance(data[key], str):
             raise ValueError(f"bench config's data.{key} must be a string")
     seeds = config.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ValueError("bench config needs a non-empty integer list 'seeds'")
+    if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ValueError("bench config needs a non-empty list 'seeds' of integers >= 0")
     methods = config.get("methods")
     if not isinstance(methods, list) or not methods:
         raise ValueError("bench config needs a non-empty 'methods' list")
@@ -84,6 +93,12 @@ def validate_config(config: dict) -> None:
         name = spec.get("name")
         if name not in _METHODS:
             raise ValueError(f"unknown method name {name!r}; expected one of {_METHODS}")
+        unread = sorted(set(spec) - {"name", "id", *_METHOD_KEYS[name]})
+        if unread:
+            raise ValueError(f"bench config's method entry {spec!r}: {name!r} does not read "
+                             + ", ".join(map(repr, unread)))
+        if name == "l1" and "reg" not in spec and "target_support" not in spec:
+            raise ValueError(f"bench config's l1 entry {spec!r} needs 'reg' or 'target_support'")
         sid = setting_id(spec)
         if sid in ids:
             raise ValueError(f"duplicate setting id {sid!r}")
@@ -126,10 +141,10 @@ def _data_for_seed(data_spec: dict, seed: int):
     return train, test, truth
 
 
-def _solver_config(spec: dict, seed: int) -> SolverConfig:
-    base = SolverConfig(budget=int(spec.get("budget", 10)), seed=seed)
+def _solver_config(spec: dict) -> SolverConfig:
+    base = SolverConfig(budget=int(spec.get("budget", 10)))
     overrides = {f.name: spec[f.name] for f in fields(SolverConfig)
-                 if f.name in spec and f.name not in ("budget", "seed")}
+                 if f.name in spec and f.name != "budget"}
     return replace(base, **overrides)
 
 
@@ -178,7 +193,7 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
         budget = ""
         outer = ""
         if name == "fgm":
-            cfg = _solver_config(spec, seed)
+            cfg = _solver_config(spec)
             if "target_support" in spec:
                 model = fgm_target_support(train, cfg, int(spec["target_support"]))
             else:

@@ -122,7 +122,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         budget=args.budget, C=args.C, loss=_LOSS_NAMES[args.loss],
         lambda_policy=_LAMBDA_NAMES[args.lambda_policy], eps_apg=args.eps_apg,
         eps_outer=args.eps_outer, max_outer=args.max_outer, max_inner=args.max_inner,
-        eta=args.eta, L0=args.L0, seed=args.seed,
     )
     # training keeps a few float arrays of length m; an m whose byte size no
     # address can hold is a data error, and so is one the machine cannot hold
@@ -255,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="outer relative-improvement tolerance")
     tr.add_argument("--max-outer", type=int, default=15)
     tr.add_argument("--max-inner", type=int, default=1000)
-    tr.add_argument("--eta", type=float, default=0.8, help="step-size backoff factor")
-    tr.add_argument("--L0", type=float, default=None, help="initial inverse step size")
-    tr.add_argument("--seed", type=int, default=0, help="recorded in the model file")
     tr.add_argument("--trace", default=None, help="per-round CSV trace path")
     kind = tr.add_mutually_exclusive_group()
     kind.add_argument("--groups", default=None, help="disjoint group file")

@@ -26,7 +26,7 @@ from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
 # eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
                    recover_duals)
-from .subsolver import NumericalError, _relative_change, apg_solve
+from .subsolver import _ETA, NumericalError, _relative_change, apg_solve
 from .worstcase import (poly_columns, poly_dim, score_features, score_polynomial_streamed,
                         score_tree_pruned, select_top_b)
 
@@ -53,9 +53,9 @@ class SolverConfig:
     ``budget`` is the number of units added per round; ``C`` weighs the
     loss.  ``eps_apg`` stops the inner solver on relative objective
     change, ``eps_outer`` stops the outer loop likewise, ``max_outer``
-    caps the rounds.  ``L0`` overrides the initial inverse step size
-    (default ``0.1 * n * C``).  ``seed`` is recorded for provenance;
-    training itself is deterministic.
+    caps the rounds.  The inner step size follows the solver's own rule
+    (:mod:`fgm.subsolver`).  A value out of range, a NaN among them, raises
+    ``ValueError`` when the configuration is built.
     """
 
     budget: int = 10
@@ -66,17 +66,13 @@ class SolverConfig:
     eps_outer: float = 1e-2
     max_outer: int = 15
     max_inner: int = 1000
-    eta: float = 0.8
-    L0: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.budget < 1 or self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("budget, max_outer, and max_inner must be >= 1")
-        if self.C <= 0 or not 0 < self.eta < 1:
-            raise ValueError("need C > 0 and 0 < eta < 1")
-        if self.eps_apg < 0 or self.eps_outer < 0:
-            raise ValueError("tolerances must be non-negative")
+        self.loss_kind()    # checks the loss name and C > 0
+        if not (self.eps_apg >= 0 and self.eps_outer >= 0):
+            raise ValueError("tolerances must be non-negative numbers")
         if self.lambda_policy not in ("ones", "inverse_norm"):
             raise ValueError(f"unknown scaling policy {self.lambda_policy!r}")
 
@@ -252,7 +248,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     under the current weights, keeps the top ``budget`` as a sorted id
     tuple, caches their columns as one more block, and re-solves the
     subproblem over every stored selection, warm-started from the previous
-    blocks with the inverse step size carried over as ``eta^2 * tau``.
+    blocks and from the solver's step-size carry-over (:mod:`fgm.subsolver`).
     The column cache and the trace are the loop's only records: a round's
     ids are its ``TraceRecord.selected``.  Re-proposing a stored selection
     (ids equal to an earlier round's) means no unit set scores higher under
@@ -305,10 +301,10 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         scales.append(lams)
 
         warm = np.concatenate([w, np.zeros(cols.shape[1])])    # zeros for the new block
-        L_init = cfg.L0 if tau_prev is None else cfg.eta ** 2 * tau_prev
+        L_init = None if tau_prev is None else _ETA ** 2 * tau_prev
         try:
             result = apg_solve(cache, labels, kind, warm=warm, L_init=L_init,
-                               eta=cfg.eta, eps=cfg.eps_apg, max_inner=cfg.max_inner)
+                               eps=cfg.eps_apg, max_inner=cfg.max_inner)
         except NumericalError as exc:
             raise NumericalError(f"outer iteration {it}: {exc}",
                                  iteration=exc.iteration) from exc

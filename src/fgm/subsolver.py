@@ -7,10 +7,13 @@ The learning subproblem over the cached columns is
 with ``p`` a smooth classification loss.  It is solved by an accelerated
 proximal gradient method whose key ingredient is the exact proximal
 operator of the squared sum of block norms (a sort-and-threshold rule in
-the block-norm domain).  The line search backtracks upward from an
-optimistic step, growing the inverse step by ``1/eta`` per rejected trial
-(500 trials at most), and a function-value restart keeps the accepted
-objective sequence non-increasing.
+the block-norm domain).  The loop alone owns the step rule: a solve starts
+at the inverse step ``0.1 * n * C`` unless its caller passes one, each
+iteration first tries ``_ETA = 0.8`` times the last accepted inverse step,
+and each rejected trial grows it by ``1/_ETA`` (500 trials at most); a
+function-value restart keeps the accepted objective sequence
+non-increasing.  Training carries ``_ETA**2`` times a round's last accepted
+inverse step into the next round.
 The same loop also drives the dense l1 and l2 baselines: it owns the loss,
 its gradient and every product with the design, and each solver supplies
 only the prox of its penalty (sum of norms, soft threshold, or ridge).
@@ -25,6 +28,8 @@ import numpy as np
 
 from .blocks import ColumnCache
 from .loss import LossKind, gradient_from_margins, loss_from_margins, margins_from_scores
+
+_ETA = 0.8      # backoff: a step first tries _ETA * tau, and each rejected trial divides by _ETA
 
 
 class NumericalError(RuntimeError):
@@ -107,14 +112,15 @@ def _relative_change(f_prev: float, f_curr: float) -> float:
 
 
 def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: float,
-                 prox, stop, tau: float, eta: float, max_iter: int) -> ApgResult:
+                 prox, stop, max_iter: int, tau: float | None = None) -> ApgResult:
     """Accelerated proximal gradient for ``loss(M @ x) + penalty(x)``, shared by every solver.
 
     The loop owns the loss, its gradient and every product with ``M``; a
     solver supplies only ``prox(g, tau) -> (x, penalty)``, the minimizer of
     ``penalty(x) + 0.5 * tau * ||x - g||^2`` with its penalty value, and
     ``stop(x, s, f_prev, f_curr)``, asked after every accepted iteration with
-    the point and its scores ``s = M @ x``.  ``penalty`` is the start's.  The
+    the point and its scores ``s = M @ x``.  ``penalty`` is the start's, and
+    ``tau`` the first inverse step, ``0.1 * n * C`` when not given.  The
     scores at the extrapolated point are extrapolated with the same momentum
     as the point; each line-search trial takes fresh ones in one product, so
     rounding never accumulates.  ``converged`` in the result says whether
@@ -123,6 +129,8 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
     def loss(scores: np.ndarray) -> float:
         return loss_from_margins(margins_from_scores(scores, labels, kind), kind)
 
+    if tau is None:
+        tau = 0.1 * labels.size * kind.C
     s = M @ x
     f_curr = loss(s) + penalty
     if not np.isfinite(f_curr):
@@ -138,7 +146,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
             xi_v = margins_from_scores(s + momentum * (s - s_prev), labels, kind)
             p_v = loss_from_margins(xi_v, kind)
             grad = gradient_from_margins(M, xi_v, labels, kind)
-            trial = eta * tau
+            trial = _ETA * tau
             for _ in range(500):
                 x_new, penalty = prox(v - grad / trial, trial)
                 s_new = M @ x_new
@@ -149,7 +157,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
                     raise NumericalError("non-finite objective during line search", iteration=k)
                 if f_new <= q_val + 1e-12:
                     break
-                trial /= eta
+                trial /= _ETA
             else:
                 raise NumericalError("line search failed to terminate", iteration=k)
             tau = trial
@@ -173,7 +181,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
 
 def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
               warm: np.ndarray | None = None, L_init: float | None = None,
-              eta: float = 0.8, eps: float = 1e-4, max_inner: int = 1000) -> ApgResult:
+              eps: float = 1e-4, max_inner: int = 1000) -> ApgResult:
     """Accelerated proximal gradient for the cached-column subproblem.
 
     Parameters
@@ -188,11 +196,9 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         Flat starting point in the cache's layout (the previous round's
         weights with zeros appended for the new block); defaults to 0.
     L_init : float, optional
-        Initial inverse step size; defaults to ``0.1 * n * C``.
-    eta : float
-        Backtracking factor in (0, 1); each iteration first tries the more
-        optimistic ``eta * tau`` and only grows the step denominator when
-        the sufficient-decrease test fails.
+        Initial inverse step size; defaults to ``0.1 * n * C``.  Each
+        iteration first tries the more optimistic ``0.8 * tau`` and only
+        grows the step denominator when the sufficient-decrease test fails.
     eps : float
         Stop when the relative objective change drops to ``eps``.
     max_inner : int
@@ -203,19 +209,15 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     ApgResult
         Final flat weights in the cache's layout and their scores
         ``cache.matrix @ w``, last accepted ``tau`` (fed forward as
-        ``eta^2 * tau`` when the cache grows), the accepted objective
+        ``0.8^2 * tau`` when the cache grows), the accepted objective
         trace, which is non-increasing by construction (extrapolation is
         reset whenever it would raise the objective), and whether the
         ``eps`` rule stopped the solve before ``max_inner``.
     """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (cache.n_instances,):
         raise ValueError("labels length does not match the cache")
-    if L_init is None:
-        L_init = 0.1 * cache.n_instances * kind.C
-    if not L_init > 0:
+    if L_init is not None and not L_init > 0:
         raise ValueError("L_init must be positive")
     w = np.zeros(cache.offsets[-1]) if warm is None else np.array(warm, dtype=float)
     if w.shape != (cache.offsets[-1],):
@@ -224,4 +226,4 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
         cache.matrix, labels, kind, w, regularizer(w, cache),
         lambda g, tau: moreau_projection(g, cache, 1.0 / tau),
         lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
-        float(L_init), eta, max_inner)
+        max_inner, L_init)

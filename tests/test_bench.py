@@ -45,12 +45,23 @@ def test_validate_config_accepts_valid():
     (lambda c: c.update(data={"train": "a.libsvm", "dim": "40"}), "data.dim must be an integer"),
     (lambda c: c.update(seeds=[]), "seeds"),
     (lambda c: c.update(seeds=["a"]), "seeds"),
+    (lambda c: c.update(seeds=[True]), "seeds"),
+    (lambda c: c.update(seeds=[-1]), "seeds"),
     (lambda c: c.pop("methods"), "methods"),
     (lambda c: c.update(methods=[1]), "method entry 1 must be an object"),
     (lambda c: c.update(methods=[{"name": "mystery"}]), "unknown method"),
     (lambda c: c.update(methods=[{"name": "fgm"}, {"name": "fgm"}]), "duplicate"),
     (lambda c: c.update(methods=[{"name": "fgm-debias", "base": "fgm-B10"},
                                  {"name": "fgm"}]), "earlier"),
+    (lambda c: c.update(methods=[{"name": "l1"}]), "needs 'reg' or 'target_support'"),
+    (lambda c: c.update(methods=[{"name": "fgm", "budget_typo": 1}]),
+     "does not read 'budget_typo'"),
+    (lambda c: c.update(methods=[{"name": "fgm", "eta": 0.5, "L0": 1.0, "seed": 3}]),
+     "does not read 'L0', 'eta', 'seed'"),
+    (lambda c: c.update(methods=[{"name": "l2-full", "reg": 1.0}]), "does not read 'reg'"),
+    (lambda c: c.update(methods=[{"name": "l1", "reg": 1.0},
+                                 {"name": "l1-debias", "base": "l1-r1", "C": 5.0}]),
+     "does not read 'C'"),
 ])
 def test_validate_config_rejects(mutate, fragment):
     config = _valid_config()

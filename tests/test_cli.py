@@ -184,6 +184,14 @@ def test_usage_errors_exit_2(ws, tmp_path):
     r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out",
                 tmp_path / "m.json", "--C", -1)
     assert r.returncode == 2 and "usage error" in r.stderr
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out",
+                tmp_path / "m.json", "--eps-apg", "nan")
+    assert r.returncode == 2 and "usage error" in r.stderr
+    # the step rule belongs to the solver and the seed to the data: neither is a train flag
+    for flag, value in (("--eta", 0.5), ("--L0", 1), ("--seed", 3)):
+        assert run_cli("train", "--data", ws / "toy.train.libsvm", "--out",
+                       tmp_path / "m.json", flag, value).returncode == 2
+    assert not (tmp_path / "m.json").exists()
     assert run_cli("generate", "--n", 10, "--m", 5, "--k", 2, "--type", 4,
                    "--out-prefix", tmp_path / "x").returncode == 2
 

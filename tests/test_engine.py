@@ -40,9 +40,12 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(C=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(eta=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(eps_outer=-0.1)
+    # rejected when built, not once training starts
+    for bad in ({"loss": "hinge"}, {"C": float("nan")}, {"eps_apg": float("nan")},
+                {"eps_outer": float("nan")}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     kind = SolverConfig(loss="logistic", C=3.0).loss_kind()
     assert kind.kind == "logistic" and kind.C == 3.0
 

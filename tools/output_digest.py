@@ -19,10 +19,15 @@ the program computes must print the same lines.  Digested are:
   fixed ``reg`` and swept to a support size, ``l2-full``, ``fgm-debias``
   and ``l1-debias``.
 
-Manifests, metrics files, the bench CSV and the trace's ``seconds`` column
-hold wall times and paths, so they are left out.  Set
-``OPENBLAS_NUM_THREADS`` to compare at a given BLAS thread count, and
-``FGM_THREADS`` to run the bench seeds in that many processes.
+Each model file gets two lines: the digest of the whole file, and one
+labelled ``without-config`` that covers the model JSON without its
+``config`` block, re-dumped as ``save_model`` writes it.  A change that only
+adds, drops or renames configuration fields moves the first line of each
+model and leaves the second as it was.  Manifests, metrics files, the bench
+CSV and the trace's ``seconds`` column hold wall times and paths, so they
+are left out.  Set ``OPENBLAS_NUM_THREADS`` to compare at a given BLAS
+thread count, and ``FGM_THREADS`` to run the bench seeds in that many
+processes.
 """
 
 from __future__ import annotations
@@ -66,6 +71,14 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _model_digests(label: str, path: Path):
+    yield label, _digest(path.read_bytes())
+    payload = json.loads(path.read_text())
+    payload.pop("config")
+    yield f"{label} without-config", _digest(
+        (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
+
+
 def _trace_without_seconds(path: Path) -> bytes:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -84,7 +97,7 @@ def model_digests(work: Path):
             model = engine.fgm_train(inputs["train"], workload.cfg, inputs["structure"])
             path = work / f"{name}-{seed}.json"
             engine.save_model(model, path)
-            yield f"{name} seed {seed} model", _digest(path.read_bytes())
+            yield from _model_digests(f"{name} seed {seed} model", path)
 
 
 def group_digests(work: Path):
@@ -103,7 +116,7 @@ def group_digests(work: Path):
             model = engine.fgm_train(train, cfg, structure)
             path = work / f"groups-{setting}-{seed}.json"
             engine.save_model(model, path)
-            yield f"{workload.name} groups {setting} seed {seed} model", _digest(path.read_bytes())
+            yield from _model_digests(f"{workload.name} groups {setting} seed {seed} model", path)
 
 
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
@@ -124,7 +137,7 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     for suffix in ("train.libsvm", "test.libsvm", "truth.txt"):
         path = Path(f"{prefix}.{suffix}")
         yield f"{workload.name} seed {seed} {suffix}", _digest(path.read_bytes())
-    yield f"{workload.name} seed {seed} model", _digest(model.read_bytes())
+    yield from _model_digests(f"{workload.name} seed {seed} model", model)
     yield f"{workload.name} seed {seed} labels", _digest(labels.read_bytes())
     yield f"{workload.name} seed {seed} trace", _digest(_trace_without_seconds(trace))
 
@@ -138,7 +151,7 @@ def bench_digests(work: Path):
     if code != 0:
         raise SystemExit(f"fgm bench exited with {code}")
     for path in sorted(models.iterdir()):
-        yield f"bench {path.name}", _digest(path.read_bytes())
+        yield from _model_digests(f"bench {path.name}", path)
 
 
 def main() -> int:
