@@ -109,10 +109,9 @@ def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
         kind = LossKind("squared_hinge", 20.0)
     M = data.dense_columns(support)
     sol = _l2_solve(M, data.y.astype(float), support.size, kind, eps, max_iter)
-    entries = [ModelEntry(int(j), float(sol.weights[i]), 1.0) for i, j in enumerate(support)]
+    entries = [ModelEntry(int(j), float(sol.weights[i])) for i, j in enumerate(support)]
     return Model(
-        mode="plain", budget=support.size, n_outer=1, stop_reason="retrain",
-        loss=kind, lambda_policy="ones", m=data.m,
+        mode="plain", stop_reason="retrain", m=data.m,
         units=tuple(int(j) for j in support), entries=entries,
         config={"C": kind.C, "loss": kind.kind, "support_size": int(support.size),
                 "converged": bool(sol.converged)},
@@ -199,10 +198,9 @@ def dense_to_model(sol: ApgResult, data: SparseDataset, kind: LossKind,
                    method: str = "l1") -> Model:
     """Wrap a dense baseline solution in the shared model container."""
     support = sol.support
-    entries = [ModelEntry(int(j), float(sol.weights[j]), 1.0) for j in support]
+    entries = [ModelEntry(int(j), float(sol.weights[j])) for j in support]
     return Model(
-        mode="plain", budget=max(1, support.size), n_outer=1, stop_reason=method,
-        loss=kind, lambda_policy="ones", m=data.m,
+        mode="plain", stop_reason=method, m=data.m,
         units=tuple(int(j) for j in support), entries=entries,
         config={"C": kind.C, "loss": kind.kind, "method": method,
                 "converged": bool(sol.converged)},

@@ -45,6 +45,14 @@ _METHOD_KEYS = {
     "l1-debias": ("base", "loss", "C_debias"),
 }
 _METHODS = tuple(_METHOD_KEYS)
+# the JSON type each method-entry value must have; a boolean is none of them
+_VALUE_TYPES = {
+    **dict.fromkeys(("budget", "max_outer", "max_inner", "max_iter", "target_support"),
+                    (int, "an integer")),
+    **dict.fromkeys(("C", "C_debias", "reg", "tol", "eps", "eps_apg", "eps_outer"),
+                    ((int, float), "a number")),
+    **dict.fromkeys(("loss", "lambda_policy", "base"), (str, "a string")),
+}
 
 
 def load_config(path: str | Path) -> dict:
@@ -97,6 +105,10 @@ def validate_config(config: dict) -> None:
         if unread:
             raise ValueError(f"bench config's method entry {spec!r}: {name!r} does not read "
                              + ", ".join(map(repr, unread)))
+        for key in _METHOD_KEYS[name]:
+            types, what = _VALUE_TYPES[key]
+            if key in spec and (isinstance(spec[key], bool) or not isinstance(spec[key], types)):
+                raise ValueError(f"bench config's method entry {spec!r}: {key!r} must be {what}")
         if name == "l1" and "reg" not in spec and "target_support" not in spec:
             raise ValueError(f"bench config's l1 entry {spec!r} needs 'reg' or 'target_support'")
         sid = setting_id(spec)
@@ -198,7 +210,7 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
                 model = fgm_target_support(train, cfg, int(spec["target_support"]))
             else:
                 model = fgm_train(train, cfg)
-            budget, outer = model.budget, model.n_outer
+            budget, outer = cfg.budget, model.n_outer
         elif name == "l1":
             kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C", 1.0)))
             eps = float(spec.get("eps", 1e-7))

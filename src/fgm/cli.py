@@ -103,8 +103,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _structure_from_args(args: argparse.Namespace, m: int):
+    poly = {key: value for key, value in
+            (("gamma", args.gamma), ("r", args.r), ("block", args.block)) if value is not None}
     if args.poly:
-        return PolyMap(args.gamma, args.r, args.block)
+        return PolyMap(**poly)
+    if poly:
+        raise ValueError("only --poly reads " + ", ".join(f"--{key}" for key in poly))
     if not (args.groups or args.tree):
         return None
     structure = load_groups(args.groups) if args.groups else load_tree(args.tree)
@@ -144,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     inputs = [args.data] + [p for p in (args.groups, args.tree) if p]
     params = {**asdict(cfg), "mode": model.mode, "stop_reason": model.stop_reason}
     if args.poly:
-        params.update({"gamma": args.gamma, "r": args.r, "block": args.block})
+        params.update(asdict(structure))
     _write_manifest(_manifest_path(out), "train", params, inputs, outputs,
                     time.perf_counter() - started)
     return 0
@@ -260,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--tree", default=None, help="hierarchical group file")
     kind.add_argument("--poly", action="store_true",
                       help="select degree-2 virtual features")
-    tr.add_argument("--gamma", type=float, default=1.0, help="poly map scale")
-    tr.add_argument("--r", type=float, default=1.0, help="poly map offset")
-    tr.add_argument("--block", type=int, default=64, help="poly streaming block size")
+    tr.add_argument("--gamma", type=float, default=None, help="poly map scale")
+    tr.add_argument("--r", type=float, default=None, help="poly map offset")
+    tr.add_argument("--block", type=int, default=None, help="poly streaming block size")
     tr.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", help="label a dataset with a trained model")

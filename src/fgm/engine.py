@@ -8,11 +8,15 @@ a stored set (which certifies optimality only up to the accuracy of the
 last inner solve, see :func:`fgm_train`), when the subproblem optimum stops
 improving, or at the iteration cap.  Lower/upper bounds on the attainable
 optimum are recorded every round.
+
+Every unit type records its model alike: a feature's weight is the sum of
+``w_c * scale_c`` over its cached columns, so the model predicts on raw features.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,7 +34,7 @@ from .subsolver import _ETA, NumericalError, _relative_change, apg_solve
 from .worstcase import (poly_columns, poly_dim, score_features, score_polynomial_streamed,
                         score_tree_pruned, select_top_b)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class PolyMap:
     block: int = 64
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.r < 0 or self.block < 1:
+        if not self.gamma > 0 or not self.r >= 0 or self.block < 1:
             raise ValueError("need gamma > 0, r >= 0, block >= 1")
 
 
@@ -54,7 +58,8 @@ class SolverConfig:
     loss.  ``eps_apg`` stops the inner solver on relative objective
     change, ``eps_outer`` stops the outer loop likewise, ``max_outer``
     caps the rounds.  The inner step size follows the solver's own rule
-    (:mod:`fgm.subsolver`).  A value out of range, a NaN among them, raises
+    (:mod:`fgm.subsolver`).  A value out of range, a NaN among them, or a
+    count or ``C`` of the wrong type (a ``bool`` included) raises
     ``ValueError`` when the configuration is built.
     """
 
@@ -68,8 +73,12 @@ class SolverConfig:
     max_inner: int = 1000
 
     def __post_init__(self):
-        if self.budget < 1 or self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("budget, max_outer, and max_inner must be >= 1")
+        counts = (self.budget, self.max_outer, self.max_inner)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in counts):
+            raise ValueError("budget, max_outer, and max_inner must be integers >= 1")
+        if isinstance(self.C, bool):
+            raise ValueError("C must be a number")
         self.loss_kind()    # checks the loss name and C > 0
         if not (self.eps_apg >= 0 and self.eps_outer >= 0):
             raise ValueError("tolerances must be non-negative numbers")
@@ -95,23 +104,21 @@ class TraceRecord:
 
 @dataclass
 class ModelEntry:
-    """Aggregated weight on one unit: prediction adds ``weight * lam * x_id``."""
+    """One feature's weight with its scale folded in: prediction adds ``weight * x_id``."""
 
     id: int
     weight: float
-    lam: float
 
 
 @dataclass
 class Model:
-    """Trained sparse model plus its provenance and per-round trace."""
+    """Trained sparse model: scale-folded feature weights, provenance and per-round trace.
+
+    The training settings are in ``config``; ``n_outer`` is the trace's length.
+    """
 
     mode: str
-    budget: int
-    n_outer: int
     stop_reason: str
-    loss: LossKind
-    lambda_policy: str
     m: int
     units: tuple[int, ...]
     entries: list[ModelEntry]
@@ -121,6 +128,10 @@ class Model:
     config: dict = field(default_factory=dict)
     trace: list[TraceRecord] = field(default_factory=list)
     mkl_weights: list[float] = field(default_factory=list)
+
+    @property
+    def n_outer(self) -> int:
+        return len(self.trace)
 
     @property
     def support_size(self) -> int:
@@ -148,7 +159,6 @@ class _Units:
     propose: Callable[[np.ndarray, int], tuple]         # (alpha, budget) -> worst set's sorted ids
     columns: Callable[[np.ndarray], tuple]              # ids -> (columns, features, scales)
     sets: list[np.ndarray] | None = None    # each group's or node's features
-    fold_scale: bool = False                # fold node scales into the model's weights
     gamma: float | None = None              # the poly map's, recorded in the model
     r: float | None = None
 
@@ -174,13 +184,10 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
     if isinstance(structure, TreeStructure):    # groups too: a tree of roots
         if cfg.lambda_policy != "ones" and not structure.lambdas_given:
             structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
-        # group models keep their scales in the entries, tree models fold them in
-        group = isinstance(structure, GroupStructure)
         return _Units(
-            "group" if group else "tree",
+            "group" if isinstance(structure, GroupStructure) else "tree",
             lambda alpha, budget: score_tree_pruned(alpha, data, structure, budget),
-            _set_columns(data, structure.sets, structure.lambdas), structure.sets,
-            fold_scale=not group)
+            _set_columns(data, structure.sets, structure.lambdas), structure.sets)
     if isinstance(structure, PolyMap):
         if cfg.lambda_policy != "ones":
             raise ValueError("degree-2 features carry no scale: lambda_policy must be 'ones'")
@@ -325,20 +332,12 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
 def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
                     cache: ColumnCache, features: list[np.ndarray], scales: list[np.ndarray],
                     w: np.ndarray, stop_reason: str, trace: list[TraceRecord]) -> Model:
-    features, scales = np.concatenate(features), np.concatenate(scales)
-    agg: dict[int, ModelEntry] = {}
-    for col in range(w.size):
-        fid = int(features[col])
-        weight = float(w[col])
-        lam_col = float(scales[col])
-        if units.fold_scale:
-            weight, lam_col = weight * lam_col, 1.0
-        entry = agg.get(fid)
-        if entry is None:
-            agg[fid] = ModelEntry(fid, weight, lam_col)
-        else:
-            entry.weight += weight
-    entries = [agg[fid] for fid in sorted(agg)]
+    # w_c * scale_c summed per feature in column order; a lone -0.0 stays -0.0
+    sums: dict[int, float] = {}
+    for fid, wc, scale in zip(np.concatenate(features).tolist(), w.tolist(),
+                              np.concatenate(scales).tolist()):
+        sums[fid] = sums[fid] + wc * scale if fid in sums else wc * scale
+    entries = [ModelEntry(fid, sums[fid]) for fid in sorted(sums)]
 
     selected = tuple(sorted({u for t in trace for u in t.selected}))
     unit_features = None if units.sets is None else {
@@ -348,10 +347,8 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
     total = float(norms.sum())
     shares = (norms / total).tolist() if total > 0 else [0.0] * norms.size
 
-    return Model(units.mode, cfg.budget, len(trace), stop_reason,
-                 cfg.loss_kind(), cfg.lambda_policy, data.m, selected,
-                 entries, unit_features, units.gamma, units.r, asdict(cfg), trace,
-                 [float(s) for s in shares])
+    return Model(units.mode, stop_reason, data.m, selected, entries, unit_features,
+                 units.gamma, units.r, asdict(cfg), trace, [float(s) for s in shares])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +358,7 @@ def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
 def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
     """Predicted labels and accuracy on ``data``.
 
-    Scores are ``sum over entries of weight * lam * x_id`` (virtual-feature
+    Scores are ``sum over entries of weight * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
     predicts +1 everywhere.  A non-finite score, from a non-finite value in
     ``data`` or in the model, raises :class:`NumericalError`.
@@ -369,17 +366,13 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
     if model.mode == "poly":
         ids = np.asarray([e.id for e in model.entries], dtype=np.intp)
         weights = np.asarray([e.weight for e in model.entries])
-        if ids.size:
-            cols = poly_columns(data, ids, model.gamma, model.r)
-            scores = cols @ weights
-        else:
-            scores = np.zeros(data.n)
+        scores = poly_columns(data, ids, model.gamma, model.r) @ weights
     else:
         v = np.zeros(data.m)
         for e in model.entries:
             if not 0 <= e.id < data.m:
                 raise FormatError(f"model feature {e.id} out of range for m={data.m}")
-            v[e.id] = e.weight * e.lam
+            v[e.id] = e.weight
         scores = data.X @ v
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the data or the model holds a non-finite value")
@@ -403,14 +396,10 @@ def model_to_dict(model: Model) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": model.mode,
-        "budget": model.budget,
-        "n_outer": model.n_outer,
         "stop_reason": model.stop_reason,
-        "loss": {"kind": model.loss.kind, "C": model.loss.C},
-        "lambda_policy": model.lambda_policy,
         "m": model.m,
         "units": list(model.units),
-        "entries": [{"id": e.id, "weight": e.weight, "lambda": e.lam} for e in model.entries],
+        "entries": [{"id": e.id, "weight": e.weight} for e in model.entries],
         "unit_features": ({str(k): list(v) for k, v in model.unit_features.items()}
                           if model.unit_features is not None else None),
         "gamma": model.gamma,
@@ -426,9 +415,11 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(payload: dict) -> Model:
     try:
         version = payload["format_version"]
-        if version != MODEL_FORMAT_VERSION:
+        if version not in (1, MODEL_FORMAT_VERSION):
             raise FormatError(f"unsupported model format version {version!r}")
-        entries = [ModelEntry(int(e["id"]), float(e["weight"]), float(e["lambda"]))
+        # a version-1 entry kept its scale apart, and prediction multiplied the two
+        entries = [ModelEntry(int(e["id"]),
+                              float(e["weight"]) * (float(e["lambda"]) if version == 1 else 1.0))
                    for e in payload["entries"]]
         if payload["mode"] == "poly":
             PolyMap(float(payload["gamma"]), float(payload["r"]))
@@ -444,10 +435,7 @@ def model_from_dict(payload: dict) -> Model:
                              tuple(int(i) for i in t["selected"]), 0.0)
                  for t in payload.get("trace", [])]
         return Model(
-            payload["mode"], int(payload["budget"]), int(payload["n_outer"]),
-            payload["stop_reason"],
-            LossKind(payload["loss"]["kind"], float(payload["loss"]["C"])),
-            payload["lambda_policy"], int(payload["m"]),
+            payload["mode"], payload["stop_reason"], int(payload["m"]),
             tuple(int(u) for u in payload["units"]), entries, unit_features,
             payload.get("gamma"), payload.get("r"), payload.get("config", {}),
             trace, [float(s) for s in payload.get("mkl_weights", [])],

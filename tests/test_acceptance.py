@@ -237,8 +237,8 @@ def test_criterion_05_support_size_within_budget_bounds(bench_runs):
         _, models = bench_runs[tag]
         for name, payload in _fgm_payloads(models):
             support = len(payload["units"])
-            budget = payload["budget"]
-            rounds = payload["n_outer"]
+            budget = payload["config"]["budget"]
+            rounds = len(payload["trace"])
             assert budget <= support <= rounds * budget, name
             checked += 1
     assert checked == 20
@@ -323,7 +323,7 @@ def test_criterion_09_duplicate_proposal_termination():
     # selection that is already stored
     v = np.zeros(m)
     for e in model.entries:
-        v[e.id] += e.weight * e.lam
+        v[e.id] += e.weight
     xi = margins_from_scores(X @ v, y.astype(float), cfg.loss_kind())
     alpha = recover_duals(xi, cfg.loss_kind())
     proposal = select_top_b(score_features(alpha, data, np.ones(m)), cfg.budget)

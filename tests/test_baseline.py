@@ -188,10 +188,9 @@ def test_retrain_unbiased_support_and_defaults():
     assert model.mode == "plain"
     assert model.units == (2, 5, 7)
     assert sorted(e.id for e in model.entries) == support
-    assert all(e.lam == 1.0 for e in model.entries)
-    assert model.loss.kind == "squared_hinge" and model.loss.C == 20.0
+    assert model.config["loss"] == "squared_hinge" and model.config["C"] == 20.0
     # refit agrees with an independent solver on the restricted design
-    w_ref, _ = l2_lbfgs(X[:, support], y, model.loss)
+    w_ref, _ = l2_lbfgs(X[:, support], y, LossKind("squared_hinge", 20.0))
     got = np.array([e.weight for e in sorted(model.entries, key=lambda e: e.id)])
     np.testing.assert_allclose(got, w_ref, atol=1e-3)
     # and its predictions come from those columns only
@@ -213,7 +212,7 @@ def test_retrain_unbiased_validation():
 def test_retrain_unbiased_custom_loss():
     data, _, _ = _dense_problem(11)
     model = retrain_unbiased(data, [0, 3], kind=LossKind("logistic", 5.0))
-    assert model.loss.kind == "logistic" and model.loss.C == 5.0
+    assert model.config["loss"] == "logistic" and model.config["C"] == 5.0
 
 
 # ---------------------------------------------------------------------------

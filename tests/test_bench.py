@@ -62,6 +62,12 @@ def test_validate_config_accepts_valid():
     (lambda c: c.update(methods=[{"name": "l1", "reg": 1.0},
                                  {"name": "l1-debias", "base": "l1-r1", "C": 5.0}]),
      "does not read 'C'"),
+    (lambda c: c.update(methods=[{"name": "fgm", "budget": 2, "C": "3"}]), "'C' must be a number"),
+    (lambda c: c.update(methods=[{"name": "fgm", "budget": 2, "max_outer": 2.0}]),
+     "'max_outer' must be an integer"),
+    (lambda c: c.update(methods=[{"name": "l1", "reg": "x"}]), "'reg' must be a number"),
+    (lambda c: c.update(methods=[{"name": "fgm", "budget": True}]), "'budget' must be an integer"),
+    (lambda c: c.update(methods=[{"name": "l2-full", "loss": 1}]), "'loss' must be a string"),
 ])
 def test_validate_config_rejects(mutate, fragment):
     config = _valid_config()

@@ -12,6 +12,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fgm.cli as cli
@@ -71,7 +72,7 @@ def test_train_predict_eval_round_trip(ws):
                 "--eps-outer", 0, "--trace", trace_path)
     assert r.returncode == 0, r.stderr
     payload = json.loads(model_path.read_text())
-    assert payload["mode"] == "plain" and payload["budget"] == 3
+    assert payload["mode"] == "plain" and payload["config"]["budget"] == 3
 
     manifest = json.loads((ws / "toy.model.json.manifest.json").read_text())
     assert manifest["command"] == "train"
@@ -83,7 +84,7 @@ def test_train_predict_eval_round_trip(ws):
         rows = list(csv.DictReader(fh))
     assert [c for c in rows[0]] == ["iter", "F", "beta", "phi",
                                     "inner_iters", "selected", "seconds"]
-    assert len(rows) == payload["n_outer"]
+    assert len(rows) == len(payload["trace"])
     assert len(rows[0]["selected"].split()) == 3
     objectives = [float(row["F"]) for row in rows]
     assert objectives == sorted(objectives, reverse=True)
@@ -191,6 +192,13 @@ def test_usage_errors_exit_2(ws, tmp_path):
     for flag, value in (("--eta", 0.5), ("--L0", 1), ("--seed", 3)):
         assert run_cli("train", "--data", ws / "toy.train.libsvm", "--out",
                        tmp_path / "m.json", flag, value).returncode == 2
+    # the poly map's flags need --poly, and a NaN among them names its check
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", tmp_path / "m.json",
+                "--gamma", 3)
+    assert r.returncode == 2 and "only --poly reads --gamma" in r.stderr
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", tmp_path / "m.json",
+                "--poly", "--gamma", "nan")
+    assert r.returncode == 2 and "gamma > 0" in r.stderr
     assert not (tmp_path / "m.json").exists()
     assert run_cli("generate", "--n", 10, "--m", 5, "--k", 2, "--type", 4,
                    "--out-prefix", tmp_path / "x").returncode == 2
@@ -231,6 +239,42 @@ def test_predict_with_a_corrupt_poly_model_exits_3(tmp_path):
     model.write_text(json.dumps(payload))
     r = run_cli("predict", "--model", model, "--data", data, "--out", tmp_path / "p.json")
     assert r.returncode == 3 and "model entry id 1000000 outside [0, 28)" in r.stderr
+
+
+def test_poly_manifest_records_the_map_with_its_defaults(tmp_path):
+    data = tmp_path / "d.libsvm"
+    write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], data)
+    model = tmp_path / "poly.model.json"
+    assert cli.main(["train", "--data", str(data), "--out", str(model), "--poly",
+                     "--gamma", "0.5", "--budget", "3", "--max-outer", "2"]) == 0
+    parameters = json.loads(Path(f"{model}.manifest.json").read_text())["parameters"]
+    assert (parameters["gamma"], parameters["r"], parameters["block"]) == (0.5, 1.0, 64)
+
+
+def test_predict_reads_a_version_1_model_and_refuses_version_3(ws, tmp_path):
+    # format 1 kept each entry's scale apart; prediction used weight * lambda
+    ids, weights, lambdas = [0, 3, 7], [0.3, -1.7, 2.1], [0.5, 3.0, 1.0 / 3.0]
+    payload = {"format_version": 1, "mode": "group", "budget": 1, "n_outer": 1,
+               "stop_reason": "max_outer", "loss": {"kind": "squared_hinge", "C": 10.0},
+               "lambda_policy": "inverse_norm", "m": 60, "units": [0, 1],
+               "entries": [{"id": i, "weight": w, "lambda": lam}
+                           for i, w, lam in zip(ids, weights, lambdas)],
+               "unit_features": {"0": [0, 3], "1": [7]}, "gamma": None, "r": None,
+               "config": {}, "trace": [], "mkl_weights": [1.0]}
+    model = tmp_path / "v1.model.json"
+    model.write_text(json.dumps(payload))
+    labels = tmp_path / "labels.txt"
+    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                "--out", tmp_path / "p.json", "--labels-out", labels)
+    assert r.returncode == 0, r.stderr
+    X = load_libsvm(ws / "toy.test.libsvm", 60).X
+    scores = X[:, ids] @ (np.array(weights) * np.array(lambdas))
+    assert labels.read_text().split() == [f"{v:+d}" for v in np.where(scores >= 0, 1, -1)]
+
+    model.write_text(json.dumps({**payload, "format_version": 3}))
+    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                "--out", tmp_path / "p.json")
+    assert r.returncode == 3 and "unsupported model format version 3" in r.stderr
 
 
 def test_index_beyond_the_integer_range_exits_3(tmp_path):

@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fgm.engine as engine
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                         TreeStructure, generate_synthetic)
+                         TreeStructure, compute_scaling_prior, generate_synthetic)
 from fgm.engine import (Model, ModelEntry, PolyMap, SolverConfig, eval_bounds, evaluate_recovery,
                         fgm_train, load_model, model_from_dict, model_to_dict, predict,
                         save_model)
@@ -26,8 +27,32 @@ def _small_problem(seed=0, n=60, m=40, k=5):
 def _entry_scores(model, data):
     v = np.zeros(data.m)
     for e in model.entries:
-        v[e.id] += e.weight * e.lam
+        v[e.id] += e.weight
     return data.X @ v
+
+
+def _train_keeping_flat_weights(monkeypatch, data, cfg, structure=None):
+    """The model of ``fgm_train`` and the flat weights of its last inner solve."""
+    solves = []
+    original = engine.apg_solve
+
+    def recorded(*args, **kwargs):
+        solves.append(original(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(engine, "apg_solve", recorded)
+    return fgm_train(data, cfg, structure), solves[-1].weights
+
+
+def _scaled_weight_sums(model, w, sets, lambdas):
+    """Each feature's sum of ``w_c * lambda_c`` over its cached columns, in column order."""
+    columns = [(int(f), float(lambdas[u])) for t in model.trace for u in t.selected
+               for f in sets[u]]
+    assert len(columns) == w.size
+    sums: dict[int, float] = {}
+    for (fid, lam), wc in zip(columns, w.tolist()):
+        sums[fid] = sums[fid] + wc * lam if fid in sums else wc * lam
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +68,11 @@ def test_solver_config_validation():
         SolverConfig(eps_outer=-0.1)
     # rejected when built, not once training starts
     for bad in ({"loss": "hinge"}, {"C": float("nan")}, {"eps_apg": float("nan")},
-                {"eps_outer": float("nan")}):
+                {"eps_outer": float("nan")}, {"budget": 2.5}, {"budget": True},
+                {"max_outer": 2.0}, {"max_inner": False}, {"C": True}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    assert SolverConfig(budget=np.int64(3), max_outer=np.int32(2)).budget == 3
     kind = SolverConfig(loss="logistic", C=3.0).loss_kind()
     assert kind.kind == "logistic" and kind.C == 3.0
 
@@ -57,6 +84,9 @@ def test_poly_map_validation():
         PolyMap(r=-1.0)
     with pytest.raises(ValueError):
         PolyMap(block=0)
+    for bad in ({"gamma": float("nan")}, {"r": float("nan")}):
+        with pytest.raises(ValueError):
+            PolyMap(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +364,25 @@ def test_group_mode_entries_and_consistency():
     np.testing.assert_array_equal(labels, np.where(_entry_scores(model, data) >= 0, 1, -1))
 
 
-def test_group_mode_explicit_lambdas_kept_in_entries():
+def test_group_mode_folds_explicit_lambdas_into_weights(monkeypatch):
     data, _ = _small_problem(seed=9, m=10)
     groups = GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"], [2.0, 0.5])
-    model = fgm_train(data, SolverConfig(budget=1, max_outer=3, eps_outer=0.0), groups)
-    lams = {e.id: e.lam for e in model.entries}
-    for fid, lam in lams.items():
-        assert lam == (2.0 if fid in (0, 1) else 0.5)
+    model, w = _train_keeping_flat_weights(
+        monkeypatch, data, SolverConfig(budget=1, max_outer=3, eps_outer=0.0), groups)
+    assert model.mode == "group"
+    expected = _scaled_weight_sums(model, w, groups.sets, [2.0, 0.5])
+    assert {e.id: e.weight for e in model.entries} == expected
 
 
-def test_tree_mode_folds_scale_into_weights():
+def test_tree_mode_folds_scale_into_weights(monkeypatch):
     data, _ = _small_problem(seed=10, m=12)
     sets = [np.arange(0, 12), np.arange(0, 6), np.arange(6, 12), np.arange(0, 3)]
     tree = TreeStructure(sets, np.array([-1, 0, 0, 1]), list("rabc"), [1.0, 2.0, 0.5, 4.0])
-    model = fgm_train(data, SolverConfig(budget=2, max_outer=4, eps_outer=0.0), tree)
+    model, w = _train_keeping_flat_weights(
+        monkeypatch, data, SolverConfig(budget=2, max_outer=4, eps_outer=0.0), tree)
     assert model.mode == "tree"
-    assert all(e.lam == 1.0 for e in model.entries)
+    expected = _scaled_weight_sums(model, w, sets, [1.0, 2.0, 0.5, 4.0])
+    assert {e.id: e.weight for e in model.entries} == expected
     # nested nodes may reselect features; aggregated scores must match a
     # direct prediction pass
     labels, acc = predict(model, data)
@@ -379,13 +412,15 @@ def test_poly_mode_trains_and_predicts_consistently():
     np.testing.assert_array_equal(labels, np.where(scores >= 0, 1, -1))
 
 
-def test_inverse_norm_policy_plain_mode():
+def test_inverse_norm_policy_plain_mode(monkeypatch):
     data, _ = _small_problem(seed=13)
     cfg = SolverConfig(budget=3, max_outer=3, eps_outer=0.0, lambda_policy="inverse_norm")
-    model = fgm_train(data, cfg)
-    norms = data.column_norms()
-    for e in model.entries:
-        assert e.lam == pytest.approx(1.0 / norms[e.id])
+    model, w = _train_keeping_flat_weights(monkeypatch, data, cfg)
+    lam = compute_scaling_prior(data.fit_view(), "inverse_norm")
+    np.testing.assert_allclose(lam, 1.0 / data.column_norms(), rtol=1e-12)
+    singletons = [np.array([j]) for j in range(data.m)]
+    assert {e.id: e.weight for e in model.entries} == _scaled_weight_sums(
+        model, w, singletons, lam)
 
 
 def test_mkl_weights_sum_to_one():
@@ -402,9 +437,8 @@ def test_mkl_weights_sum_to_one():
 
 def test_predict_hand_model():
     data = SparseDataset(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([1, -1]))
-    model = Model(mode="plain", budget=1, n_outer=1, stop_reason="max_outer",
-                  loss=LossKind(), lambda_policy="ones", m=2, units=(1,),
-                  entries=[ModelEntry(1, 0.5, 2.0)])
+    model = Model(mode="plain", stop_reason="max_outer", m=2, units=(1,),
+                  entries=[ModelEntry(1, 1.0)])
     labels, acc = predict(model, data)
     # scores are [2.0, -1.0]
     np.testing.assert_array_equal(labels, [1, -1])
@@ -413,28 +447,28 @@ def test_predict_hand_model():
 
 def test_predict_sign_zero_is_positive():
     data = SparseDataset(np.array([[1.0], [2.0]]), np.array([1, -1]))
-    model = Model(mode="plain", budget=1, n_outer=1, stop_reason="max_outer",
-                  loss=LossKind(), lambda_policy="ones", m=1, units=(0,),
-                  entries=[ModelEntry(0, 0.0, 1.0)])
+    model = Model(mode="plain", stop_reason="max_outer", m=1, units=(0,),
+                  entries=[ModelEntry(0, 0.0)])
     labels, acc = predict(model, data)
     np.testing.assert_array_equal(labels, [1, 1])
     assert acc == 0.5
+    # so does an empty degree-2 model, whose virtual-feature block has no column
+    empty = Model(mode="poly", stop_reason="max_outer", m=1, units=(), entries=[],
+                  gamma=1.0, r=1.0)
+    np.testing.assert_array_equal(predict(empty, data)[0], [1, 1])
 
 
 def test_predict_out_of_range_entry():
     data = SparseDataset(np.eye(2), np.array([1, -1]))
-    model = Model(mode="plain", budget=1, n_outer=1, stop_reason="max_outer",
-                  loss=LossKind(), lambda_policy="ones", m=5, units=(4,),
-                  entries=[ModelEntry(4, 1.0, 1.0)])
+    model = Model(mode="plain", stop_reason="max_outer", m=5, units=(4,),
+                  entries=[ModelEntry(4, 1.0)])
     with pytest.raises(FormatError, match="out of range"):
         predict(model, data)
 
 
 def test_evaluate_recovery_counts_intersection():
     truth = GroundTruth(np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
-    model = Model(mode="plain", budget=2, n_outer=1, stop_reason="max_outer",
-                  loss=LossKind(), lambda_policy="ones", m=5, units=(1, 2, 4),
-                  entries=[])
+    model = Model(mode="plain", stop_reason="max_outer", m=5, units=(1, 2, 4), entries=[])
     assert evaluate_recovery(model, truth) == 2
     model.mode = "group"
     with pytest.raises(ValueError, match="plain"):
@@ -466,7 +500,32 @@ def test_model_file_content_has_no_timing(tmp_path):
     save_model(model, path)
     payload = json.loads(path.read_text())
     assert "seconds" not in json.dumps(payload)
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
+
+
+def test_version_1_model_loads_with_its_scales_folded_in():
+    rng = np.random.default_rng(5)
+    data = SparseDataset(rng.standard_normal((40, 8)), np.where(rng.random(40) < 0.5, 1, -1))
+    ids, weights, lambdas = [1, 4, 6], [0.3, -1.7, 2.1], [0.5, 3.0, 1.0 / 3.0]
+    payload = {"format_version": 1, "mode": "group", "budget": 1, "n_outer": 1,
+               "stop_reason": "max_outer", "loss": {"kind": "squared_hinge", "C": 10.0},
+               "lambda_policy": "inverse_norm", "m": 8, "units": [0, 1],
+               "entries": [{"id": i, "weight": w, "lambda": lam}
+                           for i, w, lam in zip(ids, weights, lambdas)],
+               "unit_features": {"0": [1, 4], "1": [6]}, "gamma": None, "r": None,
+               "config": {}, "trace": [], "mkl_weights": [1.0]}
+    model = model_from_dict(payload)
+    folded = [w * lam for w, lam in zip(weights, lambdas)]
+    assert [(e.id, e.weight) for e in model.entries] == list(zip(ids, folded))
+    v = np.zeros(data.m)
+    v[ids] = folded
+    labels, _ = predict(model, data)
+    np.testing.assert_array_equal(labels, np.where(data.X @ v >= 0, 1, -1))
+    # it saves as format 2, which has no scales and no repeated settings
+    saved = model_to_dict(model)
+    assert saved["format_version"] == 2
+    assert saved["entries"] == [{"id": i, "weight": w} for i, w in zip(ids, folded)]
+    assert not {"budget", "n_outer", "loss", "lambda_policy"} & set(saved)
 
 
 def test_model_file_determinism(tmp_path):
@@ -483,8 +542,9 @@ def test_load_model_rejects_bad_payloads(tmp_path):
     path.write_text("not json")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_model(path)
-    with pytest.raises(FormatError, match="version"):
-        model_from_dict({"format_version": 99})
+    for version in (99, 3):
+        with pytest.raises(FormatError, match="version"):
+            model_from_dict({"format_version": version})
     with pytest.raises(FormatError, match="invalid model"):
         model_from_dict({"format_version": 1})
 
@@ -493,7 +553,9 @@ def test_load_model_rejects_bad_payloads(tmp_path):
     lambda p: p["entries"][0].update(id=10 ** 6),
     lambda p: p.update(gamma=None),
     lambda p: p.update(gamma=-1),
-], ids=["entry-id-out-of-range", "gamma-null", "gamma-negative"])
+    lambda p: p.update(gamma=float("nan")),
+    lambda p: p.update(r=float("nan")),
+], ids=["entry-id-out-of-range", "gamma-null", "gamma-negative", "gamma-nan", "r-nan"])
 def test_load_model_rejects_a_corrupt_poly_model(edit):
     data, _ = _small_problem(seed=12, n=30, m=6)
     payload = model_to_dict(fgm_train(data, SolverConfig(budget=3, max_outer=2), PolyMap()))

@@ -19,15 +19,21 @@ the program computes must print the same lines.  Digested are:
   fixed ``reg`` and swept to a support size, ``l2-full``, ``fgm-debias``
   and ``l1-debias``.
 
-Each model file gets two lines: the digest of the whole file, and one
+Each model file gets three lines: the digest of the whole file; one
 labelled ``without-config`` that covers the model JSON without its
-``config`` block, re-dumped as ``save_model`` writes it.  A change that only
-adds, drops or renames configuration fields moves the first line of each
-model and leaves the second as it was.  Manifests, metrics files, the bench
-CSV and the trace's ``seconds`` column hold wall times and paths, so they
-are left out.  Set ``OPENBLAS_NUM_THREADS`` to compare at a given BLAS
-thread count, and ``FGM_THREADS`` to run the bench seeds in that many
-processes.
+``config`` block, re-dumped as ``save_model`` writes it; and one labelled
+``folded``, in a form that model format versions 1 and 2 share: the
+``config``, ``format_version``, ``budget``, ``n_outer``, ``loss`` and
+``lambda_policy`` keys are dropped and each entry becomes ``{"id", "weight":
+weight * lambda}``, with ``lambda`` taken as 1 where the entry has none.  A
+change that only adds, drops or renames configuration fields moves the first
+line of each model and leaves the second as it was.  One that only moves the
+model file from version 1 to version 2 leaves the third as it was wherever
+the version-1 scales were 1 or already folded into the weights.  Manifests,
+metrics files, the bench CSV and the trace's ``seconds`` column hold wall
+times and paths, so they are left out.  Set ``OPENBLAS_NUM_THREADS`` to
+compare at a given BLAS thread count, and ``FGM_THREADS`` to run the bench
+seeds in that many processes.
 """
 
 from __future__ import annotations
@@ -71,12 +77,20 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _dump(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+
+
 def _model_digests(label: str, path: Path):
     yield label, _digest(path.read_bytes())
     payload = json.loads(path.read_text())
     payload.pop("config")
-    yield f"{label} without-config", _digest(
-        (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
+    yield f"{label} without-config", _digest(_dump(payload))
+    for key in ("format_version", "budget", "n_outer", "loss", "lambda_policy"):
+        payload.pop(key, None)
+    payload["entries"] = [{"id": e["id"], "weight": e["weight"] * e.get("lambda", 1.0)}
+                          for e in payload["entries"]]
+    yield f"{label} folded", _digest(_dump(payload))
 
 
 def _trace_without_seconds(path: Path) -> bytes:
