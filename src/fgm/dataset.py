@@ -134,16 +134,34 @@ def _column_sq_sums(data: SparseDataset) -> np.ndarray:
     return out
 
 
+def _full_csr(values: np.ndarray, n: int, m: int) -> sp.csr_matrix:
+    """CSR storing every cell of an ``n x m`` array whose row-major cells are ``values``.
+
+    The CSR keeps ``values`` as its data, shared, not copied; column ids
+    repeat ``0..m-1`` per row, in the index dtype scipy picks for ``n * m``
+    entries.  With no zero in ``values`` it equals ``sp.csr_matrix`` of the
+    array to the bit.
+    """
+    index = sp.get_index_dtype(maxval=max(n, m, n * m))
+    indices = np.tile(np.arange(m, dtype=index), n)
+    indptr = np.arange(n + 1, dtype=index) * index(m)
+    return sp.csr_matrix((values, indices, indptr), shape=(n, m))
+
+
 def _dense_to_csr(X: np.ndarray) -> sp.csr_matrix:
     """Canonical CSR of a float array, equal to ``sp.csr_matrix(X)`` to the bit.
 
-    One mask of the nonzeros (``-0.0`` counts as zero, NaN as nonzero)
-    gives the row counts and gathers values and column ids in row order,
-    in the index dtype scipy picks, without scipy's COO detour.
+    An array without zeros becomes a row-major copy of its values around
+    :func:`_full_csr`.  Otherwise one mask of the nonzeros (``-0.0`` counts
+    as zero, NaN as nonzero) gives the row counts and gathers values and
+    column ids in row order, in the index dtype scipy picks, without
+    scipy's COO detour.
     """
     X = np.atleast_2d(X)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D array, got {X.ndim}-D")
+    if X.all():
+        return _full_csr(X.flatten(), *X.shape)
     nonzero = X != 0
     counts = np.count_nonzero(nonzero, axis=1)
     index = sp.get_index_dtype(maxval=max(*X.shape, int(counts.sum())))
@@ -660,9 +678,20 @@ def _truth_from_rng(rng: np.random.Generator, m: int, k: int, weighting: int) ->
     return GroundTruth(w)
 
 
-def _labels(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    scores = X @ w
-    return np.where(scores >= 0, 1, -1)
+def _draw_dataset(rng: np.random.Generator, n: int, w: np.ndarray) -> SparseDataset:
+    """``n`` standard-normal rows from ``rng``, labeled ``sign(X w)`` with ``sign(0) = +1``.
+
+    The draws go straight into the CSR value buffer, in the order of
+    ``rng.standard_normal((n, w.size))``.  Without a zero among them (a
+    Gaussian draw has none in practice) the CSR is built around that buffer;
+    otherwise the buffer goes through :func:`_dense_to_csr`.
+    """
+    m = w.size
+    values = np.empty(n * m)
+    X = values.reshape(n, m)
+    rng.standard_normal(out=X)
+    y = np.where(X @ w >= 0, 1, -1)
+    return SparseDataset(_full_csr(values, n, m) if values.all() else X, y)
 
 
 def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
@@ -677,6 +706,10 @@ def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
     Reproducible via numpy's PCG64: the stream is seeded with
     ``[seed, 0]``, so the companion test stream ``[seed, 1]`` used by
     :func:`generate_test_set` is independent of it.
+
+    Memory: the draws fill the CSR's value buffer in place, so a set (this
+    one or :func:`generate_test_set`'s) costs 12 bytes per cell with 32-bit
+    indices and no dense copy of ``X`` is made.
     """
     if not (0 < k <= m):
         raise ValueError("need 0 < k <= m")
@@ -684,9 +717,7 @@ def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
         raise ValueError("need n >= 1")
     rng = np.random.default_rng([seed, 0])
     truth = _truth_from_rng(rng, m, k, weighting)
-    X = rng.standard_normal((n, m))
-    y = _labels(X, truth.weights)
-    return SparseDataset(X, y), truth
+    return _draw_dataset(rng, n, truth.weights), truth
 
 
 def generate_test_set(truth: GroundTruth, n: int, seed: int = 0) -> SparseDataset:
@@ -697,7 +728,4 @@ def generate_test_set(truth: GroundTruth, n: int, seed: int = 0) -> SparseDatase
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng([seed, 1])
-    X = rng.standard_normal((n, truth.m))
-    y = _labels(X, truth.weights)
-    return SparseDataset(X, y)
+    return _draw_dataset(np.random.default_rng([seed, 1]), n, truth.weights)

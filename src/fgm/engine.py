@@ -37,6 +37,11 @@ from .worstcase import (poly_columns, poly_dim, score_features, score_polynomial
 MODEL_FORMAT_VERSION = 2
 
 
+def _is_count(v) -> bool:
+    """True for an integer >= 1 that is not a ``bool``."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Degree-2 polynomial feature map parameters."""
@@ -46,8 +51,8 @@ class PolyMap:
     block: int = 64
 
     def __post_init__(self):
-        if not self.gamma > 0 or not self.r >= 0 or self.block < 1:
-            raise ValueError("need gamma > 0, r >= 0, block >= 1")
+        if not self.gamma > 0 or not self.r >= 0 or not _is_count(self.block):
+            raise ValueError("need gamma > 0, r >= 0, block an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,7 @@ class SolverConfig:
     max_inner: int = 1000
 
     def __post_init__(self):
-        counts = (self.budget, self.max_outer, self.max_inner)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-                   for v in counts):
+        if not all(map(_is_count, (self.budget, self.max_outer, self.max_inner))):
             raise ValueError("budget, max_outer, and max_inner must be integers >= 1")
         if isinstance(self.C, bool):
             raise ValueError("C must be a number")
@@ -415,7 +418,7 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(payload: dict) -> Model:
     try:
         version = payload["format_version"]
-        if version not in (1, MODEL_FORMAT_VERSION):
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
             raise FormatError(f"unsupported model format version {version!r}")
         # a version-1 entry kept its scale apart, and prediction multiplied the two
         entries = [ModelEntry(int(e["id"]),

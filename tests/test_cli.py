@@ -271,10 +271,12 @@ def test_predict_reads_a_version_1_model_and_refuses_version_3(ws, tmp_path):
     scores = X[:, ids] @ (np.array(weights) * np.array(lambdas))
     assert labels.read_text().split() == [f"{v:+d}" for v in np.where(scores >= 0, 1, -1)]
 
-    model.write_text(json.dumps({**payload, "format_version": 3}))
-    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
-                "--out", tmp_path / "p.json")
-    assert r.returncode == 3 and "unsupported model format version 3" in r.stderr
+    # JSON true equals 1 in Python, but it names no format
+    for version in (3, True):
+        model.write_text(json.dumps({**payload, "format_version": version}))
+        r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                    "--out", tmp_path / "p.json")
+        assert r.returncode == 3 and f"unsupported model format version {version}" in r.stderr
 
 
 def test_index_beyond_the_integer_range_exits_3(tmp_path):

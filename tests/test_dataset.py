@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
-                         _PairBatches, _column_sq_sums, _inverse_set_norms, _truth_from_rng,
+                         _PairBatches, _column_sq_sums, _dense_to_csr, _draw_dataset,
+                         _inverse_set_norms, _truth_from_rng,
                          compute_scaling_prior, generate_synthetic,
                          generate_test_set, load_ground_truth, load_groups,
                          load_libsvm, load_tree, write_ground_truth, write_libsvm)
@@ -125,6 +126,19 @@ def test_array_conversion_memory_peak_below_twice_the_array():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * X.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_zero_free_array_converts_to_scipy_csr_bit_for_bit_and_unshared(layout):
+    full = np.random.default_rng(6).standard_normal((10, 14))
+    X = {"C": full, "F": np.asfortranarray(full), "strided": full[::2, ::3]}[layout]
+    before = X.copy()
+    got = _dense_to_csr(X)
+    assert got.nnz == X.size
+    _assert_same_csr(got, sp.csr_matrix(X))
+    assert X.tobytes() == before.tobytes()
+    for a in (got.data, got.indices, got.indptr):
+        assert not np.shares_memory(a, X) and not np.shares_memory(a, full)
 
 
 def test_dense_columns_out_of_range():
@@ -774,6 +788,49 @@ def test_generators_give_scipy_csr_of_their_pcg64_draws(seed):
     _assert_same_csr(data.X, sp.csr_matrix(rng.standard_normal((n, m))))
     test = generate_test_set(truth, 21, seed=seed)
     _assert_same_csr(test.X, sp.csr_matrix(np.random.default_rng([seed, 1]).standard_normal((21, m))))
+
+
+def _traced_peak(make):
+    """``make()`` and the tracemalloc peak it reached above the memory held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _csr_bytes(X):
+    return X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+
+
+def test_generators_memory_peak_within_a_tenth_of_the_csr():
+    # a dense draw converted to CSR peaks at 1.75x the CSR's bytes
+    (train, truth), peak = _traced_peak(lambda: generate_synthetic(256, 1024, 10))
+    assert peak <= 1.1 * _csr_bytes(train.X)
+    test, peak = _traced_peak(lambda: generate_test_set(truth, 256))
+    assert peak <= 1.1 * _csr_bytes(test.X)
+
+
+class _NormalWithZeros:
+    """Generator stub: PCG64 normal draws with some cells set to ``0.0`` and ``-0.0``."""
+
+    def standard_normal(self, out):
+        np.random.default_rng(2).standard_normal(out=out)
+        out[::3, 1] = 0.0
+        out[1::4, ::5] = -0.0
+
+
+def test_draws_holding_zeros_give_scipy_csr_of_the_draws():
+    w = np.linspace(-1.0, 1.0, 11)
+    data = _draw_dataset(_NormalWithZeros(), 9, w)
+    draws = np.empty((9, 11))
+    _NormalWithZeros().standard_normal(out=draws)
+    assert data.X.nnz < draws.size
+    _assert_same_csr(data.X, sp.csr_matrix(draws))
+    np.testing.assert_array_equal(data.y, np.where(draws @ w >= 0, 1, -1))
 
 
 def test_synthetic_argument_validation():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -82,8 +83,10 @@ def test_poly_map_validation():
         PolyMap(gamma=0.0)
     with pytest.raises(ValueError):
         PolyMap(r=-1.0)
-    with pytest.raises(ValueError):
-        PolyMap(block=0)
+    for block in (0, 2.5, True):
+        with pytest.raises(ValueError, match="block"):
+            PolyMap(block=block)
+    assert PolyMap(block=np.int64(3)).block == 3
     for bad in ({"gamma": float("nan")}, {"r": float("nan")}):
         with pytest.raises(ValueError):
             PolyMap(**bad)
@@ -542,8 +545,9 @@ def test_load_model_rejects_bad_payloads(tmp_path):
     path.write_text("not json")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_model(path)
-    for version in (99, 3):
-        with pytest.raises(FormatError, match="version"):
+    for version in (99, 3, True, 2.0, "2"):
+        message = f"unsupported model format version {version!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             model_from_dict({"format_version": version})
     with pytest.raises(FormatError, match="invalid model"):
         model_from_dict({"format_version": 1})

@@ -6,6 +6,11 @@ Run it in two checkouts (say a commit and its parent) under the same thread
 settings and ``diff`` the two outputs: a refactor that should not change what
 the program computes must print the same lines.  Digested are:
 
+* the train and test sets that ``generate_synthetic`` and
+  ``generate_test_set`` give each in-memory workload at seeds 0, 1 and 2
+  and the ``cli-files`` shape at seed 0: one line per set over the shape,
+  and the dtypes and bytes of the CSR's ``data``, ``indices`` and
+  ``indptr`` and of the labels;
 * the saved model of each in-memory workload of ``benchmarks/workloads.py``
   at seeds 0, 1 and 2, trained at full size;
 * group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
@@ -54,7 +59,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
-from fgm import GroupStructure  # noqa: E402
+from fgm import GroupStructure, generate_synthetic, generate_test_set  # noqa: E402
 from workloads import WORKLOADS, CliFiles  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -91,6 +96,23 @@ def _model_digests(label: str, path: Path):
     payload["entries"] = [{"id": e["id"], "weight": e["weight"] * e.get("lambda", 1.0)}
                           for e in payload["entries"]]
     yield f"{label} folded", _digest(_dump(payload))
+
+
+def _dataset_digest(data) -> str:
+    h = hashlib.sha256(repr(data.X.shape).encode())
+    for a in (data.X.data, data.X.indices, data.X.indptr, data.y):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def dataset_digests():
+    for name, workload in WORKLOADS.items():
+        for seed in (0,) if isinstance(workload, CliFiles) else SEEDS:
+            train, truth = generate_synthetic(workload.n, workload.m, workload.k, seed=seed)
+            test = generate_test_set(truth, workload.n_test, seed)
+            yield f"{name} seed {seed} train set", _dataset_digest(train)
+            yield f"{name} seed {seed} test set", _dataset_digest(test)
 
 
 def _trace_without_seconds(path: Path) -> bytes:
@@ -171,7 +193,8 @@ def bench_digests(work: Path):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        lines = list(model_digests(work))
+        lines = list(dataset_digests())
+        lines += model_digests(work)
         lines += group_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += bench_digests(work)
