@@ -134,34 +134,16 @@ def _column_sq_sums(data: SparseDataset) -> np.ndarray:
     return out
 
 
-def _full_csr(values: np.ndarray, n: int, m: int) -> sp.csr_matrix:
-    """CSR storing every cell of an ``n x m`` array whose row-major cells are ``values``.
-
-    The CSR keeps ``values`` as its data, shared, not copied; column ids
-    repeat ``0..m-1`` per row, in the index dtype scipy picks for ``n * m``
-    entries.  With no zero in ``values`` it equals ``sp.csr_matrix`` of the
-    array to the bit.
-    """
-    index = sp.get_index_dtype(maxval=max(n, m, n * m))
-    indices = np.tile(np.arange(m, dtype=index), n)
-    indptr = np.arange(n + 1, dtype=index) * index(m)
-    return sp.csr_matrix((values, indices, indptr), shape=(n, m))
-
-
 def _dense_to_csr(X: np.ndarray) -> sp.csr_matrix:
     """Canonical CSR of a float array, equal to ``sp.csr_matrix(X)`` to the bit.
 
-    An array without zeros becomes a row-major copy of its values around
-    :func:`_full_csr`.  Otherwise one mask of the nonzeros (``-0.0`` counts
-    as zero, NaN as nonzero) gives the row counts and gathers values and
-    column ids in row order, in the index dtype scipy picks, without
-    scipy's COO detour.
+    One mask of the nonzeros (``-0.0`` counts as zero, NaN as nonzero)
+    gives the row counts and gathers values and column ids in row order,
+    in the index dtype scipy picks, without scipy's COO detour.
     """
     X = np.atleast_2d(X)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D array, got {X.ndim}-D")
-    if X.all():
-        return _full_csr(X.flatten(), *X.shape)
     nonzero = X != 0
     counts = np.count_nonzero(nonzero, axis=1)
     index = sp.get_index_dtype(maxval=max(*X.shape, int(counts.sum())))
@@ -682,16 +664,22 @@ def _draw_dataset(rng: np.random.Generator, n: int, w: np.ndarray) -> SparseData
     """``n`` standard-normal rows from ``rng``, labeled ``sign(X w)`` with ``sign(0) = +1``.
 
     The draws go straight into the CSR value buffer, in the order of
-    ``rng.standard_normal((n, w.size))``.  Without a zero among them (a
-    Gaussian draw has none in practice) the CSR is built around that buffer;
-    otherwise the buffer goes through :func:`_dense_to_csr`.
+    ``rng.standard_normal((n, w.size))``, and the CSR is built around it
+    with every cell stored: column ids repeat ``0..m-1`` per row, in the
+    index dtype scipy picks for ``n * m`` entries.  A drawn ``0.0`` or
+    ``-0.0``, which a Gaussian stream does not give in practice, is then
+    dropped in place.
     """
     m = w.size
     values = np.empty(n * m)
-    X = values.reshape(n, m)
-    rng.standard_normal(out=X)
-    y = np.where(X @ w >= 0, 1, -1)
-    return SparseDataset(_full_csr(values, n, m) if values.all() else X, y)
+    rng.standard_normal(out=values.reshape(n, m))
+    y = np.where(values.reshape(n, m) @ w >= 0, 1, -1)
+    index = sp.get_index_dtype(maxval=max(n, m, n * m))
+    indices = np.tile(np.arange(m, dtype=index), n)
+    indptr = np.arange(n + 1, dtype=index) * index(m)
+    X = sp.csr_matrix((values, indices, indptr), shape=(n, m))
+    X.eliminate_zeros()
+    return SparseDataset(X, y)
 
 
 def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
