@@ -2,10 +2,12 @@
 Watching the certified bounds, then refitting without the l1 penalty
 ====================================================================
 
-Every training round records two certified bounds that bracket the best
-attainable value of the budgeted selection problem: a lower certificate
-that only rises and an upper bound that only falls.  The gap between
-them says how far the current answer can still be from optimal.
+Every training round records two certified bounds that bracket the
+negated optimum of the budgeted selection problem at any solver
+tolerance: the lower certificate beta is minus the round's objective,
+which rises as the objective falls, and the upper bound phi is the least
+full dual value seen so far, which only falls.  The gap between them says
+how far the current answer can still be from optimal.
 
 The second half looks at shrinkage bias.  Refitting a large-C l2
 classifier (no l1 penalty) on a frozen support helps exactly when the
@@ -25,7 +27,8 @@ train, truth = generate_synthetic(n=1024, m=2048, k=100, weighting=1, seed=3)
 test = generate_test_set(truth, n=4000, seed=3)
 
 # ---------------------------------------------------------------------------
-# Train with ten features added per round and print the bound trace.
+# Train with ten features added per round and print the bound trace
+# (lower = -objective, upper = phi).
 cfg = SolverConfig(budget=10, C=10.0, eps_apg=1e-7, max_inner=2000,
                    max_outer=8, eps_outer=0.0)
 model = fgm_train(train, cfg)

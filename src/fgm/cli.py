@@ -161,9 +161,6 @@ def _load_data_for_model(args: argparse.Namespace, model) -> SparseDataset:
         X = data.X
         data = SparseDataset(sp.csr_matrix((X.data, X.indices, X.indptr),
                                            shape=(data.n, model.m)), data.y)
-    if model.mode == "poly" and data.m != model.m:
-        raise FormatError(
-            f"data has {data.m} raw features but the model's virtual map expects {model.m}")
     return data
 
 

@@ -94,7 +94,10 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
-    """One outer round: objective, bounds, effort, and the new selection."""
+    """One outer round: objective, bounds, effort, and the new selection.
+
+    ``beta = -objective`` and ``phi``, the least full dual value so far, bracket ``-F*``.
+    """
 
     iteration: int
     objective: float
@@ -171,8 +174,7 @@ def _set_columns(data: SparseDataset, sets: list[np.ndarray], lams: np.ndarray):
         feats = np.concatenate([sets[unit] for unit in ids])
         scales = lams[np.repeat(ids, [sets[unit].size for unit in ids])]
         distinct, where = np.unique(feats, return_inverse=True)
-        # one pass over X; np.take keeps the columns C-ordered, which fixes the
-        # summation order of the bound that fgm_train computes from them
+        # one pass over X for the distinct features, then one column per (unit, feature)
         return np.take(data.dense_columns(distinct), where, axis=1) * scales, feats, scales
     return columns
 
@@ -216,11 +218,9 @@ def eval_bounds(alpha: np.ndarray, cache: ColumnCache, labels: np.ndarray,
     terms.  A selection's energy is half the squared norm of its cached
     columns' products with ``alpha * labels``; as scales are folded into
     the columns, it is ``0.5 * sum_{j in d_t} lambda_j^2 omega_j^2`` for
-    every unit type.  Minimizing this over feasible ``alpha`` gives the
-    negated subproblem optimum, so at a (near-)exact subproblem solve the
-    returned value is a lower bound on the negated full optimum, rising
-    toward it as selections accumulate; an inexact solve can overshoot by
-    its remaining dual gap.
+    every unit type.  When the cache holds the worst-case set for
+    ``alpha``, the returned value is the full dual value there, an upper
+    bound on the negated optimum of the whole problem.
     """
     if cache.offsets.size == 1:
         raise ValueError("no stored constraints")
@@ -268,6 +268,9 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     ``generate_synthetic(128, 256, 10, seed=0)`` with budget 5, C=1 and
     ``eps_outer=0`` stops this way with its objective 1.6% above the optimum
     and an 11% certified gap ``(phi + F) / |F|`` (8e-5 at ``eps_apg=1e-10``).
+    At any ``eps_apg``, ``beta = -F <= -F* <= phi``: a restricted iterate is
+    feasible for the full problem, and ``phi`` keeps the least
+    :func:`eval_bounds` value, taken once the new (worst-case) block is cached.
     Data holding a non-finite value raises :class:`NumericalError` for
     outer iteration 1 before any search.  Data dense enough that an array
     of X takes no more memory than its CSR are trained on that array (a view
@@ -289,7 +292,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     cache = ColumnCache.empty(data.n)
     features: list[np.ndarray] = []     # per round: the feature id behind each new column
     scales: list[np.ndarray] = []       # per round: the scale folded into each new column
-    phi = float("inf")          # certified upper bound: the running minimum of the candidates
+    phi = float("inf")          # certified upper bound: the least full dual value seen
     trace: list[TraceRecord] = []
     w = np.zeros(0)             # flat weights in the layout of cache
     tau_prev: float | None = None
@@ -303,10 +306,9 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
             stop_reason = "duplicate"
             break
         cols, feats, lams = units.columns(np.asarray(proposal, dtype=np.intp))
-        z = alpha * labels
-        new_energy = 0.5 * float(np.sum((cols.T @ z) ** 2))
-        phi_candidate = new_energy + dual_value_terms(alpha, kind)
         cache = cache.extend(cols)
+        # the new block is the worst case at alpha, so this is the full dual value there
+        phi = min(phi, eval_bounds(alpha, cache, labels, kind))
         features.append(feats)
         scales.append(lams)
 
@@ -321,9 +323,8 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         w, tau_prev = result.weights, result.tau
         f_curr = result.objectives[-1]
         alpha = recover_duals(margins_from_scores(result.scores, labels, kind), kind)
-        phi = min(phi, phi_candidate)
-        trace.append(TraceRecord(it, f_curr, eval_bounds(alpha, cache, labels, kind), phi,
-                                 result.n_iters, proposal, time.perf_counter() - started))
+        trace.append(TraceRecord(it, f_curr, -f_curr, phi, result.n_iters, proposal,
+                                 time.perf_counter() - started))
         if f_prev is not None and _relative_change(f_prev, f_curr) <= cfg.eps_outer:
             stop_reason = "outer_tol"
             break
@@ -364,9 +365,13 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
     Scores are ``sum over entries of weight * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
     predicts +1 everywhere.  A non-finite score, from a non-finite value in
-    ``data`` or in the model, raises :class:`NumericalError`.
+    ``data`` or in the model, raises :class:`NumericalError`; a polynomial
+    model on data of a raw width other than ``model.m``, :class:`FormatError`.
     """
     if model.mode == "poly":
+        if data.m != model.m:
+            raise FormatError(
+                f"data has {data.m} raw features but the model's virtual map expects {model.m}")
         ids = np.asarray([e.id for e in model.entries], dtype=np.intp)
         weights = np.asarray([e.weight for e in model.entries])
         scores = poly_columns(data, ids, model.gamma, model.r) @ weights

@@ -70,17 +70,12 @@ def eval_loss(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
     return loss_from_margins(xi, kind), xi
 
 
-def _instance_weights(xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Coefficients ``c_i`` such that the gradient is ``-M' c``."""
-    if kind.kind == SQUARED_HINGE:
-        return kind.C * labels * xi
-    sig = 1.0 / (1.0 + np.exp(-np.clip(xi, -700, 700)))
-    return kind.C * labels * sig
-
-
 def gradient_from_margins(M, xi: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Gradient of the loss of ``M @ w`` with respect to ``w``, from the margins xi there."""
-    return -(M.T @ _instance_weights(xi, labels, kind))
+    """Loss gradient in ``w`` from the margins xi of ``M @ w``.
+
+    It is ``-M' (labels * recover_duals(xi))``: the duals the search and the bounds read.
+    """
+    return -(M.T @ (labels * recover_duals(xi, kind)))
 
 
 def recover_duals(xi: np.ndarray, kind: LossKind) -> np.ndarray:

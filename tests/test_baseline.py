@@ -8,7 +8,7 @@ from fgm.baseline import (dense_to_model, l1_prox_train, l2_full_train, retrain_
                           sweep_to_support)
 from fgm.dataset import SparseDataset, generate_synthetic
 from fgm.engine import predict
-from fgm.loss import LossKind, _instance_weights, loss_from_margins, margins_from_scores
+from fgm.loss import LossKind, loss_from_margins, margins_from_scores, recover_duals
 from fgm.subsolver import ApgResult, NumericalError
 
 from oracles import l1_split_lbfgs, l2_lbfgs
@@ -138,7 +138,7 @@ def test_ridge_prox_step_hand_values():
 
 
 def _meets_l2_stop_rule(X, y, kind, w, eps):
-    coef = _instance_weights(margins_from_scores(X @ w, y, kind), y, kind)
+    coef = y * recover_duals(margins_from_scores(X @ w, y, kind), kind)
     return np.linalg.norm(w - X.T @ coef) <= eps * (1.0 + np.linalg.norm(w))
 
 

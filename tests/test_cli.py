@@ -241,6 +241,18 @@ def test_predict_with_a_corrupt_poly_model_exits_3(tmp_path):
     assert r.returncode == 3 and "model entry id 1000000 outside [0, 28)" in r.stderr
 
 
+def test_predict_with_a_poly_model_on_wider_data_exits_3(tmp_path):
+    train, wide = tmp_path / "d.libsvm", tmp_path / "wide.libsvm"
+    write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], train)
+    write_libsvm(generate_synthetic(30, 9, 2, seed=0)[0], wide)
+    model = tmp_path / "poly.model.json"
+    assert cli.main(["train", "--data", str(train), "--out", str(model), "--poly",
+                     "--budget", "3", "--max-outer", "2"]) == 0
+    r = run_cli("predict", "--model", model, "--data", wide, "--out", tmp_path / "p.json")
+    assert r.returncode == 3
+    assert "data has 9 raw features but the model's virtual map expects 6" in r.stderr
+
+
 def test_poly_manifest_records_the_map_with_its_defaults(tmp_path):
     data = tmp_path / "d.libsvm"
     write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], data)

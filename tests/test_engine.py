@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,13 +124,35 @@ def test_bounds_sandwich_on_tight_solve():
     assert np.all(np.diff(beta) >= -1e-7 * scale)   # rises (near-exact solves)
     assert np.all(np.diff(phi) <= 0.0)              # running minimum
     assert np.all(beta <= phi + 1e-7 * scale)
-    # each round's certificate sits at or barely above the negated restricted
-    # optimum: the difference is the remaining inner-solve duality gap, which
-    # stays one-sided and small at this solve tolerance
+    # each round's lower certificate is the negated objective of its
+    # restricted iterate, so this gap is zero
     gap = beta + F
     assert np.all(gap >= -1e-9 * scale)
     assert np.all(gap <= 2e-4 * scale)
     assert np.all(phi >= -F[-1] - 1e-7 * scale)
+
+
+_ORACLE_GROUPS = GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(24)],
+                                [f"g{g}" for g in range(24)])
+
+
+@pytest.mark.parametrize("structure", [None, _ORACLE_GROUPS], ids=["plain", "groups"])
+@pytest.mark.parametrize("loss", ["squared_hinge", "logistic"])
+def test_bounds_certify_the_optimum_at_the_default_solve_tolerance(loss, structure):
+    # a tight run to a duplicate proposal pins the optimum F* between -phi_T
+    # and F_T; every round of a run at the default eps_apg must keep its
+    # bounds on the right side of it: beta_t <= -F* <= phi_T and phi_t >= -F* >= -F_T
+    data, _ = generate_synthetic(64, 96, 6, seed=0)
+    cfg = SolverConfig(budget=5, C=1.0, loss=loss, eps_outer=0.0, max_outer=400)
+    tight = fgm_train(data, replace(cfg, eps_apg=1e-12, max_inner=100000), structure)
+    assert tight.stop_reason == "duplicate"
+    F_T, phi_T = tight.trace[-1].objective, tight.trace[-1].phi
+    assert (phi_T + F_T) / abs(F_T) <= 1e-4
+    model = fgm_train(data, cfg, structure)
+    for rec in model.trace:
+        assert rec.beta == -rec.objective
+        assert rec.beta <= phi_T, rec.iteration
+        assert rec.phi >= -F_T, rec.iteration
 
 
 def test_duplicate_proposal_stops_training():
@@ -467,6 +490,16 @@ def test_predict_out_of_range_entry():
                   entries=[ModelEntry(4, 1.0)])
     with pytest.raises(FormatError, match="out of range"):
         predict(model, data)
+
+
+def test_predict_poly_model_needs_the_trained_raw_width():
+    data, _ = _small_problem(seed=12, n=40, m=8)
+    model = fgm_train(data, SolverConfig(budget=3, max_outer=2, eps_outer=0.0), PolyMap())
+    for m in (5, 12):
+        other, _ = _small_problem(seed=12, n=40, m=m)
+        with pytest.raises(FormatError, match=f"data has {m} raw features but the model's "
+                                              "virtual map expects 8"):
+            predict(model, other)
 
 
 def test_evaluate_recovery_counts_intersection():

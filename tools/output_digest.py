@@ -27,18 +27,16 @@ the program computes must print the same lines.  Digested are:
 Each model file gets three lines: the digest of the whole file; one
 labelled ``without-config`` that covers the model JSON without its
 ``config`` block, re-dumped as ``save_model`` writes it; and one labelled
-``folded``, in a form that model format versions 1 and 2 share: the
-``config``, ``format_version``, ``budget``, ``n_outer``, ``loss`` and
-``lambda_policy`` keys are dropped and each entry becomes ``{"id", "weight":
-weight * lambda}``, with ``lambda`` taken as 1 where the entry has none.  A
-change that only adds, drops or renames configuration fields moves the first
-line of each model and leaves the second as it was.  One that only moves the
-model file from version 1 to version 2 leaves the third as it was wherever
-the version-1 scales were 1 or already folded into the weights.  Manifests,
-metrics files, the bench CSV and the trace's ``seconds`` column hold wall
-times and paths, so they are left out.  Set ``OPENBLAS_NUM_THREADS`` to
-compare at a given BLAS thread count, and ``FGM_THREADS`` to run the bench
-seeds in that many processes.
+``without-bounds`` that also drops each trace record's ``beta`` and ``phi``.
+The trace CSV likewise gets a second line, ``trace without-bounds``, without
+its ``beta`` and ``phi`` columns.  A change that only adds, drops or renames
+configuration fields moves the first line of each model and leaves the
+second as it was; one that only changes how the bounds are recorded leaves
+the ``without-bounds`` lines as they were.  Manifests, metrics files, the
+bench CSV and the trace's ``seconds`` column hold wall times and paths, so
+they are left out.  Set ``OPENBLAS_NUM_THREADS`` to compare at a given BLAS
+thread count, and ``FGM_THREADS`` to run the bench seeds in that many
+processes.
 """
 
 from __future__ import annotations
@@ -91,11 +89,9 @@ def _model_digests(label: str, path: Path):
     payload = json.loads(path.read_text())
     payload.pop("config")
     yield f"{label} without-config", _digest(_dump(payload))
-    for key in ("format_version", "budget", "n_outer", "loss", "lambda_policy"):
-        payload.pop(key, None)
-    payload["entries"] = [{"id": e["id"], "weight": e["weight"] * e.get("lambda", 1.0)}
-                          for e in payload["entries"]]
-    yield f"{label} folded", _digest(_dump(payload))
+    for record in payload["trace"]:
+        del record["beta"], record["phi"]
+    yield f"{label} without-bounds", _digest(_dump(payload))
 
 
 def _dataset_digest(data) -> str:
@@ -115,12 +111,12 @@ def dataset_digests():
             yield f"{name} seed {seed} test set", _dataset_digest(test)
 
 
-def _trace_without_seconds(path: Path) -> bytes:
+def _trace_without(path: Path, *columns: str) -> bytes:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    drop = rows[0].index("seconds")
+    drop = {rows[0].index(c) for c in columns}
     out = io.StringIO()
-    csv.writer(out).writerows([v for i, v in enumerate(row) if i != drop] for row in rows)
+    csv.writer(out).writerows([v for i, v in enumerate(row) if i not in drop] for row in rows)
     return out.getvalue().encode()
 
 
@@ -175,7 +171,9 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
         yield f"{workload.name} seed {seed} {suffix}", _digest(path.read_bytes())
     yield from _model_digests(f"{workload.name} seed {seed} model", model)
     yield f"{workload.name} seed {seed} labels", _digest(labels.read_bytes())
-    yield f"{workload.name} seed {seed} trace", _digest(_trace_without_seconds(trace))
+    yield f"{workload.name} seed {seed} trace", _digest(_trace_without(trace, "seconds"))
+    yield (f"{workload.name} seed {seed} trace without-bounds",
+           _digest(_trace_without(trace, "seconds", "beta", "phi")))
 
 
 def bench_digests(work: Path):
