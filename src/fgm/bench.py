@@ -148,7 +148,7 @@ def _data_for_seed(data_spec: dict, seed: int):
         test = generate_test_set(truth, n_test, seed) if n_test > 0 else None
         return train, test, truth
     train = load_libsvm(data_spec["train"], data_spec.get("dim"))
-    test = load_libsvm(data_spec["test"], train.m) if "test" in data_spec else None
+    test = load_libsvm(data_spec["test"], train.m or None) if "test" in data_spec else None
     truth = load_ground_truth(data_spec["truth"], train.m) if "truth" in data_spec else None
     return train, test, truth
 

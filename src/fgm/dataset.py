@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -308,6 +309,14 @@ class GroupStructure(TreeStructure):
 # sparse text format ("label index:value ...", 1-based on disk)
 
 
+_CHUNK_BYTES = 1 << 17  # text read at a time by load_libsvm, in whole lines
+
+
+def _is_count(v) -> bool:
+    """True for an integer >= 1 that is not a ``bool``."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     """Load a sparse text file into a :class:`SparseDataset`.
 
@@ -318,8 +327,9 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
         remapped to -1/+1 with a warning) followed by 1-based
         ``index:value`` pairs.
     dim : int, optional
-        Force the feature dimension.  By default the largest index seen
-        determines it.  An index beyond an explicit ``dim`` is an error.
+        Force the feature dimension, an integer >= 1 (else ``ValueError``).
+        By default the largest index seen determines it.  An index beyond
+        an explicit ``dim`` is an error.
 
     Returns
     -------
@@ -328,134 +338,101 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
 
     Notes
     -----
-    Pairs are converted in batches of lines, one ``np.fromiter`` call for
-    the indices and one for the values (Python's ``int`` and ``float``
-    still parse every token), so a line costs little whether it holds one
-    pair or thousands.  Faults are reported in file order, each naming
-    its line and first bad pair, exactly as a token-by-token reader would.
+    The file is read ``_CHUNK_BYTES`` of whole lines at a time.  A chunk's
+    labels, indices and values are converted with one ``np.fromiter`` call
+    each (Python's ``int`` and ``float`` still parse every token) and
+    checked as arrays, so a line costs little whether it holds one pair or
+    thousands.  A chunk that fails a check is scanned line by line by
+    :func:`_first_fault`, so faults come in file order, each naming its line
+    and its label or first bad pair, exactly as a token-by-token reader would.
     """
+    if dim is not None and not _is_count(dim):
+        raise ValueError("dim must be an integer >= 1")
     path = Path(path)
-    labels: list[float] = []
-    indptr = [0]
-    pairs = _PairBatches(path)
+    labels, counts, indices, values = [np.empty(0)], [], [np.empty(0, np.intp)], [np.empty(0)]
+    line_no = 1
     with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            label_s, *tokens = line.split()
+        while lines := fh.readlines(_CHUNK_BYTES):
+            rows = [row for row in (line.split("#", 1)[0].split() for line in lines) if row]
+            heads = list(map(list.pop, rows, itertools.repeat(0)))     # rows keep their pairs
+            tokens = list(itertools.chain.from_iterable(rows))
+            k = len(tokens)
+            flat = ":".join(tokens).split(":") if k else []
+            count = np.fromiter(map(len, rows), np.intp, len(rows))
+            first = np.zeros(k + 1, dtype=bool)                         # a row's first pair
+            first[np.cumsum(count) - count] = True
             try:
-                label = float(label_s)
-            except ValueError:
-                label = None
-            if label not in (-1.0, 1.0, 0.0):
-                pairs.convert()             # a bad pair on an earlier line comes first
-                if label is None:
-                    raise FormatError(f"{path}:{line_no}: invalid label {label_s!r}")
-                raise FormatError(f"{path}:{line_no}: label {label_s!r} not in -1/+1 (or 0/1)")
+                label = np.fromiter(map(float, heads), float, len(heads))
+                idx = np.fromiter(map(int, flat[0::2]), np.intp, k)
+                val = np.fromiter(map(float, flat[1::2]), float, k)
+            except (ValueError, OverflowError):
+                good = False
+            else:
+                # with as many colons as tokens and one in each, the split
+                # keeps every index next to its value
+                good = (len(flat) == 2 * k
+                        and all(map(operator.contains, tokens, itertools.repeat(":")))
+                        and np.isin(label, (-1.0, 0.0, 1.0)).all()
+                        and ((idx[1:] > idx[:-1]) | first[1:-1]).all()
+                        and (idx[first[:-1]] >= 1).all())
+            if not good:
+                raise FormatError(_first_fault(path, line_no, lines))
             labels.append(label)
-            pairs.add(line_no, tokens)
-            indptr.append(indptr[-1] + len(tokens))
-    pairs.convert()
-    if not labels:
+            counts.append(count)
+            indices.append(idx)
+            values.append(val)
+            line_no += len(lines)
+    y = np.concatenate(labels)
+    if not y.size:
         raise FormatError(f"{path}: no instances found")
-    y = np.asarray(labels)
     if np.any(y == 0.0):
         if np.any(y == -1.0):
             raise FormatError(f"{path}: labels mix 0/1 and -1/+1 conventions")
         warnings.warn(f"{path}: remapping 0/1 labels to -1/+1", stacklevel=2)
         y = np.where(y == 0.0, -1.0, 1.0)
-    indices = np.concatenate(pairs.indices)
+    indices = np.concatenate(indices)
     indices -= 1
     max_idx = int(indices.max(initial=-1))
     if dim is None:
         dim = max_idx + 1
     elif max_idx >= dim:
         raise FormatError(f"{path}: feature index {max_idx + 1} exceeds dim={dim}")
-    X = sp.csr_matrix((np.concatenate(pairs.values), indices, np.asarray(indptr, dtype=np.intp)),
-                      shape=(len(labels), dim))
+    indptr = np.zeros(y.size + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    X = sp.csr_matrix((np.concatenate(values), indices, indptr), shape=(y.size, dim))
     return SparseDataset(X, y.astype(int))
 
 
-class _PairBatches:
-    """The ``index:value`` pairs of a sparse text file, converted a batch of lines at a time.
-
-    ``indices`` (1-based) and ``values`` hold the converted arrays.  The
-    index and value strings of the lines added since the last conversion
-    wait in ``index_strs`` and ``value_strs``, about ``BATCH`` at most;
-    ``line_nos`` and ``starts`` give each waiting line's number and first pair.
-    """
-
-    BATCH = 1 << 14
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.indices = [np.empty(0, dtype=np.intp)]
-        self.values = [np.empty(0)]
-        self.line_nos: list[int] = []
-        self.starts: list[int] = []
-        self.index_strs: list[str] = []
-        self.value_strs: list[str] = []
-
-    def add(self, line_no: int, tokens: list[str]) -> None:
-        if not tokens:
-            return
-        # every token must hold exactly one colon; the colon count settles a
-        # one-token line, but would let "2 3:4:5" pass as two pairs
-        flat = ":".join(tokens).split(":")
-        if len(flat) != 2 * len(tokens) or (
-                len(tokens) > 1 and not all(map(operator.contains, tokens, itertools.repeat(":")))):
-            self.convert()
-            raise FormatError(f"{self.path}:{line_no}: {_pair_fault(tokens)}")
-        self.line_nos.append(line_no)
-        self.starts.append(len(self.index_strs))
-        self.index_strs += flat[0::2]
-        self.value_strs += flat[1::2]
-        if len(self.index_strs) >= self.BATCH:
-            self.convert()
-
-    def convert(self) -> None:
-        """Convert the waiting pairs, or raise for the first bad one in file order."""
-        k = len(self.index_strs)
-        if not k:
-            return
+def _first_fault(path: Path, first_line_no: int, lines: list[str]) -> str:
+    """Message for the first bad line of ``lines``: its label, else its first bad pair."""
+    for line_no, line in enumerate(lines, start=first_line_no):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        label_s, *tokens = fields
+        where = f"{path}:{line_no}"
         try:
-            idx = np.fromiter(map(int, self.index_strs), np.intp, k)
-            val = np.fromiter(map(float, self.value_strs), float, k)
-        except (ValueError, OverflowError):
-            idx = None
-        first = np.zeros(k, dtype=bool)
-        first[self.starts] = True
-        if idx is None or not ((idx[1:] > idx[:-1]) | first[1:]).all() or (idx[first] < 1).any():
-            for line_no, lo, hi in zip(self.line_nos, self.starts, self.starts[1:] + [k]):
-                fault = _pair_fault([f"{i}:{v}" for i, v in zip(self.index_strs[lo:hi],
-                                                                 self.value_strs[lo:hi])])
-                if fault is not None:
-                    raise FormatError(f"{self.path}:{line_no}: {fault}")
-            raise AssertionError("a refused batch holds no bad pair")
-        self.indices.append(idx)
-        self.values.append(val)
-        self.line_nos, self.starts, self.index_strs, self.value_strs = [], [], [], []
-
-
-def _pair_fault(tokens: list[str]) -> str | None:
-    """Message for the first bad ``index:value`` token of one line, None if all are good."""
-    prev = 0
-    for tok in tokens:
-        try:
-            idx_s, val_s = tok.split(":", 1)
-            idx = int(idx_s)
-            float(val_s)
+            label = float(label_s)
         except ValueError:
-            return f"invalid pair {tok!r}"
-        if idx < 1:
-            return f"index {idx} must be >= 1"
-        if idx > np.iinfo(np.intp).max:
-            return f"index {idx} is too large"
-        if idx <= prev:
-            return "indices must be strictly increasing"
-        prev = idx
-    return None
+            return f"{where}: invalid label {label_s!r}"
+        if label not in (-1.0, 1.0, 0.0):
+            return f"{where}: label {label_s!r} not in -1/+1 (or 0/1)"
+        prev = 0
+        for tok in tokens:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                float(val_s)
+            except ValueError:
+                return f"{where}: invalid pair {tok!r}"
+            if idx < 1:
+                return f"{where}: index {idx} must be >= 1"
+            if idx > np.iinfo(np.intp).max:
+                return f"{where}: index {idx} is too large"
+            if idx <= prev:
+                return f"{where}: indices must be strictly increasing"
+            prev = idx
+    raise AssertionError("a refused chunk holds no bad line")
 
 
 def write_libsvm(data: SparseDataset, path: str | Path) -> None:

@@ -16,7 +16,6 @@ Every unit type records its model alike: a feature's weight is the sum of
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                      TreeStructure, compute_scaling_prior, _inverse_set_norms)
+                      TreeStructure, _inverse_set_norms, _is_count, compute_scaling_prior)
 # eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
                    recover_duals)
@@ -35,11 +34,6 @@ from .worstcase import (poly_columns, poly_dim, score_features, score_polynomial
                         score_tree_pruned, select_top_b)
 
 MODEL_FORMAT_VERSION = 2
-
-
-def _is_count(v) -> bool:
-    """True for an integer >= 1 that is not a ``bool``."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -271,15 +265,18 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     At any ``eps_apg``, ``beta = -F <= -F* <= phi``: a restricted iterate is
     feasible for the full problem, and ``phi`` keeps the least
     :func:`eval_bounds` value, taken once the new (worst-case) block is cached.
-    Data holding a non-finite value raises :class:`NumericalError` for
-    outer iteration 1 before any search.  Data dense enough that an array
-    of X takes no more memory than its CSR are trained on that array (a view
-    of the CSR values when X stores every cell and no zero, else a per-fit copy;
+    Data with no feature raises :class:`FormatError`, and data holding a
+    non-finite value :class:`NumericalError` for outer iteration 1, before
+    any search.  Data dense enough that an array of X takes no more memory
+    than its CSR are trained on that array (a view of the CSR values when
+    X stores every cell and no zero, else a per-fit copy;
     :meth:`SparseDataset.fit_view`): the search and the column extraction
     run through BLAS, and ``inverse_norm`` scales read it; ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
+    if not data.m:
+        raise FormatError("training data has no features (m=0)")
     if not np.isfinite(data.X.data).all():
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)

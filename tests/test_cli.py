@@ -228,6 +228,52 @@ def test_missing_and_malformed_data_exit_3(ws, tmp_path):
     assert r.returncode == 3 and "not valid JSON" in r.stderr
 
 
+def test_dim_below_one_exits_2(ws, tmp_path, capsys):
+    empty = tmp_path / "empty.libsvm"
+    empty.write_text("+1\n-1\n")
+    model = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--out", str(model)]) == 0
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(dict(BENCH_CONFIG, data={"train": str(empty), "dim": 0})))
+    capsys.readouterr()
+    for argv in (["train", "--data", str(empty), "--out", str(tmp_path / "e.json"), "--dim", "-5"],
+                 ["predict", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                  "--out", str(tmp_path / "p.json"), "--dim", "0"],
+                 ["eval", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                  "--truth", str(ws / "toy.truth.txt"), "--out", str(tmp_path / "v.json"),
+                  "--dim", "-1"],
+                 ["bench", "--config", str(bench), "--out", str(tmp_path / "o.csv")]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == "fgm: usage error: dim must be an integer >= 1\n"
+    assert not any((tmp_path / name).exists() for name in ("e.json", "p.json", "v.json", "o.csv"))
+
+
+def test_training_data_without_features_exits_3(tmp_path, capsys):
+    empty = tmp_path / "empty.libsvm"
+    empty.write_text("+1\n-1\n+1\n")
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(dict(BENCH_CONFIG, data={"train": str(empty), "test": str(empty)})))
+    for argv in (["train", "--data", str(empty), "--out", str(tmp_path / "m.json")],
+                 ["train", "--data", str(empty), "--out", str(tmp_path / "m.json"), "--poly"],
+                 ["bench", "--config", str(bench), "--out", str(tmp_path / "o.csv")]):
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr().err == "fgm: data error: training data has no features (m=0)\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_non_utf8_data_and_groups_files_exit_3(ws, tmp_path):
+    data = tmp_path / "latin1.libsvm"
+    data.write_bytes(b"+1 1:0.5\n-1 2:1.5 # caf\xe9\n")
+    r = run_cli("train", "--data", data, "--out", tmp_path / "m.json")
+    assert r.returncode == 3 and "data error" in r.stderr and "decode byte 0xe9" in r.stderr
+    groups = tmp_path / "groups.txt"
+    groups.write_bytes(b"g0: 0 1\n\xff\n")
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--groups", groups,
+                "--out", tmp_path / "m.json")
+    assert r.returncode == 3 and "data error" in r.stderr and "decode byte 0xff" in r.stderr
+    assert "Traceback" not in r.stderr and not (tmp_path / "m.json").exists()
+
+
 def test_predict_with_a_corrupt_poly_model_exits_3(tmp_path):
     data = tmp_path / "d.libsvm"
     write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], data)

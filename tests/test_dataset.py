@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from fgm import dataset
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
-                         _PairBatches, _column_sq_sums, _dense_to_csr, _draw_dataset,
+                         _column_sq_sums, _dense_to_csr, _draw_dataset,
                          _inverse_set_norms, _truth_from_rng,
                          compute_scaling_prior, generate_synthetic,
                          generate_test_set, load_ground_truth, load_groups,
@@ -486,15 +487,23 @@ def _load_pair(path, dim):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_libsvm_file(), batch=st.sampled_from([1, 2, 5, _PairBatches.BATCH]))
-def test_load_libsvm_matches_the_per_token_reader(tmp_path_factory, case, batch):
+@given(case=_libsvm_file(), chunk=st.sampled_from([1, 7, 64, dataset._CHUNK_BYTES]))
+def test_load_libsvm_matches_the_per_token_reader(tmp_path_factory, case, chunk):
     text, dim = case
     path = tmp_path_factory.mktemp("diff") / "d.libsvm"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    with mock.patch.object(_PairBatches, "BATCH", batch):     # also convert mid-file
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):     # also convert mid-file
         got = _read_outcome(_load_pair, path, dim)
     assert got == _read_outcome(libsvm_per_token, path, dim)
+
+
+@pytest.mark.parametrize("dim", [0, -5, 2.0, True])
+def test_load_libsvm_refuses_a_dim_below_one_or_not_an_integer(tmp_path, dim):
+    f = tmp_path / "d.txt"
+    f.write_text("+1\n-1\n")
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 1$"):
+        load_libsvm(f, dim)
 
 
 @pytest.mark.parametrize("line,message", [

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fgm.engine as engine
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
@@ -124,11 +125,8 @@ def test_bounds_sandwich_on_tight_solve():
     assert np.all(np.diff(beta) >= -1e-7 * scale)   # rises (near-exact solves)
     assert np.all(np.diff(phi) <= 0.0)              # running minimum
     assert np.all(beta <= phi + 1e-7 * scale)
-    # each round's lower certificate is the negated objective of its
-    # restricted iterate, so this gap is zero
-    gap = beta + F
-    assert np.all(gap >= -1e-9 * scale)
-    assert np.all(gap <= 2e-4 * scale)
+    # each round's lower certificate is the negated objective of its restricted iterate
+    assert np.array_equal(beta, -F)
     assert np.all(phi >= -F[-1] - 1e-7 * scale)
 
 
@@ -197,7 +195,6 @@ def test_first_round_selection_uses_all_ones_duals():
 def test_numerical_error_carries_outer_context():
     X = np.array([[np.nan, 1.0], [1.0, 2.0]])
     data = SparseDataset.__new__(SparseDataset)  # bypass validation to inject nan
-    import scipy.sparse as sp
     data.X = sp.csr_matrix(X)
     data.y = np.array([1, -1])
     with pytest.raises(NumericalError, match="outer iteration 1"):
@@ -223,6 +220,13 @@ def test_non_finite_data_fails_before_any_search(unit, bad, monkeypatch):
         "poly": PolyMap(),
     }[unit]
     with pytest.raises(NumericalError, match="outer iteration 1: .*non-finite"):
+        fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
+
+
+@pytest.mark.parametrize("structure", [None, PolyMap()], ids=["plain", "poly"])
+def test_data_without_features_is_a_format_error(structure):
+    data = SparseDataset(sp.csr_matrix((4, 0)), np.array([1, -1, 1, -1]))
+    with pytest.raises(FormatError, match=r"^training data has no features \(m=0\)$"):
         fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
 
 

@@ -17,8 +17,12 @@ the program computes must print the same lines.  Digested are:
   8 features under the ``ones`` and ``inverse_norm`` policies and under
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
-  file of ``fgm generate``, the model of ``fgm train``, the labels of
-  ``fgm predict``, and the ``--trace`` CSV without its ``seconds`` column;
+  file of ``fgm generate``, the datasets that ``load_libsvm`` reads back
+  from the two libsvm files (lines labelled ``loaded``), the model of
+  ``fgm train``, the labels of ``fgm predict``, and the ``--trace`` CSV
+  without its ``seconds`` column;
+* the dataset ``load_libsvm`` reads from a 20,000-row file with one pair
+  per row that this tool writes, the shape of short text-mining rows;
 * every model file of ``fgm bench`` on a small synthetic config at seeds 0
   and 1, covering ``fgm`` with and without ``target_support``, ``l1`` at a
   fixed ``reg`` and swept to a support size, ``l2-full``, ``fgm-debias``
@@ -57,7 +61,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
-from fgm import GroupStructure, generate_synthetic, generate_test_set  # noqa: E402
+from fgm import GroupStructure, generate_synthetic, generate_test_set, load_libsvm  # noqa: E402
 from workloads import WORKLOADS, CliFiles  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -169,11 +173,25 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     for suffix in ("train.libsvm", "test.libsvm", "truth.txt"):
         path = Path(f"{prefix}.{suffix}")
         yield f"{workload.name} seed {seed} {suffix}", _digest(path.read_bytes())
+    for suffix in ("train.libsvm", "test.libsvm"):
+        yield (f"{workload.name} seed {seed} {suffix} loaded",
+               _dataset_digest(load_libsvm(f"{prefix}.{suffix}")))
     yield from _model_digests(f"{workload.name} seed {seed} model", model)
     yield f"{workload.name} seed {seed} labels", _digest(labels.read_bytes())
     yield f"{workload.name} seed {seed} trace", _digest(_trace_without(trace, "seconds"))
     yield (f"{workload.name} seed {seed} trace without-bounds",
            _digest(_trace_without(trace, "seconds", "beta", "phi")))
+
+
+def one_pair_digest(work: Path, rows: int = 20_000):
+    rng = np.random.default_rng(0)
+    labels = rng.choice(["-1", "+1"], rows)
+    ids = rng.integers(1, 1000, rows)
+    values = rng.standard_normal(rows)
+    path = work / "one-pair.libsvm"
+    path.write_text("".join(f"{y} {i}:{v!r}\n" for y, i, v in
+                            zip(labels.tolist(), ids.tolist(), values.tolist())))
+    yield f"one pair per row, {rows} rows, loaded", _dataset_digest(load_libsvm(path))
 
 
 def bench_digests(work: Path):
@@ -195,6 +213,7 @@ def main() -> int:
         lines += model_digests(work)
         lines += group_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
+        lines += one_pair_digest(work)
         lines += bench_digests(work)
     for label, digest in lines:
         print(f"{digest}  {label}")
