@@ -59,7 +59,7 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
         config = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc

@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, UnicodeDecodeError) as exc:    # a UnicodeDecodeError is a ValueError
+    except FormatError as exc:
         print(f"fgm: data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -12,6 +12,7 @@ written with 17 significant digits so a write/load round trip is exact.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import numbers
@@ -26,6 +27,15 @@ import scipy.sparse as sp
 
 class FormatError(ValueError):
     """Raised for malformed data, group, tree, or ground-truth files."""
+
+
+@contextlib.contextmanager
+def _decoding(path: Path):
+    """Raise a ``UnicodeDecodeError`` met reading ``path`` as a :class:`FormatError` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +95,9 @@ class SparseDataset:
         """Shallow copy that also carries ``dense``, X as a C-ordered array.
 
         A canonical CSR storing every cell, none zero, is that array in
-        row-major order: ``dense`` is then a read-only view of ``X.data``
-        (a stored zero is copied, as ``toarray`` turns ``-0.0`` into ``+0.0``).
+        row-major order: ``dense`` is then the read-only view of ``X.data``
+        that :func:`_full_array` gives (a stored zero is copied, as
+        ``toarray`` turns ``-0.0`` into ``+0.0``).
         Otherwise the array is built only when it takes no more memory than
         the CSR values and indices it mirrors (density at least 2/3 with
         32-bit indices), else ``dense`` stays None and every kernel reads the
@@ -97,9 +108,9 @@ class SparseDataset:
         if self.dense is not None:
             return self
         view = copy.copy(self)
-        if self.X.nnz == self.n * self.m and self.X.data.all():
-            view.dense = self.X.data.reshape(self.X.shape)
-            view.dense.flags.writeable = False
+        full = _full_array(self.X)
+        if full is not None and full.all():
+            view.dense = full
         elif self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
             view.dense = self.X.toarray()
         return view
@@ -115,6 +126,22 @@ class SparseDataset:
         if self.dense is not None:
             return np.take(self.dense, ids, axis=1)
         return np.asarray(self.X[:, ids].todense())
+
+
+def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
+    """A read-only view of ``X.data`` as X's ``(n, m)`` C-ordered array when X stores every cell.
+
+    In a canonical CSR (sorted, duplicate-free indices per row) ``n * m``
+    stored values mean every row holds columns ``0..m-1`` in order, so the
+    values in row-major order are X itself.  The test reads ``nnz`` alone:
+    no scan and no copy.  The view keeps stored zeros as stored (a ``-0.0``
+    stays ``-0.0``); otherwise None.
+    """
+    if X.nnz != X.shape[0] * X.shape[1]:
+        return None
+    full = X.data.reshape(X.shape)
+    full.flags.writeable = False
+    return full
 
 
 _SQ_CHUNK = 1 << 16     # CSR values squared at a time by _column_sq_sums
@@ -351,7 +378,7 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     path = Path(path)
     labels, counts, indices, values = [np.empty(0)], [], [np.empty(0, np.intp)], [np.empty(0)]
     line_no = 1
-    with path.open() as fh:
+    with path.open() as fh, _decoding(path):
         while lines := fh.readlines(_CHUNK_BYTES):
             rows = [row for row in (line.split("#", 1)[0].split() for line in lines) if row]
             heads = list(map(list.pop, rows, itertools.repeat(0)))     # rows keep their pairs
@@ -492,7 +519,7 @@ def _load_sets(path: str | Path, head_form: str, kind: str, parse_head, build):
     """
     path = Path(path)
     heads, sets, lambdas = [], [], []
-    with path.open() as fh:
+    with path.open() as fh, _decoding(path):
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -565,7 +592,7 @@ def load_ground_truth(path: str | Path, m: int) -> GroundTruth:
     """Load 0-based ``index weight`` lines into a length-``m`` weight vector."""
     path = Path(path)
     w = np.zeros(m)
-    with path.open() as fh:
+    with path.open() as fh, _decoding(path):
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                      TreeStructure, _inverse_set_norms, _is_count, compute_scaling_prior)
+                      TreeStructure, _full_array, _inverse_set_norms, _is_count,
+                      compute_scaling_prior)
 # eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
                    recover_duals)
@@ -361,29 +362,42 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
 
     Scores are ``sum over entries of weight * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
-    predicts +1 everywhere.  A non-finite score, from a non-finite value in
-    ``data`` or in the model, raises :class:`NumericalError`; a polynomial
-    model on data of a raw width other than ``model.m``, :class:`FormatError`.
+    predicts +1 everywhere.  When ``data.X`` stores every cell, its values
+    already are X as a C-ordered array and the scores are one BLAS
+    matrix-vector product over that view; any other CSR is scored by the
+    sparse product ``X @ v``.  Degree-2 models read their raw columns as
+    :func:`~fgm.worstcase.poly_columns` does.  A non-finite score, from a
+    non-finite value in ``data`` or in the model, raises
+    :class:`NumericalError`; an entry outside ``data``'s features, or a
+    polynomial model on data of a raw width other than ``model.m``,
+    :class:`FormatError`.
     """
+    labels = np.where(_scores(model, data) >= 0, 1, -1)
+    accuracy = float(np.mean(labels == data.y))
+    return labels, accuracy
+
+
+def _scores(model: Model, data: SparseDataset) -> np.ndarray:
+    """The scores that :func:`predict` labels, each checked finite."""
+    # object ids compare as Python ints, so an id of any size is reported, not overflowed
+    ids = np.array([e.id for e in model.entries], dtype=object)
+    weights = np.array([e.weight for e in model.entries], dtype=float)
     if model.mode == "poly":
         if data.m != model.m:
             raise FormatError(
                 f"data has {data.m} raw features but the model's virtual map expects {model.m}")
-        ids = np.asarray([e.id for e in model.entries], dtype=np.intp)
-        weights = np.asarray([e.weight for e in model.entries])
         scores = poly_columns(data, ids, model.gamma, model.r) @ weights
     else:
+        bad = np.flatnonzero((ids < 0) | (ids >= data.m))
+        if bad.size:
+            raise FormatError(f"model feature {ids[bad[0]]} out of range for m={data.m}")
         v = np.zeros(data.m)
-        for e in model.entries:
-            if not 0 <= e.id < data.m:
-                raise FormatError(f"model feature {e.id} out of range for m={data.m}")
-            v[e.id] = e.weight
-        scores = data.X @ v
+        v[ids.astype(np.intp)] = weights
+        full = _full_array(data.X)
+        scores = data.X @ v if full is None else full @ v
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the data or the model holds a non-finite value")
-    labels = np.where(scores >= 0, 1, -1)
-    accuracy = float(np.mean(labels == data.y))
-    return labels, accuracy
+    return scores
 
 
 def evaluate_recovery(model: Model, truth: GroundTruth) -> int:
@@ -460,4 +474,6 @@ def load_model(path: str | Path) -> Model:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return model_from_dict(payload)

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .dataset import SparseDataset, TreeStructure
+from .dataset import SparseDataset, TreeStructure, _full_array
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -186,13 +186,19 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
 
     The degree-2 map of ``k(x, z) = (gamma x'z + r)^2`` sends ``x`` to
     ``[r, sqrt(2 gamma r) x_a, gamma x_a^2, sqrt(2) gamma x_a x_b]``.
+    The raw columns it reads are gathered with ``np.take`` from
+    ``data.dense`` when a fit's view carries it, else from ``X.data`` seen
+    as X's array when the CSR stores every cell (a stored ``-0.0`` then
+    stays ``-0.0``), else extracted from the CSR in one pass.
     """
     if gamma <= 0 or r < 0:
         raise ValueError("need gamma > 0 and r >= 0")
     flat_ids = np.asarray(flat_ids, dtype=np.intp)
     variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
     raw = sorted({a for v in variants for a in v[1:]})
-    dense = data.X[:, np.asarray(raw, dtype=np.intp)].toarray()   # one pass over X
+    ids = np.asarray(raw, dtype=np.intp)
+    full = data.dense if data.dense is not None else _full_array(data.X)
+    dense = data.X[:, ids].toarray() if full is None else np.take(full, ids, axis=1)
     col = dict(zip(raw, dense.T))
     out = np.zeros((data.n, flat_ids.size))
     for pos, variant in enumerate(variants):

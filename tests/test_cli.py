@@ -266,11 +266,13 @@ def test_non_utf8_data_and_groups_files_exit_3(ws, tmp_path):
     data.write_bytes(b"+1 1:0.5\n-1 2:1.5 # caf\xe9\n")
     r = run_cli("train", "--data", data, "--out", tmp_path / "m.json")
     assert r.returncode == 3 and "data error" in r.stderr and "decode byte 0xe9" in r.stderr
+    assert f"data error: {data}: " in r.stderr
     groups = tmp_path / "groups.txt"
     groups.write_bytes(b"g0: 0 1\n\xff\n")
     r = run_cli("train", "--data", ws / "toy.train.libsvm", "--groups", groups,
                 "--out", tmp_path / "m.json")
     assert r.returncode == 3 and "data error" in r.stderr and "decode byte 0xff" in r.stderr
+    assert f"data error: {groups}: " in r.stderr
     assert "Traceback" not in r.stderr and not (tmp_path / "m.json").exists()
 
 

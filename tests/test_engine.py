@@ -494,6 +494,57 @@ def test_predict_out_of_range_entry():
                   entries=[ModelEntry(4, 1.0)])
     with pytest.raises(FormatError, match="out of range"):
         predict(model, data)
+    # the first bad entry in entry order is named, whatever its size
+    for ids, first in (([1, 7, -1, 10 ** 30], 7), ([0, 10 ** 30, -1], 10 ** 30),
+                       ([-1, 5], -1)):
+        model.entries = [ModelEntry(i, 1.0) for i in ids]
+        with pytest.raises(FormatError, match=f"^model feature {first} out of range for m=2$"):
+            predict(model, data)
+
+
+def _every_cell_stored(values: np.ndarray) -> sp.csr_matrix:
+    """CSR of ``values`` that stores every cell, zeros included, in row-major order."""
+    n, m = values.shape
+    return sp.csr_matrix((values.ravel(), np.tile(np.arange(m), n), np.arange(n + 1) * m),
+                         shape=(n, m))
+
+
+@pytest.mark.parametrize("layout", ["every-cell", "sparse", "every-cell-with-zeros"])
+def test_predict_scores_every_layout_like_the_sparse_product(layout):
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((80, 24))
+    if layout == "sparse":
+        values[rng.random(values.shape) < 0.5] = 0.0
+        X = sp.csr_matrix(values)
+    else:
+        if layout == "every-cell-with-zeros":
+            values[3, :4] = [0.0, -0.0, 0.0, -0.0]
+        X = _every_cell_stored(values)
+    data = SparseDataset(X, np.where(values[:, :6].sum(axis=1) >= 0, 1, -1))
+    assert data.X is X and (engine._full_array(X) is None) == (layout == "sparse")
+    cfg = SolverConfig(budget=2, max_outer=3, eps_outer=0.0)
+    groups = GroupStructure([np.arange(i, i + 4) for i in range(0, 24, 4)],
+                            [f"g{i}" for i in range(6)])
+    tree = TreeStructure([np.arange(0, 12), np.arange(12, 24)]
+                         + [np.arange(i, i + 4) for i in range(0, 24, 4)],
+                         np.array([-1, -1, 0, 0, 0, 1, 1, 1]), [f"n{i}" for i in range(8)])
+    empty = Model(mode="plain", stop_reason="max_outer", m=24, units=(), entries=[])
+    for model in (fgm_train(data, cfg), fgm_train(data, cfg, groups),
+                  fgm_train(data, cfg, tree), empty):
+        want = _entry_scores(model, data)
+        np.testing.assert_allclose(engine._scores(model, data), want, rtol=1e-12, atol=0)
+        labels, _ = predict(model, data)
+        np.testing.assert_array_equal(labels, np.where(want >= 0, 1, -1))
+
+
+def test_predict_on_every_cell_stored_still_fails_on_a_non_finite_value():
+    values = np.ones((3, 4))
+    values[1, 2] = np.nan       # under a zero weight: nan * 0 is still nan
+    data = SparseDataset(_every_cell_stored(values), np.array([1, -1, 1]))
+    model = Model(mode="plain", stop_reason="max_outer", m=4, units=(0,),
+                  entries=[ModelEntry(0, 1.0)])
+    with pytest.raises(NumericalError, match="non-finite score"):
+        predict(model, data)
 
 
 def test_predict_poly_model_needs_the_trained_raw_width():

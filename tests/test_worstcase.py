@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import GroupStructure, SparseDataset, TreeStructure
@@ -360,6 +361,23 @@ def test_poly_columns_match_loop_construction():
     full = poly_full_matrix(X, 0.7, 1.3)
     got = poly_columns(data, np.arange(poly_dim(4)), 0.7, 1.3)
     np.testing.assert_allclose(got, full, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("dropped", [0.0, -0.0])
+def test_poly_columns_read_every_layout_alike(dropped):
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal((7, 5))
+    values[2, 3] = dropped
+    y = rng.choice([-1, 1], size=7)
+    every = SparseDataset(sp.csr_matrix((values.ravel(), np.tile(np.arange(5), 7),
+                                         np.arange(8) * 5), shape=(7, 5)), y)
+    view = every.fit_view()             # a copy, as a zero is stored
+    dropped_cell = SparseDataset(values, y)
+    assert every.X.nnz == 35 and view.dense is not None and dropped_cell.X.nnz == 34
+    ids = np.arange(poly_dim(5))
+    want = poly_columns(dropped_cell, ids, 0.7, 1.3)
+    for data in (every, view):
+        np.testing.assert_array_equal(poly_columns(data, ids, 0.7, 1.3), want)
 
 
 @pytest.mark.parametrize("gamma,r,budget,block", [

@@ -12,7 +12,9 @@ the program computes must print the same lines.  Digested are:
   and the dtypes and bytes of the CSR's ``data``, ``indices`` and
   ``indptr`` and of the labels;
 * the saved model of each in-memory workload of ``benchmarks/workloads.py``
-  at seeds 0, 1 and 2, trained at full size;
+  at seeds 0, 1 and 2, trained at full size, and the labels that
+  ``engine.predict`` gives with it on the workload's test set (lines
+  labelled ``predicted labels``, over one signed byte per label);
 * group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
   8 features under the ``ones`` and ``inverse_norm`` policies and under
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
@@ -134,6 +136,8 @@ def model_digests(work: Path):
             path = work / f"{name}-{seed}.json"
             engine.save_model(model, path)
             yield from _model_digests(f"{name} seed {seed} model", path)
+            labels, _ = engine.predict(model, inputs["test"])
+            yield f"{name} seed {seed} predicted labels", _digest(labels.astype(np.int8).tobytes())
 
 
 def group_digests(work: Path):
