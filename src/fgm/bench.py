@@ -126,7 +126,7 @@ def setting_id(spec: dict) -> str:
         return str(spec["id"])
     name = spec["name"]
     if name == "fgm":
-        sid = f"fgm-B{spec.get('budget', 10)}"
+        sid = f"fgm-B{spec.get('budget', SolverConfig.budget)}"
         if "target_support" in spec:
             sid += f"-s{spec['target_support']}"
         return sid
@@ -154,10 +154,7 @@ def _data_for_seed(data_spec: dict, seed: int):
 
 
 def _solver_config(spec: dict) -> SolverConfig:
-    base = SolverConfig(budget=int(spec.get("budget", 10)))
-    overrides = {f.name: spec[f.name] for f in fields(SolverConfig)
-                 if f.name in spec and f.name != "budget"}
-    return replace(base, **overrides)
+    return SolverConfig(**{f.name: spec[f.name] for f in fields(SolverConfig) if f.name in spec})
 
 
 def fgm_target_support(train: SparseDataset, cfg: SolverConfig, target: int) -> Model:
@@ -204,6 +201,8 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
         started = time.perf_counter()
         budget = ""
         outer = ""
+        # the solver settings an entry sets; the rest keep the library's defaults
+        solve = {key: spec[key] for key in ("eps", "max_iter") if key in spec}
         if name == "fgm":
             cfg = _solver_config(spec)
             if "target_support" in spec:
@@ -213,20 +212,17 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
             budget, outer = cfg.budget, model.n_outer
         elif name == "l1":
             kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C", 1.0)))
-            eps = float(spec.get("eps", 1e-7))
-            max_iter = int(spec.get("max_iter", 2000))
             if "target_support" in spec:
+                tol = {"tol": spec["tol"]} if "tol" in spec else {}
                 swept = sweep_to_support(train, kind, [int(spec["target_support"])],
-                                         tol=float(spec.get("tol", 0.05)),
-                                         eps=eps, max_iter=max_iter)
+                                         **tol, **solve)
                 sol = swept[int(spec["target_support"])].weights
             else:
-                sol = l1_prox_train(train, kind, float(spec["reg"]), eps=eps, max_iter=max_iter)
+                sol = l1_prox_train(train, kind, float(spec["reg"]), **solve)
             model = dense_to_model(sol, train, kind, "l1")
         elif name == "l2-full":
             kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C", 10.0)))
-            sol = l2_full_train(train, kind, eps=float(spec.get("eps", 1e-6)),
-                                max_iter=int(spec.get("max_iter", 1000)))
+            sol = l2_full_train(train, kind, **solve)
             model = dense_to_model(sol, train, kind, "l2-full")
         else:  # fgm-debias / l1-debias
             base = base_models[str(spec["base"])]

@@ -245,16 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True, help="sparse text training file")
     tr.add_argument("--dim", type=int, default=None, help="force feature dimension")
     tr.add_argument("--out", required=True, help="model JSON path")
-    tr.add_argument("--budget", type=int, default=10, help="units added per round")
-    tr.add_argument("--C", type=float, default=10.0, help="loss weight")
-    tr.add_argument("--loss", choices=sorted(_LOSS_NAMES), default="squared-hinge")
-    tr.add_argument("--lambda-policy", choices=sorted(_LAMBDA_NAMES), default="ones")
-    tr.add_argument("--eps-apg", type=float, default=1e-4,
+    tr.add_argument("--budget", type=int, default=SolverConfig.budget,
+                    help="units added per round")
+    tr.add_argument("--C", type=float, default=SolverConfig.C, help="loss weight")
+    tr.add_argument("--loss", choices=sorted(_LOSS_NAMES),
+                    default=SolverConfig.loss.replace("_", "-"))
+    tr.add_argument("--lambda-policy", choices=sorted(_LAMBDA_NAMES),
+                    default=SolverConfig.lambda_policy.replace("_", "-"))
+    tr.add_argument("--eps-apg", type=float, default=SolverConfig.eps_apg,
                     help="inner relative-improvement tolerance")
-    tr.add_argument("--eps-outer", type=float, default=1e-2,
+    tr.add_argument("--eps-outer", type=float, default=SolverConfig.eps_outer,
                     help="outer relative-improvement tolerance")
-    tr.add_argument("--max-outer", type=int, default=15)
-    tr.add_argument("--max-inner", type=int, default=1000)
+    tr.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    tr.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
     tr.add_argument("--trace", default=None, help="per-round CSV trace path")
     kind = tr.add_mutually_exclusive_group()
     kind.add_argument("--groups", default=None, help="disjoint group file")

@@ -51,9 +51,9 @@ class SparseDataset:
     canonical float64 CSR is kept as given, sharing memory with the
     caller's; any other sparse input is converted or copied, never changed.
     An array (0-D and 1-D ones become one row) is converted in one pass
-    into a new CSR that shares no memory with it.
-    ``dense`` is None except on a :meth:`fit_view`, where it may hold X as
-    an array for the BLAS kernels.
+    into a new CSR that shares no memory with it.  Every kernel reads X
+    through :attr:`design`, which alone picks how: a fit view's array copy,
+    else X's own view, else the CSR.  Only a :meth:`fit_view` sets ``dense``.
     """
 
     X: sp.csr_matrix
@@ -67,12 +67,13 @@ class SparseDataset:
         if not self.X.has_canonical_format:
             self.X = self.X.copy()
             self.X.sum_duplicates()    # also sorts the indices
-        self.y = np.asarray(self.y, dtype=int)
-        if self.y.ndim != 1 or self.y.size != self.X.shape[0]:
+        y = np.asarray(self.y)
+        if y.ndim != 1 or y.size != self.X.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")
-        bad = np.setdiff1d(np.unique(self.y), [-1, 1])
+        bad = np.setdiff1d(np.unique(y), [-1, 1])
         if bad.size:
             raise ValueError(f"labels must be -1/+1, found {bad.tolist()}")
+        self.y = np.asarray(y, dtype=int)
 
     @property
     def n(self) -> int:
@@ -84,8 +85,12 @@ class SparseDataset:
 
     @property
     def design(self):
-        """X as the fit kernels read it: ``dense`` when this view carries it, else the CSR."""
-        return self.X if self.dense is None else self.dense
+        """X as the kernels read it: ``dense``, else X's own view (:func:`_full_array`), else X.
+
+        X's own view reads stored values as stored: a stored ``-0.0`` stays ``-0.0``.
+        """
+        full = self.dense if self.dense is not None else _full_array(self.X)
+        return self.X if full is None else full
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of every feature column, shape ``(m,)``."""
@@ -94,38 +99,38 @@ class SparseDataset:
     def fit_view(self) -> "SparseDataset":
         """Shallow copy that also carries ``dense``, X as a C-ordered array.
 
-        A canonical CSR storing every cell, none zero, is that array in
-        row-major order: ``dense`` is then the read-only view of ``X.data``
-        that :func:`_full_array` gives (a stored zero is copied, as
-        ``toarray`` turns ``-0.0`` into ``+0.0``).
-        Otherwise the array is built only when it takes no more memory than
-        the CSR values and indices it mirrors (density at least 2/3 with
-        32-bit indices), else ``dense`` stays None and every kernel reads the
-        CSR.  Training builds one view per fit and drops it on return; a
-        view that carries an array is its own view, so a caller that fits
-        many times (a regularization path) builds the array once.
+        When X stores every cell, ``dense`` is the view :attr:`design` reads
+        anyway: no scan and no copy.  Otherwise the array is copied only when
+        it takes no more memory than the CSR values and indices it mirrors
+        (density at least 2/3 with 32-bit indices), else ``dense`` stays None
+        and every kernel reads the CSR.  Training builds one view per fit and
+        drops it on return; a view that carries an array is its own view, so
+        a caller that fits many times (a regularization path) builds it once.
         """
         if self.dense is not None:
             return self
         view = copy.copy(self)
-        full = _full_array(self.X)
-        if full is not None and full.all():
-            view.dense = full
-        elif self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
+        view.dense = _full_array(self.X)
+        if view.dense is None and self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
             view.dense = self.X.toarray()
         return view
 
     def dense_columns(self, ids: np.ndarray) -> np.ndarray:
-        """Extract columns ``ids`` as a dense ``(n, len(ids))`` matrix.
+        """Extract columns ``ids`` (repeats allowed) as a dense ``(n, len(ids))`` matrix.
 
-        Both layouts copy the stored values, so the result is the same to the bit.
+        Reads :attr:`design` and copies the stored values, so a view gives the same bits.
         """
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.m):
             raise ValueError("feature index out of range")
-        if self.dense is not None:
-            return np.take(self.dense, ids, axis=1)
-        return np.asarray(self.X[:, ids].todense())
+        return _columns(self.design, ids)
+
+
+def _columns(design, ids: np.ndarray) -> np.ndarray:
+    """Columns ``ids`` of a :attr:`SparseDataset.design` as a C-ordered array, values copied."""
+    if sp.issparse(design):
+        return np.asarray(design[:, ids].todense())
+    return np.take(design, ids, axis=1)
 
 
 def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
@@ -153,9 +158,9 @@ def _column_sq_sums(data: SparseDataset) -> np.ndarray:
     The CSR route squares and adds ``_SQ_CHUNK`` values at a time, so besides
     the result it holds one chunk of squares, not a copy of every value.
     """
-    if data.dense is not None:
-        return np.einsum("ij,ij->j", data.dense, data.dense)
-    X, out = data.X, np.zeros(data.m)
+    if not sp.issparse(X := data.design):
+        return np.einsum("ij,ij->j", X, X)
+    out = np.zeros(data.m)
     for lo in range(0, X.nnz, _SQ_CHUNK):
         values = X.data[lo:lo + _SQ_CHUNK]
         np.add.at(out, X.indices[lo:lo + _SQ_CHUNK], values * values)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                      TreeStructure, _full_array, _inverse_set_norms, _is_count,
+                      TreeStructure, _inverse_set_norms, _is_count,
                       compute_scaling_prior)
 # eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
@@ -168,9 +168,8 @@ def _set_columns(data: SparseDataset, sets: list[np.ndarray], lams: np.ndarray):
     def columns(ids: np.ndarray):
         feats = np.concatenate([sets[unit] for unit in ids])
         scales = lams[np.repeat(ids, [sets[unit].size for unit in ids])]
-        distinct, where = np.unique(feats, return_inverse=True)
-        # one pass over X for the distinct features, then one column per (unit, feature)
-        return np.take(data.dense_columns(distinct), where, axis=1) * scales, feats, scales
+        # one pass over X, one column per (unit, feature): nested units repeat features
+        return data.dense_columns(feats) * scales, feats, scales
     return columns
 
 
@@ -268,11 +267,10 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     :func:`eval_bounds` value, taken once the new (worst-case) block is cached.
     Data with no feature raises :class:`FormatError`, and data holding a
     non-finite value :class:`NumericalError` for outer iteration 1, before
-    any search.  Data dense enough that an array of X takes no more memory
-    than its CSR are trained on that array (a view of the CSR values when
-    X stores every cell and no zero, else a per-fit copy;
-    :meth:`SparseDataset.fit_view`): the search and the column extraction
-    run through BLAS, and ``inverse_norm`` scales read it; ``data`` is unchanged.
+    any search.  Every kernel reads a fit view's :attr:`~SparseDataset.design`:
+    a per-fit array copy when it takes no more memory than the CSR, else X's
+    own view when X stores every cell (stored values as stored), else the
+    CSR (:meth:`SparseDataset.fit_view`); ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
@@ -362,12 +360,11 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
 
     Scores are ``sum over entries of weight * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
-    predicts +1 everywhere.  When ``data.X`` stores every cell, its values
-    already are X as a C-ordered array and the scores are one BLAS
-    matrix-vector product over that view; any other CSR is scored by the
-    sparse product ``X @ v``.  Degree-2 models read their raw columns as
-    :func:`~fgm.worstcase.poly_columns` does.  A non-finite score, from a
-    non-finite value in ``data`` or in the model, raises
+    predicts +1 everywhere.  The scores are ``data.design @ v``: one BLAS
+    product over X's own view when X stores every cell (stored values as
+    stored), else the sparse product; degree-2 models read their raw columns
+    by the same rule (:func:`~fgm.worstcase.poly_columns`).  A non-finite
+    score, from a non-finite value in ``data`` or in the model, raises
     :class:`NumericalError`; an entry outside ``data``'s features, or a
     polynomial model on data of a raw width other than ``model.m``,
     :class:`FormatError`.
@@ -393,8 +390,7 @@ def _scores(model: Model, data: SparseDataset) -> np.ndarray:
             raise FormatError(f"model feature {ids[bad[0]]} out of range for m={data.m}")
         v = np.zeros(data.m)
         v[ids.astype(np.intp)] = weights
-        full = _full_array(data.X)
-        scores = data.X @ v if full is None else full @ v
+        scores = data.design @ v
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite score: the data or the model holds a non-finite value")
     return scores
@@ -436,6 +432,8 @@ def model_from_dict(payload: dict) -> Model:
         version = payload["format_version"]
         if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
             raise FormatError(f"unsupported model format version {version!r}")
+        if payload["mode"] not in ("plain", "group", "tree", "poly"):
+            raise FormatError(f"unknown model mode {payload['mode']!r}")
         # a version-1 entry kept its scale apart, and prediction multiplied the two
         entries = [ModelEntry(int(e["id"]),
                               float(e["weight"]) * (float(e["lambda"]) if version == 1 else 1.0))

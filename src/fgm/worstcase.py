@@ -21,13 +21,12 @@ survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
 scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over the
 concatenated member lists and sums each set with ``np.add.reduceat``.
 
-Each kernel reads ``data.dense`` when a fit's view carries one
-(:meth:`SparseDataset.fit_view`): omega is then one dense matrix-vector
-product and the degree-2 cross products one matrix product per anchor
-block.  Otherwise it reads the CSR, the only layout that fits sparse
-ultrahigh-dimensional data, and never copies X squared.  The dense path
-adds no memory beyond that array: a view of the CSR values when X stores
-every cell, otherwise at most the size of the CSR it mirrors.
+Each kernel reads :attr:`SparseDataset.design`: a fit view's array copy,
+else X's own row-major view when X stores every cell (stored values as
+stored), else the CSR.  On an array omega is one matrix-vector product and
+the degree-2 cross products one matrix product per anchor block.  The CSR,
+the only layout that fits sparse ultrahigh-dimensional data, is never
+copied squared; an array is X's own values or at most the CSR's size.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -38,7 +37,7 @@ import math
 
 import numpy as np
 
-from .dataset import SparseDataset, TreeStructure, _full_array
+from .dataset import SparseDataset, TreeStructure, _columns
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -186,10 +185,8 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
 
     The degree-2 map of ``k(x, z) = (gamma x'z + r)^2`` sends ``x`` to
     ``[r, sqrt(2 gamma r) x_a, gamma x_a^2, sqrt(2) gamma x_a x_b]``.
-    The raw columns it reads are gathered with ``np.take`` from
-    ``data.dense`` when a fit's view carries it, else from ``X.data`` seen
-    as X's array when the CSR stores every cell (a stored ``-0.0`` then
-    stays ``-0.0``), else extracted from the CSR in one pass.
+    The raw columns it reads are gathered in one pass from
+    :attr:`SparseDataset.design` (a stored ``-0.0`` stays ``-0.0`` on X's own view).
     """
     if gamma <= 0 or r < 0:
         raise ValueError("need gamma > 0 and r >= 0")
@@ -197,9 +194,7 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
     raw = sorted({a for v in variants for a in v[1:]})
     ids = np.asarray(raw, dtype=np.intp)
-    full = data.dense if data.dense is not None else _full_array(data.X)
-    dense = data.X[:, ids].toarray() if full is None else np.take(full, ids, axis=1)
-    col = dict(zip(raw, dense.T))
+    col = dict(zip(raw, _columns(data.design, ids).T))
     out = np.zeros((data.n, flat_ids.size))
     for pos, variant in enumerate(variants):
         if variant[0] == "const":
@@ -220,7 +215,7 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``.  Interaction terms are
     scanned blockwise over the anchor feature: for a block of anchors
-    ``A``, one product (sparse, or a BLAS matrix product on a dense view)
+    ``A``, one product (sparse, or BLAS on an array :attr:`~SparseDataset.design`)
     gives the ``sum_i z_i x_ia x_ib`` values for every partner ``b > a``,
     and the block's cross scores are merged with the running best ``B`` as
     arrays, so peak memory besides the data and its dense view is
@@ -235,9 +230,9 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     z = alpha * data.y
     m = data.m
 
-    D = data.dense
+    D = data.design
     lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)     # (m,)
-    if D is None:
+    if D is data.X:
         rows = np.repeat(np.arange(data.n), np.diff(data.X.indptr))
         sq = gamma * np.bincount(data.X.indices, data.X.data * data.X.data * z[rows], m)
         XT = data.X.T.tocsr()                                # row a is raw feature a
@@ -250,7 +245,7 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     for start in range(0, m - 1, block):
         stop = min(start + block, m - 1)                     # anchors with a partner b > a
         # rows b = start+1 .. m-1, one column per anchor a: sum_i z_i x_ia x_ib
-        if D is None:
+        if D is data.X:
             G = XT[start + 1:] @ (XT[start:stop].toarray().T * z[:, None])
         else:
             G = D[:, start + 1:].T @ (D[:, start:stop] * z[:, None])

@@ -339,6 +339,18 @@ def test_predict_reads_a_version_1_model_and_refuses_version_3(ws, tmp_path):
         assert r.returncode == 3 and f"unsupported model format version {version}" in r.stderr
 
 
+def test_predict_refuses_a_model_of_unknown_mode(tmp_path):
+    data = tmp_path / "d.libsvm"
+    write_libsvm(generate_synthetic(30, 8, 2, seed=0)[0], data)
+    model = tmp_path / "poly.model.json"
+    assert cli.main(["train", "--data", str(data), "--out", str(model), "--poly",
+                     "--budget", "4", "--max-outer", "2"]) == 0
+    payload = json.loads(model.read_text())
+    model.write_text(json.dumps({**payload, "mode": "Poly"}))
+    r = run_cli("predict", "--model", model, "--data", data, "--out", tmp_path / "p.json")
+    assert r.returncode == 3 and "fgm: data error: unknown model mode 'Poly'" in r.stderr
+
+
 def test_index_beyond_the_integer_range_exits_3(tmp_path):
     huge = tmp_path / "huge.libsvm"
     huge.write_text("-1 1:0.5\n+1 99999999999999999999:1.0\n")

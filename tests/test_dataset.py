@@ -41,6 +41,17 @@ def test_dataset_rejects_bad_labels():
         SparseDataset(X, np.array([1, -1, 1]))
 
 
+@pytest.mark.parametrize("labels, found", [([1.5, -1.0], "[1.5]"), ([0.9, -1.0], "[0.9]"),
+                                           ([1.0, np.nan], "[nan]"), ([-1.0, 1.0], None)])
+def test_dataset_checks_labels_as_given_before_storing_them_as_integers(labels, found):
+    if found is None:
+        assert SparseDataset(np.eye(2), labels).y.tolist() == [-1, 1]
+        return
+    with pytest.raises(ValueError) as exc:
+        SparseDataset(np.eye(2), labels)
+    assert str(exc.value) == f"labels must be -1/+1, found {found}"
+
+
 def test_dataset_canonicalizes_a_copy_and_shares_a_canonical_csr():
     # row 0 holds column 2 before column 0, and column 0 twice in row 1
     X = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 0, 0, 0]),
@@ -190,31 +201,23 @@ def _fully_stored(values, indices_dtype=np.int32):
 
 
 def test_fit_view_of_a_fully_stored_csr_is_a_read_only_view_of_its_values():
-    rng = np.random.default_rng(4)
-    data = SparseDataset(_fully_stored(rng.standard_normal((5, 6))),
-                         np.array([1, -1, 1, 1, -1]))
-    assert data.X.nnz == 30 and data.X.has_canonical_format
-    view = data.fit_view()
-    assert np.shares_memory(view.dense, data.X.data)
-    assert view.dense.tobytes() == data.X.toarray().tobytes()
-    assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
-    assert not view.dense.flags.writeable and data.X.data.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        view.dense[0, 0] = 1.0
-    assert data.dense is None and view.X is data.X
-
-
-@pytest.mark.parametrize("zero", [-0.0, 0.0])
-def test_fit_view_copies_a_fully_stored_csr_holding_a_zero(zero):
-    # toarray() turns a stored -0.0 into +0.0; a view would keep the sign
-    values = np.arange(1.0, 13.0).reshape(3, 4)
-    values[1, 2] = zero
-    data = SparseDataset(_fully_stored(values), np.array([1, -1, 1]))
-    assert data.X.nnz == 12
-    view = data.fit_view()
-    assert not np.shares_memory(view.dense, data.X.data) and view.dense.flags.writeable
-    assert view.dense.tobytes() == data.X.toarray().tobytes()
-    assert not np.signbit(view.dense[1, 2])
+    # stored zeros are read as stored: the view is not copied and keeps the sign of -0.0
+    for zeros in ((), (0.0,), (-0.0,), (-0.0, 0.0, -0.0)):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((5, 6))
+        values[1, 2:2 + len(zeros)] = zeros
+        data = SparseDataset(_fully_stored(values), np.array([1, -1, 1, 1, -1]))
+        assert data.X.nnz == 30 and data.X.has_canonical_format
+        view = data.fit_view()
+        assert np.shares_memory(view.dense, data.X.data)
+        assert view.dense.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(view.dense, data.X.toarray())
+        assert np.signbit(view.dense[1, 2:2 + len(zeros)]).tolist() == np.signbit(zeros).tolist()
+        assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
+        assert not view.dense.flags.writeable and data.X.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view.dense[0, 0] = 1.0
+        assert data.dense is None and view.X is data.X
 
 
 def _sq_sums_inputs():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fgm.dataset as dataset
 import fgm.engine as engine
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
                          TreeStructure, compute_scaling_prior, generate_synthetic)
@@ -521,7 +522,7 @@ def test_predict_scores_every_layout_like_the_sparse_product(layout):
             values[3, :4] = [0.0, -0.0, 0.0, -0.0]
         X = _every_cell_stored(values)
     data = SparseDataset(X, np.where(values[:, :6].sum(axis=1) >= 0, 1, -1))
-    assert data.X is X and (engine._full_array(X) is None) == (layout == "sparse")
+    assert data.X is X and (dataset._full_array(X) is None) == (layout == "sparse")
     cfg = SolverConfig(budget=2, max_outer=3, eps_outer=0.0)
     groups = GroupStructure([np.arange(i, i + 4) for i in range(0, 24, 4)],
                             [f"g{i}" for i in range(6)])
@@ -655,6 +656,18 @@ def test_load_model_rejects_a_corrupt_poly_model(edit):
     edit(payload)
     with pytest.raises(FormatError):
         model_from_dict(payload)
+
+
+@pytest.mark.parametrize("mode", ["Poly", "", "l1", None, ["poly"]])
+def test_load_model_rejects_an_unknown_mode(mode):
+    # predict would score a poly model of any other mode as raw features
+    data, _ = _small_problem(seed=12, n=30, m=6)
+    payload = model_to_dict(fgm_train(data, SolverConfig(budget=3, max_outer=2), PolyMap()))
+    assert max(e["id"] for e in payload["entries"]) >= data.m
+    payload["mode"] = mode
+    with pytest.raises(FormatError) as exc:
+        model_from_dict(payload)
+    assert str(exc.value) == f"unknown model mode {mode!r}"
 
 
 def test_eval_bounds_requires_constraints():

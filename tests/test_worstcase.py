@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fgm.dataset import GroupStructure, SparseDataset, TreeStructure
+from fgm.dataset import GroupStructure, SparseDataset, TreeStructure, compute_scaling_prior
 from fgm.worstcase import (_set_scores, poly_columns, poly_dim, poly_flat, poly_variant,
                            score_features, score_polynomial_streamed, score_tree_pruned,
                            select_top_b)
@@ -371,13 +371,41 @@ def test_poly_columns_read_every_layout_alike(dropped):
     y = rng.choice([-1, 1], size=7)
     every = SparseDataset(sp.csr_matrix((values.ravel(), np.tile(np.arange(5), 7),
                                          np.arange(8) * 5), shape=(7, 5)), y)
-    view = every.fit_view()             # a copy, as a zero is stored
+    view = every.fit_view()             # X's own view, the stored zero included
     dropped_cell = SparseDataset(values, y)
     assert every.X.nnz == 35 and view.dense is not None and dropped_cell.X.nnz == 34
     ids = np.arange(poly_dim(5))
     want = poly_columns(dropped_cell, ids, 0.7, 1.3)
     for data in (every, view):
         np.testing.assert_array_equal(poly_columns(data, ids, 0.7, 1.3), want)
+
+
+@pytest.mark.parametrize("zeros", ["none", "signed-zeros"])
+def test_fully_stored_data_reads_the_same_bytes_with_and_without_a_fit_view(zeros):
+    rng = np.random.default_rng(25)
+    values = rng.standard_normal((30, 12))
+    if zeros == "signed-zeros":
+        cells = rng.random(values.shape) < 0.1
+        values[cells] = np.where(rng.random(int(cells.sum())) < 0.5, 0.0, -0.0)
+        values[:, 7] = -0.0
+    n, m = values.shape
+    X = sp.csr_matrix((values.ravel(), np.tile(np.arange(m), n), np.arange(n + 1) * m),
+                      shape=(n, m))
+    data = SparseDataset(X, np.where(values[:, :3].sum(axis=1) >= 0, 1, -1))
+    view = data.fit_view()
+    assert data.X.nnz == n * m and data.dense is None and view.dense is not None
+    alpha, lam = rng.random(n), rng.random(m)
+    ids, flat = np.array([7, 0, 3, 3, 11, 7]), np.arange(poly_dim(m))
+    for got, want in (
+            (view.dense_columns(ids), data.dense_columns(ids)),
+            (poly_columns(view, flat, 0.7, 1.3), poly_columns(data, flat, 0.7, 1.3)),
+            (score_features(alpha, view, lam), score_features(alpha, data, lam)),
+            (compute_scaling_prior(view, "inverse_norm"),
+             compute_scaling_prior(data, "inverse_norm"))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for block in (1, 5, 64):
+        assert (score_polynomial_streamed(alpha, view, 0.7, 1.3, 9, block)
+                == score_polynomial_streamed(alpha, data, 0.7, 1.3, 9, block))
 
 
 @pytest.mark.parametrize("gamma,r,budget,block", [

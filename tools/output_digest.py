@@ -18,6 +18,12 @@ the program computes must print the same lines.  Digested are:
 * group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
   8 features under the ``ones`` and ``inverse_norm`` policies and under
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
+* models trained on a small X that stores every cell and holds stored
+  ``0.0`` and ``-0.0`` cells (5% of the cells, and one column all ``-0.0``),
+  the case where how X is read (its own row-major view or a copy) could
+  show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
+  and the degree-2 map, each with the labels it predicts on a test set
+  that stores zeros alike;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
   file of ``fgm generate``, the datasets that ``load_libsvm`` reads back
   from the two libsvm files (lines labelled ``loaded``), the model of
@@ -63,7 +69,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
-from fgm import GroupStructure, generate_synthetic, generate_test_set, load_libsvm  # noqa: E402
+from fgm import (GroupStructure, PolyMap, SolverConfig, generate_synthetic,  # noqa: E402
+                 generate_test_set, load_libsvm)
 from workloads import WORKLOADS, CliFiles  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -159,6 +166,40 @@ def group_digests(work: Path):
             yield from _model_digests(f"{workload.name} groups {setting} seed {seed} model", path)
 
 
+def _store_signed_zeros(data, rng):
+    """Store ``0.0`` or ``-0.0`` in 5% of the cells of a fully stored X, and ``-0.0`` in column 5."""
+    values = data.X.data.reshape(data.X.shape)
+    cells = rng.random(values.shape) < 0.05
+    values[cells] = np.where(rng.random(int(cells.sum())) < 0.5, 0.0, -0.0)
+    values[:, 5] = -0.0
+    assert data.X.nnz == values.size
+    return data
+
+
+def stored_zero_digests(work: Path):
+    rng = np.random.default_rng(11)
+    train, truth = generate_synthetic(200, 64, 8, seed=3)
+    train = _store_signed_zeros(train, rng)
+    test = _store_signed_zeros(generate_test_set(truth, 200, seed=3), rng)
+    cfg = SolverConfig(budget=4, max_outer=6, eps_outer=0.0)
+    groups = GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(16)],
+                            [f"g{g}" for g in range(16)])
+    settings = {
+        "plain ones": (None, cfg),
+        "plain inverse_norm": (None, replace(cfg, lambda_policy="inverse_norm")),
+        "groups": (groups, cfg),
+        "poly": (PolyMap(), cfg),
+    }
+    for setting, (structure, cfg) in settings.items():
+        model = engine.fgm_train(train, cfg, structure)
+        path = work / f"stored-zeros-{setting.replace(' ', '-')}.json"
+        engine.save_model(model, path)
+        label = f"stored zeros {setting}"
+        yield from _model_digests(f"{label} model", path)
+        labels, _ = engine.predict(model, test)
+        yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
+
+
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     prefix = work / "data"
     model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
@@ -216,6 +257,7 @@ def main() -> int:
         lines = list(dataset_digests())
         lines += model_digests(work)
         lines += group_digests(work)
+        lines += stored_zero_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += one_pair_digest(work)
         lines += bench_digests(work)
