@@ -200,24 +200,34 @@ def _fully_stored(values, indices_dtype=np.int32):
     return sp.csr_matrix((values.ravel(), indices, indptr), shape=(n, m))
 
 
+def _assert_fit_view_is_a_read_only_view_of(values):
+    data = SparseDataset(_fully_stored(values), np.array([1, -1, 1, 1, -1]))
+    assert data.X.nnz == 30 and data.X.has_canonical_format
+    view = data.fit_view()
+    assert np.shares_memory(view.dense, data.X.data)
+    assert view.dense.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(view.dense, data.X.toarray())
+    assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
+    assert not view.dense.flags.writeable and data.X.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view.dense[0, 0] = 1.0
+    assert data.dense is None and view.X is data.X
+    return view
+
+
 def test_fit_view_of_a_fully_stored_csr_is_a_read_only_view_of_its_values():
-    # stored zeros are read as stored: the view is not copied and keeps the sign of -0.0
-    for zeros in ((), (0.0,), (-0.0,), (-0.0, 0.0, -0.0)):
-        rng = np.random.default_rng(4)
-        values = rng.standard_normal((5, 6))
-        values[1, 2:2 + len(zeros)] = zeros
-        data = SparseDataset(_fully_stored(values), np.array([1, -1, 1, 1, -1]))
-        assert data.X.nnz == 30 and data.X.has_canonical_format
-        view = data.fit_view()
-        assert np.shares_memory(view.dense, data.X.data)
-        assert view.dense.tobytes() == values.tobytes()
-        np.testing.assert_array_equal(view.dense, data.X.toarray())
-        assert np.signbit(view.dense[1, 2:2 + len(zeros)]).tolist() == np.signbit(zeros).tolist()
-        assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
-        assert not view.dense.flags.writeable and data.X.data.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            view.dense[0, 0] = 1.0
-        assert data.dense is None and view.X is data.X
+    _assert_fit_view_is_a_read_only_view_of(np.random.default_rng(4).standard_normal((5, 6)))
+
+
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+def test_fit_view_reads_the_stored_zeros_of_a_fully_stored_csr_as_stored(zero):
+    # the view is not copied, so it keeps the sign of each stored zero (toarray() would not)
+    values = np.random.default_rng(4).standard_normal((5, 6))
+    values[1, 2] = zero
+    values[3, 1:4] = (-zero, zero, -zero)
+    view = _assert_fit_view_is_a_read_only_view_of(values)
+    assert np.signbit(view.dense[1, 2]) == np.signbit(zero)
+    assert np.signbit(view.dense[3, 1:4]).tolist() == np.signbit([-zero, zero, -zero]).tolist()
 
 
 def _sq_sums_inputs():
