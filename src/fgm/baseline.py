@@ -106,7 +106,7 @@ def retrain_unbiased(data: SparseDataset, support, kind: LossKind | None = None,
     if support[0] < 0 or support[-1] >= data.m:
         raise ValueError("support index out of range")
     if kind is None:
-        kind = LossKind("squared_hinge", 20.0)
+        kind = LossKind(C=20.0)
     M = data.dense_columns(support)
     sol = _l2_solve(M, data.y.astype(float), support.size, kind, eps, max_iter)
     entries = [ModelEntry(int(j), float(sol.weights[i])) for i, j in enumerate(support)]

@@ -157,6 +157,14 @@ def _solver_config(spec: dict) -> SolverConfig:
     return SolverConfig(**{f.name: spec[f.name] for f in fields(SolverConfig) if f.name in spec})
 
 
+def _loss_kind(spec: dict, c_key: str = "C", **defaults) -> LossKind:
+    """The loss an entry sets by its ``loss`` and ``c_key`` keys; the rest keep ``defaults``."""
+    given = {"kind": spec["loss"]} if "loss" in spec else {}
+    if c_key in spec:
+        given["C"] = float(spec[c_key])
+    return LossKind(**{**defaults, **given})
+
+
 def fgm_target_support(train: SparseDataset, cfg: SolverConfig, target: int) -> Model:
     """Steer the selection loop to a support size near ``target``.
 
@@ -211,7 +219,7 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
                 model = fgm_train(train, cfg)
             budget, outer = cfg.budget, model.n_outer
         elif name == "l1":
-            kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C", 1.0)))
+            kind = _loss_kind(spec, C=1.0)
             if "target_support" in spec:
                 tol = {"tol": spec["tol"]} if "tol" in spec else {}
                 swept = sweep_to_support(train, kind, [int(spec["target_support"])],
@@ -221,12 +229,12 @@ def run_seed(config: dict, seed: int, models_dir: Path) -> list[dict]:
                 sol = l1_prox_train(train, kind, float(spec["reg"]), **solve)
             model = dense_to_model(sol, train, kind, "l1")
         elif name == "l2-full":
-            kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C", 10.0)))
+            kind = _loss_kind(spec)
             sol = l2_full_train(train, kind, **solve)
             model = dense_to_model(sol, train, kind, "l2-full")
         else:  # fgm-debias / l1-debias
             base = base_models[str(spec["base"])]
-            kind = LossKind(spec.get("loss", "squared_hinge"), float(spec.get("C_debias", 20.0)))
+            kind = _loss_kind(spec, "C_debias", C=20.0)
             model = retrain_unbiased(train, base.feature_ids(), kind)
         seconds = time.perf_counter() - started
         base_models[sid] = model

@@ -210,7 +210,8 @@ class TreeStructure:
     holds the parent node id, or -1 for roots.  Sibling sets are disjoint and
     every child set is contained in its parent's set, so any two node sets
     are either nested or disjoint.  ``lambdas`` holds one scale per node:
-    all ones unless given, with ``lambdas_given`` telling the two apart.
+    all ones unless given (given scales must be finite and non-negative),
+    with ``lambdas_given`` telling the two apart.
     """
 
     sets: list[np.ndarray]
@@ -250,6 +251,8 @@ class TreeStructure:
         self._check_laminar(node, feat)
         self._assert_acyclic()
         self._set_lambdas(self.lambdas)
+        if not np.isfinite(self.lambdas).all():
+            raise ValueError(f"per-{self._noun} lambdas must be finite")
 
     def _check_laminar(self, node: np.ndarray, feat: np.ndarray) -> None:
         """Every child set lies in its parent's; sibling sets (roots too) are disjoint.
@@ -497,8 +500,8 @@ def _parse_lambda_suffix(body: str, where: str) -> tuple[str, float | None]:
             lam = float(suffix[len("lambda="):])
         except ValueError:
             raise FormatError(f"{where}: invalid lambda value") from None
-        if lam < 0:
-            raise FormatError(f"{where}: lambda must be non-negative")
+        if not 0 <= lam < np.inf:
+            raise FormatError(f"{where}: lambda must be a finite non-negative number")
     return body, lam
 
 

@@ -158,19 +158,11 @@ class _Units:
 
     mode: str
     propose: Callable[[np.ndarray, int], tuple]         # (alpha, budget) -> worst set's sorted ids
-    columns: Callable[[np.ndarray], tuple]              # ids -> (columns, features, scales)
+    members: Callable[[np.ndarray], tuple]              # ids -> (feature, scale) per cached column
+    gather: Callable[[np.ndarray], np.ndarray]          # features -> their unscaled columns
     sets: list[np.ndarray] | None = None    # each group's or node's features
     gamma: float | None = None              # the poly map's, recorded in the model
     r: float | None = None
-
-
-def _set_columns(data: SparseDataset, sets: list[np.ndarray], lams: np.ndarray):
-    def columns(ids: np.ndarray):
-        feats = np.concatenate([sets[unit] for unit in ids])
-        scales = lams[np.repeat(ids, [sets[unit].size for unit in ids])]
-        # one pass over X, one column per (unit, feature): nested units repeat features
-        return data.dense_columns(feats) * scales, feats, scales
-    return columns
 
 
 def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
@@ -179,14 +171,18 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
         lam = compute_scaling_prior(data, cfg.lambda_policy)
         return _Units(
             "plain", lambda alpha, budget: select_top_b(score_features(alpha, data, lam), budget),
-            lambda ids: (data.dense_columns(ids) * lam[ids], ids, lam[ids]))
+            lambda ids: (ids, lam[ids]), data.dense_columns)
     if isinstance(structure, TreeStructure):    # groups too: a tree of roots
         if cfg.lambda_policy != "ones" and not structure.lambdas_given:
             structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
+        sets, lams = structure.sets, structure.lambdas
         return _Units(
             "group" if isinstance(structure, GroupStructure) else "tree",
             lambda alpha, budget: score_tree_pruned(alpha, data, structure, budget),
-            _set_columns(data, structure.sets, structure.lambdas), structure.sets)
+            # one column per (unit, feature): nested units repeat features
+            lambda ids: (np.concatenate([sets[u] for u in ids]),
+                         lams[np.repeat(ids, [sets[u].size for u in ids])]),
+            data.dense_columns, sets)
     if isinstance(structure, PolyMap):
         if cfg.lambda_policy != "ones":
             raise ValueError("degree-2 features carry no scale: lambda_policy must be 'ones'")
@@ -195,7 +191,7 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
             "poly",
             lambda alpha, budget: score_polynomial_streamed(alpha, data, gamma, r, budget,
                                                             structure.block),
-            lambda ids: (poly_columns(data, ids, gamma, r), ids, np.ones(ids.size)),
+            lambda ids: (ids, np.ones(ids.size)), lambda ids: poly_columns(data, ids, gamma, r),
             gamma=gamma, r=r)
     raise ValueError(f"unsupported structure {type(structure).__name__}")
 
@@ -254,7 +250,9 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     subproblem over every stored selection, warm-started from the previous
     blocks and from the solver's step-size carry-over (:mod:`fgm.subsolver`).
     The column cache and the trace are the loop's only records: a round's
-    ids are its ``TraceRecord.selected``.  Re-proposing a stored selection
+    ids are its ``TraceRecord.selected``, and the feature and scale behind
+    each of its cached columns are re-derived from those ids when the model
+    sums ``w_c * scale_c`` per feature.  Re-proposing a stored selection
     (ids equal to an earlier round's) means no unit set scores higher under
     the current per-instance weights, so training stops.  That certifies
     optimality only up to the accuracy of the last inner solve, which set
@@ -286,13 +284,10 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     alpha = np.ones(data.n)
     labels = data.y.astype(float)
     cache = ColumnCache.empty(data.n)
-    features: list[np.ndarray] = []     # per round: the feature id behind each new column
-    scales: list[np.ndarray] = []       # per round: the scale folded into each new column
     phi = float("inf")          # certified upper bound: the least full dual value seen
     trace: list[TraceRecord] = []
     w = np.zeros(0)             # flat weights in the layout of cache
     tau_prev: float | None = None
-    f_prev: float | None = None
     stop_reason = "max_outer"
 
     for it in range(1, cfg.max_outer + 1):
@@ -301,14 +296,12 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         if any(t.selected == proposal for t in trace):
             stop_reason = "duplicate"
             break
-        cols, feats, lams = units.columns(np.asarray(proposal, dtype=np.intp))
-        cache = cache.extend(cols)
+        feats, lams = units.members(np.asarray(proposal, dtype=np.intp))
+        cache = cache.extend(units.gather(feats) * lams)
         # the new block is the worst case at alpha, so this is the full dual value there
         phi = min(phi, eval_bounds(alpha, cache, labels, kind))
-        features.append(feats)
-        scales.append(lams)
 
-        warm = np.concatenate([w, np.zeros(cols.shape[1])])    # zeros for the new block
+        warm = np.concatenate([w, np.zeros(feats.size)])    # zeros for the new block
         L_init = None if tau_prev is None else _ETA ** 2 * tau_prev
         try:
             result = apg_solve(cache, labels, kind, warm=warm, L_init=L_init,
@@ -321,23 +314,23 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         alpha = recover_duals(margins_from_scores(result.scores, labels, kind), kind)
         trace.append(TraceRecord(it, f_curr, -f_curr, phi, result.n_iters, proposal,
                                  time.perf_counter() - started))
-        if f_prev is not None and _relative_change(f_prev, f_curr) <= cfg.eps_outer:
+        if len(trace) > 1 and _relative_change(trace[-2].objective, f_curr) <= cfg.eps_outer:
             stop_reason = "outer_tol"
             break
-        f_prev = f_curr
 
-    return _assemble_model(data, cfg, units, cache, features, scales, w, stop_reason, trace)
+    return _assemble_model(data, cfg, units, cache, w, stop_reason, trace)
 
 
-def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units,
-                    cache: ColumnCache, features: list[np.ndarray], scales: list[np.ndarray],
+def _assemble_model(data: SparseDataset, cfg: SolverConfig, units: _Units, cache: ColumnCache,
                     w: np.ndarray, stop_reason: str, trace: list[TraceRecord]) -> Model:
-    # w_c * scale_c summed per feature in column order; a lone -0.0 stays -0.0
-    sums: dict[int, float] = {}
-    for fid, wc, scale in zip(np.concatenate(features).tolist(), w.tolist(),
-                              np.concatenate(scales).tolist()):
-        sums[fid] = sums[fid] + wc * scale if fid in sums else wc * scale
-    entries = [ModelEntry(fid, sums[fid]) for fid in sorted(sums)]
+    # w_c * scale_c summed per feature in column order, each round's columns re-derived
+    # from its ids; the sums start at -0.0, so a lone -0.0 stays -0.0
+    rounds = [units.members(np.asarray(t.selected, dtype=np.intp)) for t in trace]
+    feats, scales = (np.concatenate(part) for part in zip(*rounds))
+    ids, owner = np.unique(feats, return_inverse=True)
+    sums = np.full(ids.size, -0.0)
+    np.add.at(sums, owner, w * scales)
+    entries = [ModelEntry(fid, s) for fid, s in zip(ids.tolist(), sums.tolist())]
 
     selected = tuple(sorted({u for t in trace for u in t.selected}))
     unit_features = None if units.sets is None else {
@@ -427,6 +420,17 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # int() would load 2.7 as 2, and true or "7" as an integer
+    if type(value) is not int:
+        raise FormatError(f"model {what} {value!r} is not an integer")
+    return value
+
+
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(v, what) for v in values)
+
+
 def model_from_dict(payload: dict) -> Model:
     try:
         version = payload["format_version"]
@@ -434,26 +438,29 @@ def model_from_dict(payload: dict) -> Model:
             raise FormatError(f"unsupported model format version {version!r}")
         if payload["mode"] not in ("plain", "group", "tree", "poly"):
             raise FormatError(f"unknown model mode {payload['mode']!r}")
+        m = _json_int(payload["m"], "m")
         # a version-1 entry kept its scale apart, and prediction multiplied the two
-        entries = [ModelEntry(int(e["id"]),
+        entries = [ModelEntry(_json_int(e["id"], "entry id"),
                               float(e["weight"]) * (float(e["lambda"]) if version == 1 else 1.0))
                    for e in payload["entries"]]
         if payload["mode"] == "poly":
             PolyMap(float(payload["gamma"]), float(payload["r"]))
-            dim = poly_dim(int(payload["m"]))
+            dim = poly_dim(m)
             for e in entries:
                 if not 0 <= e.id < dim:
                     raise FormatError(f"model entry id {e.id} outside [0, {dim})")
         unit_features = payload.get("unit_features")
         if unit_features is not None:
-            unit_features = {int(k): tuple(int(f) for f in v) for k, v in unit_features.items()}
-        trace = [TraceRecord(int(t["iteration"]), float(t["objective"]), float(t["beta"]),
-                             float(t["phi"]), int(t["inner_iters"]),
-                             tuple(int(i) for i in t["selected"]), 0.0)
+            unit_features = {int(k): _json_ints(v, "unit feature")
+                             for k, v in unit_features.items()}
+        trace = [TraceRecord(_json_int(t["iteration"], "trace iteration"), float(t["objective"]),
+                             float(t["beta"]), float(t["phi"]),
+                             _json_int(t["inner_iters"], "trace inner_iters"),
+                             _json_ints(t["selected"], "trace selection"), 0.0)
                  for t in payload.get("trace", [])]
         return Model(
-            payload["mode"], payload["stop_reason"], int(payload["m"]),
-            tuple(int(u) for u in payload["units"]), entries, unit_features,
+            payload["mode"], payload["stop_reason"], m,
+            _json_ints(payload["units"], "unit"), entries, unit_features,
             payload.get("gamma"), payload.get("r"), payload.get("config", {}),
             trace, [float(s) for s in payload.get("mkl_weights", [])],
         )

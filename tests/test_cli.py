@@ -339,6 +339,19 @@ def test_predict_reads_a_version_1_model_and_refuses_version_3(ws, tmp_path):
         assert r.returncode == 3 and f"unsupported model format version {version}" in r.stderr
 
 
+def test_predict_refuses_a_model_with_a_fractional_entry_id(ws, tmp_path):
+    model = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--out", str(model),
+                     "--budget", "3", "--max-outer", "2"]) == 0
+    payload = json.loads(model.read_text())
+    payload["entries"][0]["id"] += 0.7
+    model.write_text(json.dumps(payload))
+    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                "--out", tmp_path / "p.json")
+    bad = payload["entries"][0]["id"]
+    assert r.returncode == 3 and f"data error: model entry id {bad!r} is not an integer" in r.stderr
+
+
 def test_predict_refuses_a_model_of_unknown_mode(tmp_path):
     data = tmp_path / "d.libsvm"
     write_libsvm(generate_synthetic(30, 8, 2, seed=0)[0], data)
@@ -426,6 +439,17 @@ def test_structure_beyond_dimension_exits_3(ws, tmp_path):
     r = run_cli("train", "--data", ws / "toy.train.libsvm", "--dim", 60,
                 "--out", tmp_path / "m.json", "--groups", groups)
     assert r.returncode == 3 and "structure references feature 400" in r.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_group_lambda_exits_3(ws, tmp_path, value):
+    groups = tmp_path / "g.groups"
+    groups.write_text(f"a: 0 1 2 | lambda={value}\nb: 3 4\n")
+    r = run_cli("train", "--data", ws / "toy.train.libsvm", "--out", tmp_path / "m.json",
+                "--groups", groups)
+    assert r.returncode == 3, r.stderr
+    assert f"data error: {groups}:1: lambda must be a finite non-negative number" in r.stderr
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_tree_node_repeating_a_feature_exits_3(ws, tmp_path):

@@ -588,6 +588,8 @@ def test_load_groups_without_lambda_has_none(tmp_path):
     ("a 0 1\n", "expected"),
     ("a: 0 | lam=2\n", "lambda="),
     ("a: 0 | lambda=-1\n", "non-negative"),
+    ("a: 0 1 2 | lambda=nan\n", r"g\.txt:1: lambda must be a finite non-negative"),
+    ("a: 0\nb: 1 | lambda=inf\n", r"g\.txt:2: lambda must be a finite non-negative"),
     ("", "no groups"),
 ])
 def test_load_groups_errors(tmp_path, content, fragment):
@@ -671,6 +673,15 @@ def test_tree_with_lambdas_rejects_bad_scales(lambdas):
         t.with_lambdas(lambdas)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_given_lambdas_must_be_finite(bad):
+    with pytest.raises(ValueError, match="per-group lambdas must be finite"):
+        GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"], [1.0, bad])
+    with pytest.raises(ValueError, match="per-node lambdas must be finite"):
+        TreeStructure([np.array([0, 1]), np.array([0])], np.array([-1, 0]), ["r", "c"],
+                      [bad, 1.0])
+
+
 def test_group_structure_validation():
     with pytest.raises(ValueError, match="overlaps"):
         GroupStructure([np.array([0, 1]), np.array([1, 2])], ["a", "b"])
@@ -752,9 +763,9 @@ def test_group_scaling_prior_frobenius_and_precedence():
     # training's scale rule: explicit lambdas win over the policy
     from fgm.engine import SolverConfig, _units
     cfg = SolverConfig(lambda_policy="inverse_norm")
-    np.testing.assert_allclose(_units(data, cfg, g).columns(np.array([0, 1]))[2], [0.2, 0.2, 1.0])
+    np.testing.assert_allclose(_units(data, cfg, g).members(np.array([0, 1]))[1], [0.2, 0.2, 1.0])
     g_fixed = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"], [7.0, 8.0])
-    np.testing.assert_allclose(_units(data, cfg, g_fixed).columns(np.array([0, 1]))[2],
+    np.testing.assert_allclose(_units(data, cfg, g_fixed).members(np.array([0, 1]))[1],
                                [7.0, 7.0, 8.0])
 
 

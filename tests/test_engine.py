@@ -59,6 +59,11 @@ def _scaled_weight_sums(model, w, sets, lambdas):
     return sums
 
 
+def _as_bytes(weights: dict) -> dict:
+    """Weights keyed by id as their float64 bytes: unlike ``==``, these tell -0.0 from 0.0."""
+    return {fid: np.float64(w).tobytes() for fid, w in weights.items()}
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -402,7 +407,7 @@ def test_group_mode_folds_explicit_lambdas_into_weights(monkeypatch):
         monkeypatch, data, SolverConfig(budget=1, max_outer=3, eps_outer=0.0), groups)
     assert model.mode == "group"
     expected = _scaled_weight_sums(model, w, groups.sets, [2.0, 0.5])
-    assert {e.id: e.weight for e in model.entries} == expected
+    assert _as_bytes({e.id: e.weight for e in model.entries}) == _as_bytes(expected)
 
 
 def test_tree_mode_folds_scale_into_weights(monkeypatch):
@@ -413,7 +418,7 @@ def test_tree_mode_folds_scale_into_weights(monkeypatch):
         monkeypatch, data, SolverConfig(budget=2, max_outer=4, eps_outer=0.0), tree)
     assert model.mode == "tree"
     expected = _scaled_weight_sums(model, w, sets, [1.0, 2.0, 0.5, 4.0])
-    assert {e.id: e.weight for e in model.entries} == expected
+    assert _as_bytes({e.id: e.weight for e in model.entries}) == _as_bytes(expected)
     # nested nodes may reselect features; aggregated scores must match a
     # direct prediction pass
     labels, acc = predict(model, data)
@@ -450,8 +455,21 @@ def test_inverse_norm_policy_plain_mode(monkeypatch):
     lam = compute_scaling_prior(data.fit_view(), "inverse_norm")
     np.testing.assert_allclose(lam, 1.0 / data.column_norms(), rtol=1e-12)
     singletons = [np.array([j]) for j in range(data.m)]
-    assert {e.id: e.weight for e in model.entries} == _scaled_weight_sums(
-        model, w, singletons, lam)
+    assert _as_bytes({e.id: e.weight for e in model.entries}) == _as_bytes(
+        _scaled_weight_sums(model, w, singletons, lam))
+
+
+def test_a_feature_whose_only_weights_are_negative_zero_keeps_the_sign(monkeypatch):
+    # at this C the solve zeroes whole blocks, and feature 11 sits only in a zeroed one
+    data, _ = generate_synthetic(60, 40, 4, seed=4)
+    cfg = SolverConfig(budget=3, C=0.05, max_outer=8, eps_outer=0.0)
+    model, w = _train_keeping_flat_weights(monkeypatch, data, cfg)
+    weights = {e.id: e.weight for e in model.entries}
+    assert [fid for fid, wt in weights.items() if wt == 0] == [11]
+    assert np.signbit(weights[11])
+    singletons = [np.array([j]) for j in range(data.m)]
+    assert _as_bytes(weights) == _as_bytes(_scaled_weight_sums(model, w, singletons,
+                                                               np.ones(data.m)))
 
 
 def test_mkl_weights_sum_to_one():
@@ -655,6 +673,31 @@ def test_load_model_rejects_a_corrupt_poly_model(edit):
     model_from_dict(payload)
     edit(payload)
     with pytest.raises(FormatError):
+        model_from_dict(payload)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda p: p["entries"][0].update(id=p["entries"][0]["id"] + 0.7), "entry id"),
+    (lambda p: p.update(m=p["m"] + 0.9), "m"),
+    (lambda p: p.update(m=True), "m"),
+    (lambda p: p.update(m=str(p["m"])), "m"),
+    (lambda p: p["units"].append(1.0), "unit"),
+    (lambda p: next(iter(p["unit_features"].values())).append(True), "unit feature"),
+    (lambda p: p["trace"][0].update(iteration=1.0), "trace iteration"),
+    (lambda p: p["trace"][0].update(inner_iters="3"), "trace inner_iters"),
+    (lambda p: p["trace"][0]["selected"].append(2.5), "trace selection"),
+], ids=["entry-id-float", "m-float", "m-true", "m-string", "units-float",
+        "unit-features-true", "trace-iteration-float", "trace-inner-iters-string",
+        "trace-selected-float"])
+def test_load_model_rejects_integer_fields_that_are_not_json_integers(edit, message):
+    # int() would truncate 2.7 to 2 and read true as 1 and "7" as 7
+    data, _ = _small_problem(seed=8, m=30)
+    groups = GroupStructure([np.arange(i, i + 5) for i in range(0, 30, 5)],
+                            [f"g{i}" for i in range(6)])
+    payload = model_to_dict(fgm_train(data, SolverConfig(budget=2, max_outer=2), groups))
+    model_from_dict(payload)
+    edit(payload)
+    with pytest.raises(FormatError, match=f"^model {message} .* is not an integer$"):
         model_from_dict(payload)
 
 

@@ -24,6 +24,13 @@ the program computes must print the same lines.  Digested are:
   show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
   and the degree-2 map, each with the labels it predicts on a test set
   that stores zeros alike;
+* plain models on ``generate_synthetic(60, 40, 4, seed=4)`` at budget 3,
+  ``C=0.05`` and ``C=0.2``, 8 rounds and ``eps_outer=0``, whose group prox
+  zeroes whole blocks: they hold lone ``-0.0`` weights and, at ``C=0.2``, a
+  ``+0.0`` one, so they show the sign each feature's weight sum starts
+  from (no workload model at seeds 0-2 has a zero weight); and a tree model
+  at ``C=0.05`` on that data widened to 64 features under the workload's
+  three-level tree, whose nested nodes repeat features in the sums;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
   file of ``fgm generate``, the datasets that ``load_libsvm`` reads back
   from the two libsvm files (lines labelled ``loaded``), the model of
@@ -71,7 +78,7 @@ import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
 from fgm import (GroupStructure, PolyMap, SolverConfig, generate_synthetic,  # noqa: E402
                  generate_test_set, load_libsvm)
-from workloads import WORKLOADS, CliFiles  # noqa: E402
+from workloads import WORKLOADS, CliFiles, three_level_tree  # noqa: E402
 
 SEEDS = (0, 1, 2)
 BENCH_CONFIG = {
@@ -200,6 +207,22 @@ def stored_zero_digests(work: Path):
         yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
 
 
+def zero_weight_digests(work: Path):
+    cfg = SolverConfig(budget=3, max_outer=8, eps_outer=0.0)
+    narrow = generate_synthetic(60, 40, 4, seed=4)[0]
+    wide = generate_synthetic(60, 64, 4, seed=4)[0]
+    settings = {
+        "plain C=0.05": (narrow, None, replace(cfg, C=0.05)),
+        "plain C=0.2": (narrow, None, replace(cfg, C=0.2)),
+        "tree C=0.05": (wide, three_level_tree(64), replace(cfg, C=0.05)),
+    }
+    for setting, (train, structure, cfg) in settings.items():
+        model = engine.fgm_train(train, cfg, structure)
+        path = work / f"zero-weights-{setting.replace(' ', '-')}.json"
+        engine.save_model(model, path)
+        yield from _model_digests(f"zero weights {setting} model", path)
+
+
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     prefix = work / "data"
     model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
@@ -258,6 +281,7 @@ def main() -> int:
         lines += model_digests(work)
         lines += group_digests(work)
         lines += stored_zero_digests(work)
+        lines += zero_weight_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += one_pair_digest(work)
         lines += bench_digests(work)
