@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import dense_to_model, l1_prox_train, retrain_unbiased, sweep_to_support, l2_full_train
-from .dataset import (FormatError, GroundTruth, SparseDataset, generate_synthetic,
+from .dataset import (FormatError, GroundTruth, SparseDataset, _is_count, generate_synthetic,
                       generate_test_set, load_ground_truth, load_libsvm)
 from .engine import Model, SolverConfig, evaluate_recovery, fgm_train, predict, save_model
 from .loss import LossKind
@@ -276,15 +276,19 @@ def run_config(config: dict, out_csv: str | Path, models_dir: str | Path | None 
 
     Returns the rows, sorted by (method, setting, seed).  Model files land
     in ``models_dir`` (default: ``<out stem>-models`` next to the CSV).
+    Seeds run in up to ``threads`` processes (default ``FGM_THREADS``), an
+    integer >= 1 (else ``ValueError``).
     """
     validate_config(config)
+    if threads is None:
+        threads = thread_count()
+    if not _is_count(threads):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     out_csv = Path(out_csv)
     if models_dir is None:
         models_dir = out_csv.parent / (out_csv.stem + "-models")
     models_dir = Path(models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
-    if threads is None:
-        threads = thread_count()
     seeds = config["seeds"]
     if threads > 1 and len(seeds) > 1:
         tasks = [(config, seed, str(models_dir)) for seed in seeds]

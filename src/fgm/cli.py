@@ -102,7 +102,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _structure_from_args(args: argparse.Namespace, m: int):
+def _structure_from_args(args: argparse.Namespace):
     poly = {key: value for key, value in
             (("gamma", args.gamma), ("r", args.r), ("block", args.block)) if value is not None}
     if args.poly:
@@ -111,17 +111,13 @@ def _structure_from_args(args: argparse.Namespace, m: int):
         raise ValueError("only --poly reads " + ", ".join(f"--{key}" for key in poly))
     if not (args.groups or args.tree):
         return None
-    structure = load_groups(args.groups) if args.groups else load_tree(args.tree)
-    top = max(int(s[-1]) for s in structure.sets)    # each set is sorted
-    if top >= m:
-        raise FormatError(f"structure references feature {top}, but data has m={m}")
-    return structure
+    return load_groups(args.groups) if args.groups else load_tree(args.tree)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     data = load_libsvm(args.data, args.dim)
-    structure = _structure_from_args(args, data.m)
+    structure = _structure_from_args(args)
     cfg = SolverConfig(
         budget=args.budget, C=args.C, loss=_LOSS_NAMES[args.loss],
         lambda_policy=_LAMBDA_NAMES[args.lambda_policy], eps_apg=args.eps_apg,
@@ -204,8 +200,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = load_config(args.config)
     threads = args.threads if args.threads is not None else thread_count()
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
     out = Path(args.out)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)

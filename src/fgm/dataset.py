@@ -211,7 +211,9 @@ class TreeStructure:
     every child set is contained in its parent's set, so any two node sets
     are either nested or disjoint.  ``lambdas`` holds one scale per node:
     all ones unless given (given scales must be finite and non-negative),
-    with ``lambdas_given`` telling the two apart.
+    with ``lambdas_given`` telling the two apart.  The checks keep the sets'
+    flat form: ``members`` (every set's features, sets in node order) and
+    ``starts`` (each set's first position in ``members``).
     """
 
     sets: list[np.ndarray]
@@ -229,6 +231,7 @@ class TreeStructure:
         sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=n)
         node = np.repeat(np.arange(n), sizes)               # owner of each member
         feat = np.concatenate([np.zeros(0, dtype=np.intp), *self.sets])
+        self.members, self.starts = feat, np.cumsum(sizes) - sizes
         bad_parent = ((self.parents == np.arange(n)) | (self.parents >= n)
                       | (self.parents < -1))
         negative = np.zeros(n, dtype=bool)
@@ -317,7 +320,7 @@ class TreeStructure:
         return len(self.sets)
 
     def with_lambdas(self, lambdas: np.ndarray) -> "TreeStructure":
-        """Copy of this tree with explicit per-node scales (structure not re-validated)."""
+        """Copy with explicit per-node scales, sharing the sets and their flat form."""
         tree = copy.copy(self)
         tree._set_lambdas(np.asarray(lambdas, dtype=float))
         return tree

@@ -16,6 +16,7 @@ Every unit type records its model alike: a feature's weight is the sum of
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -173,6 +174,8 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
             "plain", lambda alpha, budget: select_top_b(score_features(alpha, data, lam), budget),
             lambda ids: (ids, lam[ids]), data.dense_columns)
     if isinstance(structure, TreeStructure):    # groups too: a tree of roots
+        if (top := int(structure.members.max())) >= data.m:
+            raise FormatError(f"structure references feature {top}, but data has m={data.m}")
         if cfg.lambda_policy != "ones" and not structure.lambdas_given:
             structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
         sets, lams = structure.sets, structure.lambdas
@@ -265,10 +268,11 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     :func:`eval_bounds` value, taken once the new (worst-case) block is cached.
     Data with no feature raises :class:`FormatError`, and data holding a
     non-finite value :class:`NumericalError` for outer iteration 1, before
-    any search.  Every kernel reads a fit view's :attr:`~SparseDataset.design`:
-    a per-fit array copy when it takes no more memory than the CSR, else X's
-    own view when X stores every cell (stored values as stored), else the
-    CSR (:meth:`SparseDataset.fit_view`); ``data`` is unchanged.
+    any search; a structure that names a feature ``>= data.m`` raises FormatError.
+    Every kernel reads a fit view's :attr:`~SparseDataset.design`: a per-fit
+    array copy when it takes no more memory than the CSR, else X's own view
+    when X stores every cell (stored values as stored), else the CSR
+    (:meth:`SparseDataset.fit_view`); ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
@@ -431,6 +435,20 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return tuple(_json_int(v, what) for v in values)
 
 
+def _json_float(value, what: str) -> float:
+    # float() would load true as 1.0 and "2.5" as 2.5
+    if type(value) not in (int, float):
+        raise FormatError(f"model {what} {value!r} is not a number")
+    return float(value)
+
+
+def _json_key(key: str) -> int:
+    # int() would load "1_1" as 11 and " 7" as 7
+    if not re.fullmatch(r"-?[0-9]+", key):
+        raise FormatError(f"model unit_features key {key!r} is not an integer")
+    return int(key)
+
+
 def model_from_dict(payload: dict) -> Model:
     try:
         version = payload["format_version"]
@@ -441,28 +459,32 @@ def model_from_dict(payload: dict) -> Model:
         m = _json_int(payload["m"], "m")
         # a version-1 entry kept its scale apart, and prediction multiplied the two
         entries = [ModelEntry(_json_int(e["id"], "entry id"),
-                              float(e["weight"]) * (float(e["lambda"]) if version == 1 else 1.0))
+                              _json_float(e["weight"], "entry weight")
+                              * (_json_float(e["lambda"], "entry lambda") if version == 1 else 1.0))
                    for e in payload["entries"]]
+        gamma, r = payload.get("gamma"), payload.get("r")
         if payload["mode"] == "poly":
-            PolyMap(float(payload["gamma"]), float(payload["r"]))
+            gamma, r = _json_float(gamma, "gamma"), _json_float(r, "r")
+            PolyMap(gamma, r)
             dim = poly_dim(m)
             for e in entries:
                 if not 0 <= e.id < dim:
                     raise FormatError(f"model entry id {e.id} outside [0, {dim})")
         unit_features = payload.get("unit_features")
         if unit_features is not None:
-            unit_features = {int(k): _json_ints(v, "unit feature")
+            unit_features = {_json_key(k): _json_ints(v, "unit feature")
                              for k, v in unit_features.items()}
-        trace = [TraceRecord(_json_int(t["iteration"], "trace iteration"), float(t["objective"]),
-                             float(t["beta"]), float(t["phi"]),
+        trace = [TraceRecord(_json_int(t["iteration"], "trace iteration"),
+                             *(_json_float(t[key], f"trace {key}")
+                               for key in ("objective", "beta", "phi")),
                              _json_int(t["inner_iters"], "trace inner_iters"),
                              _json_ints(t["selected"], "trace selection"), 0.0)
                  for t in payload.get("trace", [])]
         return Model(
             payload["mode"], payload["stop_reason"], m,
             _json_ints(payload["units"], "unit"), entries, unit_features,
-            payload.get("gamma"), payload.get("r"), payload.get("config", {}),
-            trace, [float(s) for s in payload.get("mkl_weights", [])],
+            gamma, r, payload.get("config", {}),
+            trace, [_json_float(s, "mkl weight") for s in payload.get("mkl_weights", [])],
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

@@ -18,8 +18,8 @@ ints, the form in which training compares and records it.
 It works on whole score arrays: a partition finds the B-th best score,
 every candidate at or above it is kept so ties across that boundary
 survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
-scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over the
-concatenated member lists and sums each set with ``np.add.reduceat``.
+scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over a
+structure's flat ``members`` and sums each set with ``np.add.reduceat``.
 
 Each kernel reads :attr:`SparseDataset.design`: a fit view's array copy,
 else X's own row-major view when X stores every cell (stored values as
@@ -91,32 +91,26 @@ def select_top_b(scores: np.ndarray, budget: int) -> tuple[int, ...]:
     return tuple(np.sort(ids).tolist())
 
 
-def _set_scores(alpha: np.ndarray, data: SparseDataset, sets: list[np.ndarray],
-                lam: np.ndarray) -> np.ndarray:
-    """``lambda_j^2 * ||omega_{G_j}||^2`` for every non-empty set ``G_j``, in one pass."""
+def _set_scores(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure) -> np.ndarray:
+    """``lambda_h^2 * ||omega_{G_h}||^2`` for every node ``h``, over the tree's flat members."""
     alpha = _check_alpha(alpha, data.n)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(sets),):
-        raise ValueError("lambda length must match the number of sets")
-    members = np.concatenate(sets)
-    if members.max() >= data.m:
+    if tree.members.max() >= data.m:
         raise ValueError("feature index out of range")
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    starts = np.cumsum(sizes) - sizes
     omega_sq = _omega(alpha, data) ** 2
-    return lam ** 2 * np.add.reduceat(omega_sq[members], starts)
+    return tree.lambdas ** 2 * np.add.reduceat(omega_sq[tree.members], tree.starts)
 
 
 def score_tree_pruned(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure,
                       budget: int) -> tuple[int, ...]:
     """Sorted ids of the top-``B`` tree nodes (or groups) by ``lambda_h^2 ||omega_{G_h}||^2``.
 
-    Every node is scored in one vectorized pass and ranked like any other
-    score array.  Nothing is pruned: scoring all nodes costs one gather
-    over the node sets, which is cheaper than walking the tree.  The name is
-    kept because callers and the benchmark tracer look the search up by it.
+    Every node is scored in one pass over the tree's ``members`` and
+    ``starts`` and ranked like any other score array.  Nothing is pruned:
+    one gather is cheaper than walking the tree.  The name is kept because
+    callers and the benchmark tracer look the search up by it.  A member at
+    or beyond ``data.m`` raises ``ValueError``.
     """
-    return select_top_b(_set_scores(alpha, data, tree.sets, tree.lambdas), budget)
+    return select_top_b(_set_scores(alpha, data, tree), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     The raw columns it reads are gathered in one pass from
     :attr:`SparseDataset.design` (a stored ``-0.0`` stays ``-0.0`` on X's own view).
     """
-    if gamma <= 0 or r < 0:
+    if not gamma > 0 or not r >= 0:    # NaN fails both
         raise ValueError("need gamma > 0 and r >= 0")
     flat_ids = np.asarray(flat_ids, dtype=np.intp)
     variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
@@ -222,7 +216,7 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     ``O(B + block * (n + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """
-    if gamma <= 0 or r < 0:
+    if not gamma > 0 or not r >= 0:    # NaN fails both
         raise ValueError("need gamma > 0 and r >= 0")
     if block < 1:
         raise ValueError("block must be >= 1")

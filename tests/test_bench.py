@@ -98,6 +98,15 @@ def test_thread_count(monkeypatch):
         thread_count()
 
 
+@pytest.mark.parametrize("threads", [0, -1, True, 2.0])
+def test_run_config_rejects_a_thread_count_below_one(tmp_path, threads):
+    # a count below one, or one that is not an integer, must not fall back to a serial run
+    out = tmp_path / "results.csv"
+    with pytest.raises(ValueError, match="^threads must be an integer >= 1"):
+        run_config(_valid_config(), out, threads=threads)
+    assert not out.exists() and not (tmp_path / "results-models").exists()
+
+
 def test_fgm_target_support_picks_closest_prefix():
     data, _ = generate_synthetic(n=100, m=80, k=10, weighting=1, seed=2)
     cfg = SolverConfig(budget=3, max_outer=8, eps_outer=0.0)

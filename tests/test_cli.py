@@ -289,6 +289,21 @@ def test_predict_with_a_corrupt_poly_model_exits_3(tmp_path):
     assert r.returncode == 3 and "model entry id 1000000 outside [0, 28)" in r.stderr
 
 
+def test_predict_with_a_string_gamma_exits_3(tmp_path):
+    # float() would pass "1.0" to the map check while the model kept the string
+    data = tmp_path / "d.libsvm"
+    write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], data)
+    model = tmp_path / "poly.model.json"
+    assert cli.main(["train", "--data", str(data), "--out", str(model), "--poly",
+                     "--budget", "3", "--max-outer", "2"]) == 0
+    payload = json.loads(model.read_text())
+    payload["gamma"] = "1.0"
+    model.write_text(json.dumps(payload))
+    r = run_cli("predict", "--model", model, "--data", data, "--out", tmp_path / "p.json")
+    assert r.returncode == 3 and "model gamma '1.0' is not a number" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_predict_with_a_poly_model_on_wider_data_exits_3(tmp_path):
     train, wide = tmp_path / "d.libsvm", tmp_path / "wide.libsvm"
     write_libsvm(generate_synthetic(30, 6, 2, seed=0)[0], train)
@@ -614,3 +629,11 @@ def test_bad_thread_environment_exits_2(tmp_path):
     r = run_cli("bench", "--config", cfg, "--out", tmp_path / "o.csv",
                 env_extra={"FGM_THREADS": "0"})
     assert r.returncode == 2
+
+
+def test_bench_threads_flag_below_one_exits_2(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(BENCH_CONFIG))
+    r = run_cli("bench", "--config", cfg, "--out", tmp_path / "o.csv", "--threads", "0")
+    assert r.returncode == 2 and "threads must be an integer >= 1, got 0" in r.stderr
+    assert not (tmp_path / "o.csv").exists()

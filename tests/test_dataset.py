@@ -673,6 +673,34 @@ def test_tree_with_lambdas_rejects_bad_scales(lambdas):
         t.with_lambdas(lambdas)
 
 
+def _three_level_tree(m):
+    """Roots of 64 contiguous features, each split into 4 x 16, each into 4 x 4."""
+    sets, parents = [], []
+    for lo in range(0, m, 64):
+        root = len(sets)
+        sets.append(np.arange(lo, lo + 64))
+        parents.append(-1)
+        for mid_lo in range(lo, lo + 64, 16):
+            mid = len(sets)
+            sets.append(np.arange(mid_lo, mid_lo + 16))
+            parents.append(root)
+            sets += [np.arange(g, g + 4) for g in range(mid_lo, mid_lo + 16, 4)]
+            parents += [mid] * 4
+    return TreeStructure(sets, parents, [f"n{h}" for h in range(len(sets))])
+
+
+@pytest.mark.parametrize("structure", [
+    GroupStructure([np.array([7, 2]), np.array([0]), np.array([5, 3, 9])], ["a", "b", "c"]),
+    _three_level_tree(4096),
+], ids=["groups", "three-level-tree"])
+def test_members_and_starts_are_the_flat_sets(structure):
+    sizes = [s.size for s in structure.sets]
+    for tree in (structure, structure.with_lambdas(np.full(structure.n_nodes, 2.0))):
+        assert tree.members.dtype == tree.starts.dtype == np.intp
+        np.testing.assert_array_equal(tree.members, np.concatenate(structure.sets))
+        np.testing.assert_array_equal(tree.starts, np.cumsum(sizes) - sizes)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_given_lambdas_must_be_finite(bad):
     with pytest.raises(ValueError, match="per-group lambdas must be finite"):

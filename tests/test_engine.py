@@ -436,6 +436,19 @@ def test_tree_mode_inverse_norm_policy_runs():
     assert model.mode == "tree" and model.support_size >= 1
 
 
+@pytest.mark.parametrize("policy", ["ones", "inverse_norm"])
+@pytest.mark.parametrize("structure", [
+    GroupStructure([np.arange(0, 6), np.array([6, 7, 12])], ["a", "b"]),
+    TreeStructure([np.arange(0, 13), np.arange(0, 6), np.arange(6, 13)], [-1, 0, 0], list("rab")),
+], ids=["groups", "tree"])
+def test_structure_wider_than_the_data_is_a_format_error(structure, policy):
+    # the scales are computed after the check, so inverse_norm cannot fail first
+    data, _ = _small_problem(seed=11, m=12)
+    cfg = SolverConfig(budget=1, max_outer=2, lambda_policy=policy)
+    with pytest.raises(FormatError, match="^structure references feature 12, but data has m=12$"):
+        fgm_train(data, cfg, structure)
+
+
 def test_poly_mode_trains_and_predicts_consistently():
     data, _ = _small_problem(seed=12, n=50, m=10)
     pm = PolyMap(gamma=0.5, r=1.0)
@@ -589,9 +602,16 @@ def test_evaluate_recovery_counts_intersection():
 # model files
 
 
-def test_model_round_trip_preserves_everything_but_seconds(tmp_path):
+@pytest.mark.parametrize("structure", [
+    None,
+    GroupStructure([np.arange(i, i + 5) for i in range(0, 40, 5)], [f"g{i}" for i in range(8)]),
+    TreeStructure([np.arange(0, 20), np.arange(0, 10), np.arange(10, 20), np.arange(20, 40)],
+                  [-1, 0, 0, -1], list("rabs")),
+    PolyMap(gamma=0.5, r=2.0),
+], ids=["plain", "group", "tree", "poly"])
+def test_model_round_trip_preserves_everything_but_seconds(tmp_path, structure):
     data, _ = _small_problem(seed=15)
-    model = fgm_train(data, SolverConfig(budget=3, max_outer=4))
+    model = fgm_train(data, SolverConfig(budget=3, max_outer=4), structure)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
@@ -699,6 +719,60 @@ def test_load_model_rejects_integer_fields_that_are_not_json_integers(edit, mess
     edit(payload)
     with pytest.raises(FormatError, match=f"^model {message} .* is not an integer$"):
         model_from_dict(payload)
+
+
+def _payload_of(mode):
+    """A trained model's dict: version 2 of ``mode``, or a hand-made version-1 group model."""
+    if mode == "version 1":
+        return {"format_version": 1, "mode": "group", "stop_reason": "max_outer", "m": 8,
+                "units": [0], "entries": [{"id": 1, "weight": 0.3, "lambda": 0.5}],
+                "unit_features": {"0": [1]}, "gamma": None, "r": None, "trace": []}
+    data, _ = _small_problem(seed=8, m=30)
+    structure = PolyMap() if mode == "poly" else GroupStructure(
+        [np.arange(i, i + 5) for i in range(0, 30, 5)], [f"g{i}" for i in range(6)])
+    return model_to_dict(fgm_train(data, SolverConfig(budget=2, max_outer=2), structure))
+
+
+@pytest.mark.parametrize("mode,edit,message", [
+    ("group", lambda p: p["entries"][0].update(weight=True), "entry weight True"),
+    ("group", lambda p: p["entries"][0].update(weight="2.5"), "entry weight '2.5'"),
+    ("version 1", lambda p: p["entries"][0].update(**{"lambda": "0.5"}), "entry lambda '0.5'"),
+    ("group", lambda p: p["trace"][0].update(objective="1.0"), "trace objective '1.0'"),
+    ("group", lambda p: p["trace"][0].update(beta=False), "trace beta False"),
+    ("group", lambda p: p["trace"][0].update(phi=True), "trace phi True"),
+    ("group", lambda p: p.update(mkl_weights=["0.5", 0.5]), "mkl weight '0.5'"),
+    ("poly", lambda p: p.update(gamma="1.0"), "gamma '1.0'"),
+    ("poly", lambda p: p.update(r=True), "r True"),
+], ids=["weight-true", "weight-string", "v1-lambda-string", "objective-string", "beta-false",
+        "phi-true", "mkl-weight-string", "gamma-string", "r-true"])
+def test_load_model_rejects_float_fields_that_are_not_json_numbers(mode, edit, message):
+    # float() would read true as 1.0 and "2.5" as 2.5
+    payload = _payload_of(mode)
+    model_from_dict(payload)
+    edit(payload)
+    with pytest.raises(FormatError) as exc:
+        model_from_dict(payload)
+    assert str(exc.value) == f"model {message} is not a number"
+
+
+@pytest.mark.parametrize("key", ["1_1", " 1", "1.0", "0x1", ""])
+def test_load_model_rejects_unit_feature_keys_that_are_not_integers(key):
+    # int() would read "1_1" as unit 11 and " 1" as unit 1
+    payload = _payload_of("group")
+    payload["unit_features"] = {key: next(iter(payload["unit_features"].values()))}
+    with pytest.raises(FormatError) as exc:
+        model_from_dict(payload)
+    assert str(exc.value) == f"model unit_features key {key!r} is not an integer"
+
+
+def test_load_model_stores_the_checked_floats():
+    payload = _payload_of("poly")
+    payload.update(gamma=2, r=1)
+    payload["trace"][0].update(objective=3)
+    model = model_from_dict(payload)
+    assert type(model.gamma) is type(model.r) is type(model.trace[0].objective) is float
+    assert (model.gamma, model.r) == (2.0, 1.0)
+    assert type(model_from_dict(_payload_of("version 1")).entries[0].weight) is float
 
 
 @pytest.mark.parametrize("mode", ["Poly", "", "l1", None, ["poly"]])

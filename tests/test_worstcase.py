@@ -123,9 +123,9 @@ def test_select_top_b_random_continuous(seed, p, budget):
 def test_score_groups_hand_value():
     data, alpha = _dataset_with_omega([-2.0, 3.0, 1.0])
     groups = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    scores = _set_scores(alpha, data, groups.sets, np.ones(2))
+    scores = _set_scores(alpha, data, groups.with_lambdas(np.ones(2)))
     np.testing.assert_allclose(scores, [13.0, 1.0])
-    scaled = _set_scores(alpha, data, groups.sets, np.array([1.0, 3.0]))
+    scaled = _set_scores(alpha, data, groups.with_lambdas(np.array([1.0, 3.0])))
     np.testing.assert_allclose(scaled, [13.0, 9.0])
 
 
@@ -526,3 +526,13 @@ def test_poly_argument_validation():
         score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 0)
     with pytest.raises(ValueError, match="gamma"):
         poly_columns(data, np.array([0]), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma,r", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_poly_kernels_reject_nan_parameters(gamma, r):
+    # NaN passes "gamma <= 0 or r < 0" but fails "gamma > 0 and r >= 0"
+    data = SparseDataset(np.eye(3), np.array([1, -1, 1]))
+    with pytest.raises(ValueError, match=r"^need gamma > 0 and r >= 0$"):
+        poly_columns(data, np.arange(poly_dim(3)), gamma, r)
+    with pytest.raises(ValueError, match=r"^need gamma > 0 and r >= 0$"):
+        score_polynomial_streamed(np.ones(3), data, gamma, r, 2)

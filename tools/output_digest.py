@@ -24,6 +24,12 @@ the program computes must print the same lines.  Digested are:
   show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
   and the degree-2 map, each with the labels it predicts on a test set
   that stores zeros alike;
+* models trained on a CSR that stores about 10% of its cells (400 x 256,
+  labels from 16 true features), the case where every kernel reads the CSR
+  itself: the set search, the column gather and the prediction.  Plain
+  features, 64 groups of 4 and the workload's three-level tree under
+  ``inverse_norm``, each with the labels it predicts on a test set drawn
+  alike;
 * plain models on ``generate_synthetic(60, 40, 4, seed=4)`` at budget 3,
   ``C=0.05`` and ``C=0.2``, 8 rounds and ``eps_outer=0``, whose group prox
   zeroes whole blocks: they hold lone ``-0.0`` weights and, at ``C=0.2``, a
@@ -70,14 +76,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fgm.cli as cli  # noqa: E402
 import fgm.engine as engine  # noqa: E402
-from fgm import (GroupStructure, PolyMap, SolverConfig, generate_synthetic,  # noqa: E402
-                 generate_test_set, load_libsvm)
+from fgm import (GroupStructure, PolyMap, SolverConfig, SparseDataset,  # noqa: E402
+                 generate_synthetic, generate_test_set, load_libsvm)
 from workloads import WORKLOADS, CliFiles, three_level_tree  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -207,6 +214,37 @@ def stored_zero_digests(work: Path):
         yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
 
 
+def _sparse_set(rng, truth: np.ndarray, n: int):
+    """``n`` rows that store about 10% of their cells, labelled by ``truth``'s sign."""
+    values = rng.standard_normal((n, truth.size)) * (rng.random((n, truth.size)) < 0.1)
+    X = sp.csr_matrix(values)
+    return SparseDataset(X, np.where(X @ truth >= 0, 1, -1))
+
+
+def sparse_digests(work: Path):
+    rng = np.random.default_rng(21)
+    m = 256
+    truth = np.zeros(m)
+    truth[rng.choice(m, 16, replace=False)] = rng.standard_normal(16)
+    train, test = _sparse_set(rng, truth, 400), _sparse_set(rng, truth, 400)
+    assert train.X.nnz < 0.2 * train.X.shape[0] * m and sp.issparse(train.fit_view().design)
+    cfg = SolverConfig(budget=4, max_outer=8, eps_outer=0.0)
+    settings = {
+        "plain": (None, cfg),
+        "groups": (GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(64)],
+                                  [f"g{g}" for g in range(64)]), cfg),
+        "tree inverse_norm": (three_level_tree(m), replace(cfg, lambda_policy="inverse_norm")),
+    }
+    for setting, (structure, cfg) in settings.items():
+        model = engine.fgm_train(train, cfg, structure)
+        path = work / f"sparse-{setting.replace(' ', '-')}.json"
+        engine.save_model(model, path)
+        label = f"sparse 10% {setting}"
+        yield from _model_digests(f"{label} model", path)
+        labels, _ = engine.predict(model, test)
+        yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
+
+
 def zero_weight_digests(work: Path):
     cfg = SolverConfig(budget=3, max_outer=8, eps_outer=0.0)
     narrow = generate_synthetic(60, 40, 4, seed=4)[0]
@@ -281,6 +319,7 @@ def main() -> int:
         lines += model_digests(work)
         lines += group_digests(work)
         lines += stored_zero_digests(work)
+        lines += sparse_digests(work)
         lines += zero_weight_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += one_pair_digest(work)
