@@ -289,6 +289,7 @@ def run_config(config: dict, out_csv: str | Path, models_dir: str | Path | None 
         models_dir = out_csv.parent / (out_csv.stem + "-models")
     models_dir = Path(models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
     seeds = config["seeds"]
     if threads > 1 and len(seeds) > 1:
         tasks = [(config, seed, str(models_dir)) for seed in seeds]

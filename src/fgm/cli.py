@@ -76,6 +76,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _make_parents(*paths) -> None:
+    """Make the directory of every output path given (None skipped), before the first write."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -84,8 +91,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     train, truth = generate_synthetic(args.n, args.m, args.k, args.type, args.seed)
     prefix = Path(args.out_prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(prefix)
     train_path = Path(f"{prefix}.train.libsvm")
     truth_path = Path(f"{prefix}.truth.txt")
     write_libsvm(train, train_path)
@@ -134,8 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise FormatError(f"training on n={data.n} x m={data.m} data ran out of memory{detail}"
                           ) from exc
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(out, args.trace)
     save_model(model, out)
     outputs = [out]
     if args.trace:
@@ -168,6 +173,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     metrics = {"accuracy": accuracy, "n_instances": data.n,
                "support": model.support_size, "mode": model.mode}
     out = Path(args.out)
+    _make_parents(out, args.labels_out)
     _write_json(out, metrics)
     outputs = [out]
     if args.labels_out:
@@ -189,6 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                "support": model.support_size, "recovered": recovered,
                "truth_size": int(truth.support.size)}
     out = Path(args.out)
+    _make_parents(out)
     _write_json(out, metrics)
     _write_manifest(_manifest_path(out), "eval", {"support": model.support_size},
                     [args.model, args.data, args.truth], [out],
@@ -201,8 +208,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     threads = args.threads if args.threads is not None else thread_count()
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
     models_dir = Path(args.models_dir) if args.models_dir else None
     run_config(config, out, models_dir, threads)
     if models_dir is None:

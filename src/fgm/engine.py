@@ -470,6 +470,11 @@ def model_from_dict(payload: dict) -> Model:
             for e in entries:
                 if not 0 <= e.id < dim:
                     raise FormatError(f"model entry id {e.id} outside [0, {dim})")
+        else:
+            for key, value in (("gamma", gamma), ("r", r)):
+                if value is not None:
+                    raise FormatError(f"a {payload['mode']} model's {key} must be null, "
+                                      f"got {value!r}")
         unit_features = payload.get("unit_features")
         if unit_features is not None:
             unit_features = {_json_key(k): _json_ints(v, "unit feature")

@@ -9,7 +9,9 @@ and keeping the ``B`` largest scores.  With ``omega = sum_i alpha_i y_i x_i``:
   whatever its depth; disjoint groups are a tree whose nodes are all roots,
   so :func:`score_tree_pruned` searches both;
 * degree-2 polynomial interaction features are scored blockwise from the
-  raw data without materializing the expanded design.
+  raw data without materializing the expanded design: one product per
+  block of anchor features ``a`` gives every ``sum_i z_i x_ia x_ib`` with
+  partner ``b >= a``, the squares on its diagonal and the crosses above.
 
 Selection is exact: ties are broken toward the smallest unit index, and
 zero-score units remain selectable so exactly ``min(B, p)`` units return.
@@ -23,9 +25,10 @@ structure's flat ``members`` and sums each set with ``np.add.reduceat``.
 
 Each kernel reads :attr:`SparseDataset.design`: a fit view's array copy,
 else X's own row-major view when X stores every cell (stored values as
-stored), else the CSR.  On an array omega is one matrix-vector product and
-the degree-2 cross products one matrix product per anchor block.  The CSR,
-the only layout that fits sparse ultrahigh-dimensional data, is never
+stored), else the CSR.  On an array omega is one matrix-vector product.
+The degree-2 search reads X by feature rows, the array's transposed view
+or the CSR transposed once per search, the same way on either layout.  The
+CSR, the only layout that fits sparse ultrahigh-dimensional data, is never
 copied squared; an array is X's own values or at most the CSR's size.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
@@ -207,11 +210,12 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     """Sorted ids of the top-``B`` degree-2 virtual features, never materializing them.
 
     Scores every virtual feature ``k`` by ``omega_k^2`` with
-    ``omega_k = sum_i alpha_i y_i phi_k(x_i)``.  Interaction terms are
-    scanned blockwise over the anchor feature: for a block of anchors
-    ``A``, one product (sparse, or BLAS on an array :attr:`~SparseDataset.design`)
-    gives the ``sum_i z_i x_ia x_ib`` values for every partner ``b > a``,
-    and the block's cross scores are merged with the running best ``B`` as
+    ``omega_k = sum_i alpha_i y_i phi_k(x_i)``: the constant and linear terms
+    at once, the rest blockwise over the anchor feature ``a``.  One product
+    per block, read alike from the CSR and an array
+    :attr:`~SparseDataset.design`, gives ``G[b, a] = sum_i z_i x_ia x_ib``
+    for every partner ``b >= a``: the squares on its diagonal, the crosses
+    above it.  Each block's scores are merged with the running best ``B`` as
     arrays, so peak memory besides the data and its dense view is
     ``O(B + block * (n + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
@@ -225,29 +229,21 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     m = data.m
 
     D = data.design
-    lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)     # (m,)
-    if D is data.X:
-        rows = np.repeat(np.arange(data.n), np.diff(data.X.indptr))
-        sq = gamma * np.bincount(data.X.indices, data.X.data * data.X.data * z[rows], m)
-        XT = data.X.T.tocsr()                                # row a is raw feature a
-    else:
-        sq = gamma * np.einsum("ij,ij,i->j", D, D, z)
-    scores = np.concatenate([[(r * float(z.sum())) ** 2], lin ** 2, sq ** 2])
-    best, best_ids = _top(scores, np.arange(scores.size), budget)
+    T = D.T.tocsr() if D is data.X else D.T                  # row a is raw feature a
+    lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)
+    scores = np.concatenate([[(r * float(z.sum())) ** 2], lin ** 2])
+    best, best_ids = _top(scores, np.arange(m + 1), budget)
 
-    root2_gamma = np.sqrt(2.0) * gamma
-    for start in range(0, m - 1, block):
-        stop = min(start + block, m - 1)                     # anchors with a partner b > a
-        # rows b = start+1 .. m-1, one column per anchor a: sum_i z_i x_ia x_ib
-        if D is data.X:
-            G = XT[start + 1:] @ (XT[start:stop].toarray().T * z[:, None])
-        else:
-            G = D[:, start + 1:].T @ (D[:, start:stop] * z[:, None])
-        upper = np.arange(m - start - 1) >= np.arange(stop - start)[:, None]
-        cross = (root2_gamma * G.T[upper]) ** 2              # flat-id order
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        anchors = T[start:stop].toarray() if D is data.X else T[start:stop]
+        G = T[start:] @ (anchors.T * z[:, None])             # rows b = start .. m-1
+        upper = np.arange(m - start) > np.arange(stop - start)[:, None]
+        sq = (gamma * np.diagonal(G)) ** 2
+        cross = (np.sqrt(2.0) * gamma * G.T[upper]) ** 2     # flat-id order
         first = 1 + 2 * m + (start * (2 * m - start - 1)) // 2
-        best, best_ids = _top(np.concatenate([best, cross]),
-                              np.concatenate([best_ids, np.arange(first, first + cross.size)]),
+        best, best_ids = _top(np.concatenate([best, sq, cross]),
+                              np.concatenate([best_ids, np.arange(1 + m + start, 1 + m + stop),
+                                              np.arange(first, first + cross.size)]),
                               budget)
     return tuple(np.sort(best_ids).tolist())
-

@@ -326,6 +326,19 @@ def test_poly_manifest_records_the_map_with_its_defaults(tmp_path):
     assert (parameters["gamma"], parameters["r"], parameters["block"]) == (0.5, 1.0, 64)
 
 
+def test_predict_with_a_plain_model_carrying_a_map_exits_3(ws, tmp_path):
+    model = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--out", str(model),
+                     "--budget", "3", "--max-outer", "2"]) == 0
+    payload = json.loads(model.read_text())
+    payload.update(gamma="x", r=[1])
+    model.write_text(json.dumps(payload))
+    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                "--out", tmp_path / "p.json")
+    assert r.returncode == 3 and "a plain model's gamma must be null, got 'x'" in r.stderr
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_predict_reads_a_version_1_model_and_refuses_version_3(ws, tmp_path):
     # format 1 kept each entry's scale apart; prediction used weight * lambda
     ids, weights, lambdas = [0, 3, 7], [0.3, -1.7, 2.1], [0.5, 3.0, 1.0 / 3.0]
@@ -537,6 +550,46 @@ def test_eval_rejects_non_plain_model(ws, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# outputs in a directory that does not exist yet
+
+
+def _train_toy(ws, out, *extra):
+    return cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--dim", "60",
+                     "--out", str(out), "--budget", "3", "--max-outer", "2", *map(str, extra)])
+
+
+def test_train_makes_the_directory_of_its_trace(ws, tmp_path):
+    model, trace = tmp_path / "m.json", tmp_path / "new" / "t.csv"
+    assert _train_toy(ws, model, "--trace", trace) == 0
+    assert trace.exists()
+    assert json.loads(Path(f"{model}.manifest.json").read_text())["outputs"] == [
+        str(model), str(trace)]
+
+
+@pytest.mark.parametrize("new", ["out", "labels-out"])
+def test_predict_makes_the_directories_of_its_outputs(ws, tmp_path, new):
+    model = tmp_path / "m.json"
+    assert _train_toy(ws, model) == 0
+    out, labels = tmp_path / "p.json", tmp_path / "l.txt"
+    out, labels = (tmp_path / "new" / "p.json", labels) if new == "out" else (
+        out, tmp_path / "new" / "l.txt")
+    assert cli.main(["predict", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                     "--out", str(out), "--labels-out", str(labels)]) == 0
+    assert len(labels.read_text().splitlines()) == 40
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["outputs"] == [
+        str(out), str(labels)]
+
+
+def test_eval_makes_the_directory_of_its_output(ws, tmp_path):
+    model, out = tmp_path / "m.json", tmp_path / "new" / "e.json"
+    assert _train_toy(ws, model) == 0
+    assert cli.main(["eval", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                     "--truth", str(ws / "toy.truth.txt"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["truth_size"] == 5
+    assert Path(f"{out}.manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # bench subcommand
 
 
@@ -637,3 +690,14 @@ def test_bench_threads_flag_below_one_exits_2(tmp_path):
     r = run_cli("bench", "--config", cfg, "--out", tmp_path / "o.csv", "--threads", "0")
     assert r.returncode == 2 and "threads must be an integer >= 1, got 0" in r.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_bench_usage_error_leaves_no_directory(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(BENCH_CONFIG))
+    out, models = tmp_path / "new" / "o.csv", tmp_path / "models"
+    argv = ["bench", "--config", str(cfg), "--out", str(out), "--models-dir", str(models)]
+    assert cli.main([*argv, "--threads", "0"]) == 2
+    assert not (tmp_path / "new").exists() and not models.exists()
+    assert cli.main([*argv, "--threads", "1"]) == 0
+    assert out.exists() and Path(f"{out}.manifest.json").exists()

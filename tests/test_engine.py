@@ -775,6 +775,26 @@ def test_load_model_stores_the_checked_floats():
     assert type(model_from_dict(_payload_of("version 1")).entries[0].weight) is float
 
 
+@pytest.mark.parametrize("key,value", [("gamma", "x"), ("r", [1]), ("gamma", 1.0), ("r", 0.0)],
+                         ids=["gamma-string", "r-list", "gamma-number", "r-zero"])
+@pytest.mark.parametrize("mode", ["plain", "group", "tree"])
+def test_load_model_requires_a_null_map_outside_poly(mode, key, value):
+    # only the degree-2 map reads gamma and r; any other model writes null there
+    data, _ = _small_problem(seed=8, m=30)
+    structure = {"plain": None,
+                 "group": GroupStructure([np.arange(i, i + 5) for i in range(0, 30, 5)],
+                                         [f"g{i}" for i in range(6)]),
+                 "tree": TreeStructure([np.arange(30), np.arange(10), np.arange(10, 20)],
+                                       [-1, 0, 0], ["root", "a", "b"])}[mode]
+    payload = model_to_dict(fgm_train(data, SolverConfig(budget=2, max_outer=2), structure))
+    assert payload["mode"] == mode and payload["gamma"] is payload["r"] is None
+    model_from_dict(payload)
+    payload[key] = value
+    with pytest.raises(FormatError) as exc:
+        model_from_dict(payload)
+    assert str(exc.value) == f"a {mode} model's {key} must be null, got {value!r}"
+
+
 @pytest.mark.parametrize("mode", ["Poly", "", "l1", None, ["poly"]])
 def test_load_model_rejects_an_unknown_mode(mode):
     # predict would score a poly model of any other mode as raw features

@@ -428,6 +428,24 @@ def test_poly_streamed_equals_materialized(gamma, r, budget, block):
         assert type(got) is tuple and all(type(i) is int for i in got)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_poly_streamed_equals_materialized_on_one_or_two_features(m):
+    # the last anchor block holds anchor m-1, which has its square and no cross
+    rng = np.random.default_rng(40 + m)
+    n = 12
+    X = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.7)
+    X[0] = 0.0
+    y = rng.choice([-1, 1], size=n)
+    alpha = rng.random(n)
+    data = SparseDataset(X, y)
+    assert data.design is data.X    # a stored zero is missing, so the CSR is read
+    scores = (poly_full_matrix(X, 0.8, 1.5).T @ (alpha * y)) ** 2
+    for view, block in itertools.product(_layouts(data), (1, 64)):
+        for budget in range(1, poly_dim(m) + 1):
+            got = score_polynomial_streamed(alpha, view, 0.8, 1.5, budget, block)
+            assert got == sort_top_b(scores, budget), (budget, block, view.dense is None)
+
+
 def test_poly_streamed_tie_on_duplicate_columns():
     # two identical raw features produce exactly tied virtual columns;
     # selection must prefer the smaller flat ids

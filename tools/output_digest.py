@@ -26,10 +26,10 @@ the program computes must print the same lines.  Digested are:
   that stores zeros alike;
 * models trained on a CSR that stores about 10% of its cells (400 x 256,
   labels from 16 true features), the case where every kernel reads the CSR
-  itself: the set search, the column gather and the prediction.  Plain
-  features, 64 groups of 4 and the workload's three-level tree under
-  ``inverse_norm``, each with the labels it predicts on a test set drawn
-  alike;
+  itself: the set search, the degree-2 search, the column gather and the
+  prediction.  Plain features, 64 groups of 4, the workload's three-level
+  tree under ``inverse_norm`` and the degree-2 map, each with the labels it
+  predicts on a test set drawn alike;
 * plain models on ``generate_synthetic(60, 40, 4, seed=4)`` at budget 3,
   ``C=0.05`` and ``C=0.2``, 8 rounds and ``eps_outer=0``, whose group prox
   zeroes whole blocks: they hold lone ``-0.0`` weights and, at ``C=0.2``, a
@@ -234,6 +234,7 @@ def sparse_digests(work: Path):
         "groups": (GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(64)],
                                   [f"g{g}" for g in range(64)]), cfg),
         "tree inverse_norm": (three_level_tree(m), replace(cfg, lambda_policy="inverse_norm")),
+        "poly": (PolyMap(), cfg),
     }
     for setting, (structure, cfg) in settings.items():
         model = engine.fgm_train(train, cfg, structure)
