@@ -77,10 +77,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _make_parents(*paths) -> None:
-    """Make the directory of every output path given (None skipped), before the first write."""
+    """Check every output path given (None skipped), then make their directories.
+
+    Called before a command's first write with all of its outputs, manifest
+    included: an output that names an existing directory fails here, so the
+    run leaves no file behind.
+    """
+    paths = [Path(p) for p in paths if p is not None]
     for path in paths:
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +99,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     train, truth = generate_synthetic(args.n, args.m, args.k, args.type, args.seed)
     prefix = Path(args.out_prefix)
-    _make_parents(prefix)
     train_path = Path(f"{prefix}.train.libsvm")
     truth_path = Path(f"{prefix}.truth.txt")
+    test_path = Path(f"{prefix}.test.libsvm") if args.n_test > 0 else None
+    manifest = Path(f"{prefix}.manifest.json")
+    _make_parents(train_path, truth_path, test_path, manifest)
     write_libsvm(train, train_path)
     write_ground_truth(truth, truth_path)
     outputs = [train_path, truth_path]
-    if args.n_test > 0:
-        test_path = Path(f"{prefix}.test.libsvm")
+    if test_path is not None:
         write_libsvm(generate_test_set(truth, args.n_test, args.seed), test_path)
         outputs.append(test_path)
     params = {"n": args.n, "m": args.m, "k": args.k, "type": args.type,
               "n_test": args.n_test, "seed": args.seed}
-    _write_manifest(Path(f"{prefix}.manifest.json"), "generate", params, [],
-                    outputs, time.perf_counter() - started)
+    _write_manifest(manifest, "generate", params, [], outputs, time.perf_counter() - started)
     return 0
 
 
@@ -140,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise FormatError(f"training on n={data.n} x m={data.m} data ran out of memory{detail}"
                           ) from exc
     out = Path(args.out)
-    _make_parents(out, args.trace)
+    _make_parents(out, args.trace, _manifest_path(out))
     save_model(model, out)
     outputs = [out]
     if args.trace:
@@ -173,7 +181,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     metrics = {"accuracy": accuracy, "n_instances": data.n,
                "support": model.support_size, "mode": model.mode}
     out = Path(args.out)
-    _make_parents(out, args.labels_out)
+    _make_parents(out, args.labels_out, _manifest_path(out))
     _write_json(out, metrics)
     outputs = [out]
     if args.labels_out:
@@ -195,7 +203,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                "support": model.support_size, "recovered": recovered,
                "truth_size": int(truth.support.size)}
     out = Path(args.out)
-    _make_parents(out)
+    _make_parents(out, _manifest_path(out))
     _write_json(out, metrics)
     _write_manifest(_manifest_path(out), "eval", {"support": model.support_size},
                     [args.model, args.data, args.truth], [out],

@@ -209,7 +209,8 @@ def eval_bounds(alpha: np.ndarray, cache: ColumnCache, labels: np.ndarray,
 
     Takes the largest stored-selection energy plus the alpha-only dual
     terms.  A selection's energy is half the squared norm of its cached
-    columns' products with ``alpha * labels``; as scales are folded into
+    columns' products with ``alpha * labels``, all taken in one product
+    over the distinct stored columns (``cache.T``); as scales are folded into
     the columns, it is ``0.5 * sum_{j in d_t} lambda_j^2 omega_j^2`` for
     every unit type.  When the cache holds the worst-case set for
     ``alpha``, the returned value is the full dual value there, an upper
@@ -217,7 +218,7 @@ def eval_bounds(alpha: np.ndarray, cache: ColumnCache, labels: np.ndarray,
     """
     if cache.offsets.size == 1:
         raise ValueError("no stored constraints")
-    u = cache.matrix.T @ (alpha * labels)
+    u = cache.T @ (alpha * labels)
     energies = 0.5 * np.add.reduceat(u * u, cache.offsets[:-1])
     return float(energies.max()) + dual_value_terms(alpha, kind)
 
@@ -301,7 +302,7 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
             stop_reason = "duplicate"
             break
         feats, lams = units.members(np.asarray(proposal, dtype=np.intp))
-        cache = cache.extend(units.gather(feats) * lams)
+        cache = cache.extend(units.gather(feats) * lams, feats, lams)
         # the new block is the worst case at alpha, so this is the full dual value there
         phi = min(phi, eval_bounds(alpha, cache, labels, kind))
 

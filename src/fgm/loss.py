@@ -66,7 +66,7 @@ def eval_loss(w: np.ndarray, cache: ColumnCache, labels: np.ndarray,
         raise ValueError("weight layout does not match the cache")
     if labels.shape != (cache.n_instances,):
         raise ValueError("labels length does not match the cache")
-    xi = margins_from_scores(cache.matrix @ w, labels, kind)
+    xi = margins_from_scores(cache @ w, labels, kind)
     return loss_from_margins(xi, kind), xi
 
 

@@ -187,7 +187,9 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     Parameters
     ----------
     cache : ColumnCache
-        Selected (already scaled) columns, one block per selection round.
+        Selected (already scaled) columns, one block per selection round;
+        the products are the cache's own (``cache @ w``, ``cache.T @ z``),
+        which read each distinct column once.
     labels : ndarray
         -1/+1 labels, one per instance.
     kind : LossKind
@@ -208,7 +210,7 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     -------
     ApgResult
         Final flat weights in the cache's layout and their scores
-        ``cache.matrix @ w``, last accepted ``tau`` (fed forward as
+        ``cache @ w``, last accepted ``tau`` (fed forward as
         ``0.8^2 * tau`` when the cache grows), the accepted objective
         trace, which is non-increasing by construction (extrapolation is
         reset whenever it would raise the objective), and whether the
@@ -222,8 +224,9 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     w = np.zeros(cache.offsets[-1]) if warm is None else np.array(warm, dtype=float)
     if w.shape != (cache.offsets[-1],):
         raise ValueError("warm start does not match the cache layout")
+    # with no repeated column the cache's products are its matrix's own: pass the matrix
     return _accelerated(
-        cache.matrix, labels, kind, w, regularizer(w, cache),
+        cache.matrix if cache.index is None else cache, labels, kind, w, regularizer(w, cache),
         lambda g, tau: moreau_projection(g, cache, 1.0 / tau),
         lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         max_inner, L_init)

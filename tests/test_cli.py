@@ -590,6 +590,52 @@ def test_eval_makes_the_directory_of_its_output(ws, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# an output that names an existing directory: exit 3 before the first write
+
+
+def _files_in(d):
+    return sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("taken", ["trace", "manifest"])
+def test_train_output_that_is_a_directory_leaves_no_file(ws, tmp_path, taken):
+    model, trace = tmp_path / "m.json", tmp_path / "t.csv"
+    (trace if taken == "trace" else Path(f"{model}.manifest.json")).mkdir()
+    assert _train_toy(ws, model, "--trace", trace) == 3
+    assert _files_in(tmp_path) == []
+
+
+@pytest.mark.parametrize("taken", ["labels-out", "manifest"])
+def test_predict_output_that_is_a_directory_leaves_no_file(ws, tmp_path, taken):
+    model = tmp_path / "m.json"
+    assert _train_toy(ws, model) == 0
+    before = _files_in(tmp_path)
+    out, labels = tmp_path / "p.json", tmp_path / "l.txt"
+    (labels if taken == "labels-out" else Path(f"{out}.manifest.json")).mkdir()
+    assert cli.main(["predict", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                     "--out", str(out), "--labels-out", str(labels)]) == 3
+    assert _files_in(tmp_path) == before
+
+
+def test_eval_manifest_that_is_a_directory_leaves_no_file(ws, tmp_path):
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    assert _train_toy(ws, model) == 0
+    before = _files_in(tmp_path)
+    Path(f"{out}.manifest.json").mkdir()
+    assert cli.main(["eval", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                     "--truth", str(ws / "toy.truth.txt"), "--out", str(out)]) == 3
+    assert _files_in(tmp_path) == before
+
+
+def test_generate_output_that_is_a_directory_leaves_no_file(tmp_path, capsys):
+    (tmp_path / "d.test.libsvm").mkdir()
+    assert cli.main(["generate", "--n", "8", "--m", "6", "--k", "2", "--n-test", "4",
+                     "--out-prefix", str(tmp_path / "d")]) == 3
+    assert "is a directory" in capsys.readouterr().err
+    assert _files_in(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
 # bench subcommand
 
 

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 import fgm.dataset as dataset
 import fgm.engine as engine
+from fgm.blocks import ColumnCache
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
                          TreeStructure, compute_scaling_prior, generate_synthetic)
 from fgm.engine import (Model, ModelEntry, PolyMap, SolverConfig, eval_bounds, evaluate_recovery,
@@ -427,6 +428,30 @@ def test_tree_mode_folds_scale_into_weights(monkeypatch):
     assert 0.0 <= acc <= 1.0
 
 
+def test_tree_round_with_nested_nodes_stores_their_shared_columns_once(monkeypatch):
+    data, _ = _small_problem(seed=10, m=12)
+    tree = TreeStructure([np.arange(0, 12), np.arange(0, 6), np.arange(6, 12), np.arange(0, 3)],
+                         np.array([-1, 0, 0, 1]), list("rabc"))
+    caches = []
+    original = ColumnCache.extend
+
+    def recorded(self, columns, features, scales):
+        caches.append(original(self, columns, features, scales))
+        return caches[-1]
+
+    monkeypatch.setattr(ColumnCache, "extend", recorded)
+    model = fgm_train(data, SolverConfig(budget=2, max_outer=3, eps_outer=0.0), tree)
+    first = caches[0]
+    feats = np.concatenate([tree.sets[u] for u in model.trace[0].selected])
+    # under ``ones`` a parent and its child scale a shared feature alike: one column
+    assert 0 in model.trace[0].selected and feats.size > np.unique(feats).size
+    assert first.matrix.shape[1] == np.unique(feats).size < first.offsets[-1]
+    explicit = data.dense_columns(feats)
+    np.testing.assert_array_equal(first.matrix[:, first.index], explicit)
+    w = np.random.default_rng(0).standard_normal(feats.size)
+    np.testing.assert_allclose(first @ w, explicit @ w, rtol=1e-12)
+
+
 def test_tree_mode_inverse_norm_policy_runs():
     data, _ = _small_problem(seed=11, m=12)
     sets = [np.arange(0, 12), np.arange(0, 6), np.arange(6, 12)]
@@ -808,6 +833,20 @@ def test_load_model_rejects_an_unknown_mode(mode):
 
 
 def test_eval_bounds_requires_constraints():
-    from fgm.blocks import ColumnCache
     with pytest.raises(ValueError, match="no stored constraints"):
         eval_bounds(np.ones(3), ColumnCache.empty(3), np.ones(3), LossKind())
+
+
+@pytest.mark.parametrize("kind", [LossKind("squared_hinge", 2.0), LossKind("logistic", 2.0)])
+def test_eval_bounds_on_repeated_columns_matches_the_position_wise_cache(kind):
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((20, 5))
+    cache = ColumnCache.empty(20)
+    for feats in ([0, 1, 0], [1, 2], [3]):
+        feats = np.asarray(feats)
+        cache = cache.extend(raw[:, feats], feats, np.ones(feats.size))
+    explicit = ColumnCache(raw[:, [0, 1, 0, 1, 2, 3]], cache.offsets)
+    alpha, labels = rng.uniform(0.1, 1.5, 20), rng.choice([-1.0, 1.0], 20)
+    assert cache.matrix.shape[1] == 4
+    assert eval_bounds(alpha, cache, labels, kind) == pytest.approx(
+        eval_bounds(alpha, explicit, labels, kind), rel=1e-12)

@@ -49,6 +49,21 @@ def test_logistic_value_at_zero_weights():
     assert val == pytest.approx(10.0 * n * np.log(2.0))
 
 
+@pytest.mark.parametrize("kind", [SQ, LG])
+def test_eval_loss_on_a_repeated_column_uses_the_cache_product(kind):
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((12, 4))
+    feats = np.array([2, 0, 2, 3])
+    cache = ColumnCache.empty(12).extend(raw[:, feats] * 0.5, feats, np.full(4, 0.5))
+    explicit = ColumnCache(raw[:, feats] * 0.5, cache.offsets)
+    assert cache.matrix.shape[1] == 3
+    labels, w = rng.choice([-1.0, 1.0], size=12), rng.standard_normal(4)
+    val, xi = eval_loss(w, cache, labels, kind)
+    want_val, want_xi = eval_loss(w, explicit, labels, kind)
+    assert val == pytest.approx(want_val, rel=1e-12)
+    np.testing.assert_allclose(xi, want_xi, rtol=1e-12, atol=1e-15)
+
+
 def test_margins_hand_case():
     scores = np.array([2.0, -0.5])
     labels = np.array([1.0, 1.0])

@@ -181,6 +181,94 @@ def test_block_norms_hand_values():
     np.testing.assert_array_equal(cache.block_norms(np.array([3.0, 4.0, -2.0])), [5.0, 2.0])
 
 
+def _keyed(rng, rounds, n=9, m=6):
+    """A cache extended by ``rounds`` of (features, scales), and its position-wise matrix."""
+    raw = rng.standard_normal((n, m))
+    cache = ColumnCache.empty(n)
+    for feats, scales in rounds:
+        feats, scales = np.asarray(feats), np.asarray(scales, dtype=float)
+        cache = cache.extend(raw[:, feats] * scales, feats, scales)
+    explicit = np.column_stack([raw[:, f] * s for feats, scales in rounds
+                                for f, s in zip(feats, scales)])
+    return cache, explicit
+
+
+REPEATS = [([0, 1, 0], [1.0, 1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([2, 2, 3], [0.5, 1.0, 0.5])]
+
+
+def test_column_cache_stores_a_repeated_key_once():
+    cache, explicit = _keyed(np.random.default_rng(0), REPEATS)
+    # keys (0,1) (1,1) (2,1) (2,.5) (3,.5): a position maps to its key's first column
+    assert cache.matrix.shape[1] == 5 and cache.offsets.tolist() == [0, 3, 5, 8]
+    assert cache.index.tolist() == [0, 1, 0, 1, 2, 3, 2, 4]
+    np.testing.assert_array_equal(cache.matrix[:, cache.index], explicit)
+    assert cache.matrix.flags.c_contiguous
+    # a key is the scale's bits: -0.0 and 0.0 scale a column to different bits
+    signed, _ = _keyed(np.random.default_rng(0), [([4, 4, 4], [0.0, -0.0, 0.0])])
+    assert signed.matrix.shape[1] == 2 and signed.index.tolist() == [0, 1, 0]
+
+
+def test_column_cache_products_match_the_position_wise_matrix():
+    rng = np.random.default_rng(1)
+    cache, explicit = _keyed(rng, REPEATS)
+    for _ in range(5):
+        w, z = rng.standard_normal(explicit.shape[1]), rng.standard_normal(explicit.shape[0])
+        np.testing.assert_allclose(cache @ w, explicit @ w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cache.T @ z, explicit.T @ z, rtol=1e-12, atol=0)
+
+
+def test_column_cache_without_repeats_uses_its_matrix_products():
+    rng = np.random.default_rng(2)
+    cache, explicit = _keyed(rng, [([0, 1], [1.0, 2.0]), ([1, 2], [1.0, 1.0])])
+    assert cache.index is None and cache.matrix.tobytes() == explicit.tobytes()
+    w, z = rng.standard_normal(4), rng.standard_normal(9)
+    assert (cache @ w).tobytes() == (cache.matrix @ w).tobytes()
+    assert (cache.T @ z).tobytes() == (cache.matrix.T @ z).tobytes()
+
+
+def test_column_cache_extend_leaves_the_earlier_cache_as_it_was():
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((9, 6))
+
+    def extend(cache, feats):
+        feats = np.asarray(feats)
+        return cache.extend(raw[:, feats], feats, np.ones(feats.size))
+
+    for start in ([0, 1], [0, 0]):      # without and with a repeat
+        first = extend(ColumnCache.empty(9), start)
+        w, z = rng.standard_normal(2), rng.standard_normal(9)
+        scores, grads = first @ w, first.T @ z
+        extend(first, [1, 3])           # a branch that the next extends must not see
+        later = extend(extend(first, [4]), [3])
+        assert (first @ w).tobytes() == scores.tobytes()
+        assert (first.T @ z).tobytes() == grads.tobytes()
+        assert first.offsets.tolist() == [0, 2] and first.matrix.shape[1] == len(set(start))
+        v = rng.standard_normal(4)
+        np.testing.assert_allclose(later @ v, raw[:, start + [4, 3]] @ v, rtol=1e-12)
+
+
+def test_column_cache_rejects_a_bad_index_or_key_count():
+    with pytest.raises(ValueError, match="index must map"):
+        ColumnCache(np.zeros((2, 2)), np.array([0, 3]), index=np.array([0, 1]))
+    with pytest.raises(ValueError, match="outside matrix"):
+        ColumnCache(np.zeros((2, 2)), np.array([0, 3]), index=np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="one feature and one scale"):
+        ColumnCache.empty(2).extend(np.zeros((2, 2)), np.array([0]), np.ones(2))
+
+
+@pytest.mark.parametrize("kind", [SQ, LG])
+def test_apg_on_repeated_columns_matches_the_position_wise_cache(kind):
+    rng = np.random.default_rng(4)
+    cache, explicit = _keyed(rng, REPEATS, n=30)
+    labels = rng.choice([-1.0, 1.0], size=30)
+    got = apg_solve(cache, labels, kind, eps=1e-8)
+    want = apg_solve(ColumnCache(explicit, cache.offsets), labels, kind, eps=1e-8)
+    assert got.n_iters == want.n_iters
+    np.testing.assert_allclose(got.objectives, want.objectives, rtol=1e-12)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got.scores, explicit @ got.weights, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # accelerated solver
 

@@ -37,6 +37,11 @@ the program computes must print the same lines.  Digested are:
   from (no workload model at seeds 0-2 has a zero weight); and a tree model
   at ``C=0.05`` on that data widened to 64 features under the workload's
   three-level tree, whose nested nodes repeat features in the sums;
+* tree models on ``generate_synthetic(256, 256, 16)`` at seeds 0, 1 and
+  2 under the workload's three-level tree (4 roots) and the ``ones``
+  policy, budget 6: each round selects a node together with nodes nested
+  in it, so the cache stores their shared scaled columns once within the
+  round, a case no workload covers;
 * for the ``cli-files`` workload at seed 0, the libsvm files and the truth
   file of ``fgm generate``, the datasets that ``load_libsvm`` reads back
   from the two libsvm files (lines labelled ``loaded``), the model of
@@ -262,6 +267,22 @@ def zero_weight_digests(work: Path):
         yield from _model_digests(f"zero weights {setting} model", path)
 
 
+def nested_tree_digests(work: Path):
+    tree = three_level_tree(256)
+    cfg = SolverConfig(budget=6, max_outer=8, eps_outer=0.0)
+    for seed in SEEDS:
+        train, truth = generate_synthetic(256, 256, 16, seed=seed)
+        model = engine.fgm_train(train, cfg, tree)
+        assert any(len(set(f for u in t.selected for f in tree.sets[u].tolist()))
+                   < sum(tree.sets[u].size for u in t.selected) for t in model.trace)
+        path = work / f"nested-tree-{seed}.json"
+        engine.save_model(model, path)
+        label = f"nested tree ones seed {seed}"
+        yield from _model_digests(f"{label} model", path)
+        labels, _ = engine.predict(model, generate_test_set(truth, 256, seed))
+        yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
+
+
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     prefix = work / "data"
     model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
@@ -322,6 +343,7 @@ def main() -> int:
         lines += stored_zero_digests(work)
         lines += sparse_digests(work)
         lines += zero_weight_digests(work)
+        lines += nested_tree_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += one_pair_digest(work)
         lines += bench_digests(work)
