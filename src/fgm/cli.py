@@ -80,13 +80,16 @@ def _make_parents(*paths) -> None:
     """Check every output path given (None skipped), then make their directories.
 
     Called before a command's first write with all of its outputs, manifest
-    included: an output that names an existing directory fails here, so the
-    run leaves no file behind.
+    included: an output that names an existing directory, or lies under an
+    existing file, fails here, so the run leaves no file or directory behind.
     """
     paths = [Path(p) for p in paths if p is not None]
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(f"output path {path} is a directory")
+        ancestor = next(parent for parent in path.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"output path {path} lies under {ancestor}, not a directory")
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
 

@@ -224,9 +224,8 @@ def apg_solve(cache: ColumnCache, labels: np.ndarray, kind: LossKind,
     w = np.zeros(cache.offsets[-1]) if warm is None else np.array(warm, dtype=float)
     if w.shape != (cache.offsets[-1],):
         raise ValueError("warm start does not match the cache layout")
-    # with no repeated column the cache's products are its matrix's own: pass the matrix
     return _accelerated(
-        cache.matrix if cache.index is None else cache, labels, kind, w, regularizer(w, cache),
+        cache, labels, kind, w, regularizer(w, cache),
         lambda g, tau: moreau_projection(g, cache, 1.0 / tau),
         lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         max_inner, L_init)

@@ -605,6 +605,14 @@ def test_train_output_that_is_a_directory_leaves_no_file(ws, tmp_path, taken):
     assert _files_in(tmp_path) == []
 
 
+def test_train_output_under_a_file_leaves_no_directory(ws, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    model, trace = tmp_path / "new" / "m.json", tmp_path / "afile" / "t.csv"
+    assert _train_toy(ws, model, "--trace", trace) == 3
+    assert "not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 @pytest.mark.parametrize("taken", ["labels-out", "manifest"])
 def test_predict_output_that_is_a_directory_leaves_no_file(ws, tmp_path, taken):
     model = tmp_path / "m.json"
