@@ -54,7 +54,7 @@ def l1_prox_train(data: SparseDataset, kind: LossKind, reg: float,
         return x, reg * float(np.abs(x).sum())
 
     return _accelerated(
-        data.fit_view().design, data.y.astype(float), kind, w, reg * float(np.abs(w).sum()),
+        data.design, data.y.astype(float), kind, w, reg * float(np.abs(w).sum()),
         soft_threshold, lambda x, s, f_prev, f_curr: _relative_change(f_prev, f_curr) <= eps,
         max_iter)
 
@@ -86,7 +86,7 @@ def l2_full_train(data: SparseDataset, kind: LossKind, eps: float = 1e-6,
     at most 1e-14 relative.  Near the optimum the second exit can fire
     first, leaving the gradient norm several times that bound.
     """
-    return _l2_solve(data.fit_view().design, data.y.astype(float), data.m, kind, eps,
+    return _l2_solve(data.design, data.y.astype(float), data.m, kind, eps,
                      max_iter, warm)
 
 
@@ -141,9 +141,8 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     targets = sorted(set(int(t) for t in targets))
     if not targets or targets[0] < 1:
         raise ValueError("targets must be positive integers")
-    view = data.fit_view()
     y = data.y.astype(float)
-    grad0 = gradient_from_margins(view.design, margins_from_scores(np.zeros(data.n), y, kind),
+    grad0 = gradient_from_margins(data.design, margins_from_scores(np.zeros(data.n), y, kind),
                                   y, kind)
     reg_max = float(np.max(np.abs(grad0)))
     if reg_max == 0:
@@ -155,7 +154,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
     top = max(targets)
     for _ in range(_MAX_POINTS):
         reg *= _DECAY
-        sol = l1_prox_train(view, kind, reg, eps=eps, max_iter=max_iter, warm=warm)
+        sol = l1_prox_train(data, kind, reg, eps=eps, max_iter=max_iter, warm=warm)
         warm = sol.weights
         path.append((reg, sol))
         if sol.support_size >= top * (1.0 + tol):
@@ -179,7 +178,7 @@ def sweep_to_support(data: SparseDataset, kind: LossKind, targets,
                 reg_hi = min(p[0] for p in below)
                 for _ in range(20):
                     mid = float(np.sqrt(reg_lo * reg_hi))
-                    sol = l1_prox_train(view, kind, mid, eps=eps, max_iter=max_iter,
+                    sol = l1_prox_train(data, kind, mid, eps=eps, max_iter=max_iter,
                                         warm=sol_best.weights)
                     path.append((mid, sol))
                     if abs(sol.support_size - t) < abs(sol_best.support_size - t):

@@ -84,6 +84,8 @@ def validate_config(config: dict) -> None:
     for key, value in ints:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"bench config's data.{key} must be an integer")
+    if synthetic.get("n_test", 0) < 0:
+        raise ValueError("bench config's data.synthetic.n_test must be >= 0")
     for key in ("train", "test", "truth"):
         if key in data and not isinstance(data[key], str):
             raise ValueError(f"bench config's data.{key} must be a string")

@@ -100,6 +100,8 @@ def _make_parents(*paths) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.n_test < 0:
+        raise ValueError("n_test must be >= 0")
     train, truth = generate_synthetic(args.n, args.m, args.k, args.type, args.seed)
     prefix = Path(args.out_prefix)
     train_path = Path(f"{prefix}.train.libsvm")

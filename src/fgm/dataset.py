@@ -52,13 +52,12 @@ class SparseDataset:
     caller's; any other sparse input is converted or copied, never changed.
     An array (0-D and 1-D ones become one row) is converted in one pass
     into a new CSR that shares no memory with it.  Every kernel reads X
-    through :attr:`design`, which alone picks how: a fit view's array copy,
-    else X's own view, else the CSR.  Only a :meth:`fit_view` sets ``dense``.
+    through :attr:`design`, which alone picks how: X's own row-major view
+    when the CSR stores every cell, else the CSR.
     """
 
     X: sp.csr_matrix
     y: np.ndarray
-    dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not sp.issparse(self.X):
@@ -85,40 +84,23 @@ class SparseDataset:
 
     @property
     def design(self):
-        """X as the kernels read it: ``dense``, else X's own view (:func:`_full_array`), else X.
+        """X as the kernels read it: X's own view if X stores every cell, else X itself.
 
-        X's own view reads stored values as stored: a stored ``-0.0`` stays ``-0.0``.
+        The view is :func:`_full_array`'s.  Both read stored values as
+        stored: a stored ``-0.0`` stays ``-0.0``.
         """
-        full = self.dense if self.dense is not None else _full_array(self.X)
+        full = _full_array(self.X)
         return self.X if full is None else full
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of every feature column, shape ``(m,)``."""
         return np.sqrt(_column_sq_sums(self))
 
-    def fit_view(self) -> "SparseDataset":
-        """Shallow copy that also carries ``dense``, X as a C-ordered array.
-
-        When X stores every cell, ``dense`` is the view :attr:`design` reads
-        anyway: no scan and no copy.  Otherwise the array is copied only when
-        it takes no more memory than the CSR values and indices it mirrors
-        (density at least 2/3 with 32-bit indices), else ``dense`` stays None
-        and every kernel reads the CSR.  Training builds one view per fit and
-        drops it on return; a view that carries an array is its own view, so
-        a caller that fits many times (a regularization path) builds it once.
-        """
-        if self.dense is not None:
-            return self
-        view = copy.copy(self)
-        view.dense = _full_array(self.X)
-        if view.dense is None and self.n * self.m * 8 <= self.X.data.nbytes + self.X.indices.nbytes:
-            view.dense = self.X.toarray()
-        return view
-
     def dense_columns(self, ids: np.ndarray) -> np.ndarray:
         """Extract columns ``ids`` (repeats allowed) as a dense ``(n, len(ids))`` matrix.
 
-        Reads :attr:`design` and copies the stored values, so a view gives the same bits.
+        Reads :attr:`design` and copies the stored values, so both layouts
+        give the same bits and a stored ``-0.0`` stays ``-0.0``.
         """
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.m):
@@ -127,10 +109,17 @@ class SparseDataset:
 
 
 def _columns(design, ids: np.ndarray) -> np.ndarray:
-    """Columns ``ids`` of a :attr:`SparseDataset.design` as a C-ordered array, values copied."""
-    if sp.issparse(design):
-        return np.asarray(design[:, ids].todense())
-    return np.take(design, ids, axis=1)
+    """Columns ``ids`` of a :attr:`SparseDataset.design` as a C-ordered array, values copied.
+
+    The CSR's stored values are assigned into zeros, not added (as
+    ``todense`` does), so a stored ``-0.0`` keeps its sign.
+    """
+    if not sp.issparse(design):
+        return np.take(design, ids, axis=1)
+    cols = design[:, ids]
+    out = np.zeros(cols.shape)
+    out[np.repeat(np.arange(cols.shape[0]), np.diff(cols.indptr)), cols.indices] = cols.data
+    return out
 
 
 def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
@@ -254,8 +243,6 @@ class TreeStructure:
         self._check_laminar(node, feat)
         self._assert_acyclic()
         self._set_lambdas(self.lambdas)
-        if not np.isfinite(self.lambdas).all():
-            raise ValueError(f"per-{self._noun} lambdas must be finite")
 
     def _check_laminar(self, node: np.ndarray, feat: np.ndarray) -> None:
         """Every child set lies in its parent's; sibling sets (roots too) are disjoint.
@@ -305,6 +292,8 @@ class TreeStructure:
             if self.lambdas.size != self.n_nodes or np.any(self.lambdas < 0):
                 raise ValueError(f"per-{self._noun} lambdas must be non-negative, "
                                  f"one per {self._noun}")
+            if not np.isfinite(self.lambdas).all():
+                raise ValueError(f"per-{self._noun} lambdas must be finite")
 
     def _assert_acyclic(self) -> None:
         # pointer doubling: after k steps ``up`` holds each node's 2^k-th

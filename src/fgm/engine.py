@@ -40,15 +40,15 @@ MODEL_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class PolyMap:
-    """Degree-2 polynomial feature map parameters."""
+    """Degree-2 polynomial feature map parameters: finite ``gamma > 0`` and ``r >= 0``."""
 
     gamma: float = 1.0
     r: float = 1.0
     block: int = 64
 
     def __post_init__(self):
-        if not self.gamma > 0 or not self.r >= 0 or not _is_count(self.block):
-            raise ValueError("need gamma > 0, r >= 0, block an integer >= 1")
+        if not (0 < self.gamma < np.inf and 0 <= self.r < np.inf and _is_count(self.block)):
+            raise ValueError("need finite gamma > 0 and r >= 0, block an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -270,10 +270,9 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     Data with no feature raises :class:`FormatError`, and data holding a
     non-finite value :class:`NumericalError` for outer iteration 1, before
     any search; a structure that names a feature ``>= data.m`` raises FormatError.
-    Every kernel reads a fit view's :attr:`~SparseDataset.design`: a per-fit
-    array copy when it takes no more memory than the CSR, else X's own view
-    when X stores every cell (stored values as stored), else the CSR
-    (:meth:`SparseDataset.fit_view`); ``data`` is unchanged.
+    Every kernel reads :attr:`SparseDataset.design`, as :func:`predict`
+    does: X's own view when X stores every cell (stored values as stored),
+    else the CSR.  No copy of X is made and ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
@@ -282,7 +281,6 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     if not np.isfinite(data.X.data).all():
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
-    data = data.fit_view()
     kind = cfg.loss_kind()
     units = _units(data, cfg, structure)
 

@@ -29,7 +29,7 @@ _KINDS = (SQUARED_HINGE, LOGISTIC)
 
 @dataclass(frozen=True)
 class LossKind:
-    """Loss family and its regularization weight ``C > 0``."""
+    """Loss family and its regularization weight, a finite ``C > 0``."""
 
     kind: str = SQUARED_HINGE
     C: float = 10.0
@@ -37,8 +37,8 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < np.inf:    # NaN fails too
+            raise ValueError("C must be positive and finite")
 
 
 def margins_from_scores(scores: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:

@@ -23,13 +23,12 @@ survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
 scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over a
 structure's flat ``members`` and sums each set with ``np.add.reduceat``.
 
-Each kernel reads :attr:`SparseDataset.design`: a fit view's array copy,
-else X's own row-major view when X stores every cell (stored values as
-stored), else the CSR.  On an array omega is one matrix-vector product.
-The degree-2 search reads X by feature rows, the array's transposed view
-or the CSR transposed once per search, the same way on either layout.  The
-CSR, the only layout that fits sparse ultrahigh-dimensional data, is never
-copied squared; an array is X's own values or at most the CSR's size.
+Each kernel reads :attr:`SparseDataset.design`: X's own row-major view
+when X stores every cell (stored values as stored), else the CSR.  On the
+view omega is one matrix-vector product.  The degree-2 search reads X by
+feature rows, the view transposed or the CSR transposed once per search,
+the same way on either layout.  The CSR, the only layout that fits sparse
+ultrahigh-dimensional data, is never copied squared or as an array.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -183,7 +182,7 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     The degree-2 map of ``k(x, z) = (gamma x'z + r)^2`` sends ``x`` to
     ``[r, sqrt(2 gamma r) x_a, gamma x_a^2, sqrt(2) gamma x_a x_b]``.
     The raw columns it reads are gathered in one pass from
-    :attr:`SparseDataset.design` (a stored ``-0.0`` stays ``-0.0`` on X's own view).
+    :attr:`SparseDataset.design`; a stored ``-0.0`` stays ``-0.0`` on either layout.
     """
     if not gamma > 0 or not r >= 0:    # NaN fails both
         raise ValueError("need gamma > 0 and r >= 0")
@@ -212,11 +211,11 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``: the constant and linear terms
     at once, the rest blockwise over the anchor feature ``a``.  One product
-    per block, read alike from the CSR and an array
-    :attr:`~SparseDataset.design`, gives ``G[b, a] = sum_i z_i x_ia x_ib``
+    per block, read alike from the CSR and X's own view
+    (:attr:`~SparseDataset.design`), gives ``G[b, a] = sum_i z_i x_ia x_ib``
     for every partner ``b >= a``: the squares on its diagonal, the crosses
     above it.  Each block's scores are merged with the running best ``B`` as
-    arrays, so peak memory besides the data and its dense view is
+    arrays, so peak memory besides the data (and, on the CSR, its transpose) is
     ``O(B + block * (n + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """

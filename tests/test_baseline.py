@@ -154,7 +154,7 @@ def test_converged_l2_solves_meet_their_stop_rule_recomputed_from_x(loss, densit
     X = rng.standard_normal((60, 40)) * (rng.random((60, 40)) < density)
     y = np.where(X[:, :5].sum(axis=1) + 0.3 * rng.standard_normal(60) >= 0, 1, -1)
     data = SparseDataset(X, y)
-    assert (data.fit_view().dense is None) == (density < 1)
+    assert sp.issparse(data.design) == (density < 1)
     eps = 1e-4
     kind = LossKind(loss, 1.0)
     full = l2_full_train(data, kind, eps=eps)
@@ -229,44 +229,6 @@ def test_sweep_hits_targets_within_window():
         window = max(1.0, 0.1 * t)
         assert abs(res.weights.support_size - t) <= window, (t, res.weights.support_size)
         assert res.reg > 0
-
-
-def _sweep_problem(density: float, seed: int = 0) -> SparseDataset:
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((120, 200)) * (rng.random((120, 200)) < density)
-    w = np.zeros(200)
-    w[:8] = rng.standard_normal(8)
-    return SparseDataset(X, np.where(X @ w + 0.1 * rng.standard_normal(120) >= 0, 1, -1))
-
-
-def _sweep_bytes(out) -> list:
-    return [(t, r.reg, r.weights.support_size, r.weights.weights.tobytes(), r.weights.objectives,
-             r.weights.converged) for t, r in sorted(out.items())]
-
-
-def test_sweep_builds_one_array_and_matches_a_per_point_build(monkeypatch):
-    kind = LossKind("squared_hinge", 1.0)
-    fit_view = SparseDataset.fit_view
-    for density, arrays in ((1.0, 0), (0.9, 1), (0.1, 0)):
-        data = _sweep_problem(density)
-        built = []
-
-        def spy(self):
-            view = fit_view(self)
-            if view.dense is not None and view.dense is not self.dense \
-                    and not np.shares_memory(view.dense, self.X.data):
-                built.append(view.dense)
-            return view
-
-        monkeypatch.setattr(SparseDataset, "fit_view", spy)
-        got = sweep_to_support(data, kind, [5, 15])
-        assert len(built) == arrays, density
-
-        def fresh(self):                  # every solve builds its own array from the CSR
-            return fit_view(SparseDataset(self.X, self.y))
-
-        monkeypatch.setattr(SparseDataset, "fit_view", fresh)
-        assert _sweep_bytes(got) == _sweep_bytes(sweep_to_support(data, kind, [5, 15]))
 
 
 def test_sweep_validation():

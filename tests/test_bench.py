@@ -41,6 +41,7 @@ def test_validate_config_accepts_valid():
     (lambda c: c.update(data={"synthetic": {"m": 4, "k": 1}}), "synthetic.n must be an integer"),
     (lambda c: c.update(data={"synthetic": {"n": 8, "m": 4, "k": 1, "type": 1.5}}),
      "synthetic.type must be an integer"),
+    (lambda c: c["data"]["synthetic"].update(n_test=-1), "synthetic.n_test must be >= 0"),
     (lambda c: c.update(data={"train": 5}), "data.train must be a string"),
     (lambda c: c.update(data={"train": "a.libsvm", "dim": "40"}), "data.dim must be an integer"),
     (lambda c: c.update(seeds=[]), "seeds"),

@@ -635,6 +635,16 @@ def test_eval_manifest_that_is_a_directory_leaves_no_file(ws, tmp_path):
     assert _files_in(tmp_path) == before
 
 
+def test_infinite_c_and_negative_n_test_are_usage_errors(ws, tmp_path, capsys):
+    assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"),
+                     "--out", str(tmp_path / "m.json"), "--C", "inf"]) == 2
+    assert "usage error: C must be positive and finite" in capsys.readouterr().err
+    assert cli.main(["generate", "--n", "8", "--m", "6", "--k", "2", "--n-test", "-3",
+                     "--out-prefix", str(tmp_path / "d")]) == 2
+    assert "usage error: n_test must be >= 0" in capsys.readouterr().err
+    assert _files_in(tmp_path) == []
+
+
 def test_generate_output_that_is_a_directory_leaves_no_file(tmp_path, capsys):
     (tmp_path / "d.test.libsvm").mkdir()
     assert cli.main(["generate", "--n", "8", "--m", "6", "--k", "2", "--n-test", "4",

@@ -159,37 +159,21 @@ def test_dense_columns_out_of_range():
         data.dense_columns(np.array([3]))
 
 
-def test_fit_view_is_built_exactly_at_the_memory_break_even():
-    # 3 x 4 doubles take 96 bytes; the CSR keeps 12 bytes per stored value
-    # with 32-bit indices, so 8 stored values break even and 7 do not
-    for nnz, built in ((8, True), (7, False)):
-        X = np.zeros(12)
-        X[:nnz] = np.arange(1.0, nnz + 1)
-        X = X.reshape(3, 4)
-        data = SparseDataset(X, np.array([1, -1, 1]))
-        assert data.X.indices.dtype == np.int32 and data.X.nnz == nnz
-        view = data.fit_view()
-        assert (view.dense is not None) == built
-        assert data.dense is None and view.X is data.X and view.y is data.y
-        if built:
-            assert view.dense.flags.c_contiguous
-            np.testing.assert_array_equal(view.dense, X)
-
-
 def test_dense_columns_bit_identical_on_both_layouts():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((7, 9))
     X[rng.random(X.shape) < 0.2] = 0.0
     X[2, 3] = 5e-324                                    # subnormal
     data = SparseDataset(X, np.where(rng.random(7) < 0.5, 1, -1))
-    view = data.fit_view()
-    assert view.dense is not None
+    full = SparseDataset(_fully_stored(X), data.y)      # the same values, every cell stored
+    assert sp.issparse(data.design) and not sp.issparse(full.design)
     for ids in (np.array([8, 0, 3, 3, 5]), np.arange(9), np.array([], dtype=np.intp)):
-        want, got = data.dense_columns(ids), view.dense_columns(ids)
+        want, got = data.dense_columns(ids), full.dense_columns(ids)
         assert want.shape == got.shape == (7, ids.size)
-        assert got.flags.c_contiguous and want.tobytes() == got.tobytes()
+        assert want.flags.c_contiguous and got.flags.c_contiguous
+        assert want.tobytes() == got.tobytes()
     with pytest.raises(ValueError, match="out of range"):
-        view.dense_columns(np.array([9]))
+        full.dense_columns(np.array([9]))
 
 
 def _fully_stored(values, indices_dtype=np.int32):
@@ -200,34 +184,33 @@ def _fully_stored(values, indices_dtype=np.int32):
     return sp.csr_matrix((values.ravel(), indices, indptr), shape=(n, m))
 
 
-def _assert_fit_view_is_a_read_only_view_of(values):
+def _assert_design_is_a_read_only_view_of(values):
     data = SparseDataset(_fully_stored(values), np.array([1, -1, 1, 1, -1]))
     assert data.X.nnz == 30 and data.X.has_canonical_format
-    view = data.fit_view()
-    assert np.shares_memory(view.dense, data.X.data)
-    assert view.dense.tobytes() == values.tobytes()
-    np.testing.assert_array_equal(view.dense, data.X.toarray())
-    assert view.dense.shape == (5, 6) and view.dense.flags.c_contiguous
-    assert not view.dense.flags.writeable and data.X.data.flags.writeable
+    full = data.design
+    assert np.shares_memory(full, data.X.data)
+    assert full.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(full, data.X.toarray())
+    assert full.shape == (5, 6) and full.flags.c_contiguous
+    assert not full.flags.writeable and data.X.data.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        view.dense[0, 0] = 1.0
-    assert data.dense is None and view.X is data.X
-    return view
+        full[0, 0] = 1.0
+    return full
 
 
-def test_fit_view_of_a_fully_stored_csr_is_a_read_only_view_of_its_values():
-    _assert_fit_view_is_a_read_only_view_of(np.random.default_rng(4).standard_normal((5, 6)))
+def test_design_of_a_fully_stored_csr_is_a_read_only_view_of_its_values():
+    _assert_design_is_a_read_only_view_of(np.random.default_rng(4).standard_normal((5, 6)))
 
 
 @pytest.mark.parametrize("zero", [-0.0, 0.0])
-def test_fit_view_reads_the_stored_zeros_of_a_fully_stored_csr_as_stored(zero):
+def test_design_reads_the_stored_zeros_of_a_fully_stored_csr_as_stored(zero):
     # the view is not copied, so it keeps the sign of each stored zero (toarray() would not)
     values = np.random.default_rng(4).standard_normal((5, 6))
     values[1, 2] = zero
     values[3, 1:4] = (-zero, zero, -zero)
-    view = _assert_fit_view_is_a_read_only_view_of(values)
-    assert np.signbit(view.dense[1, 2]) == np.signbit(zero)
-    assert np.signbit(view.dense[3, 1:4]).tolist() == np.signbit([-zero, zero, -zero]).tolist()
+    full = _assert_design_is_a_read_only_view_of(values)
+    assert np.signbit(full[1, 2]) == np.signbit(zero)
+    assert np.signbit(full[3, 1:4]).tolist() == np.signbit([-zero, zero, -zero]).tolist()
 
 
 def _sq_sums_inputs():
@@ -252,9 +235,9 @@ def test_column_sq_sums_bit_identical_on_every_route():
     for X in _sq_sums_inputs():
         data = SparseDataset(X, np.where(np.arange(X.shape[0]) % 2, 1, -1))
         want = np.asarray(data.X.multiply(data.X).sum(axis=0)).ravel()
-        forced = data.fit_view()
-        forced.dense = data.X.toarray()                  # the array route, whatever the density
-        for d in (data, forced, data.fit_view()):
+        # the array route, whatever the density
+        forced = SparseDataset(_fully_stored(data.X.toarray()), data.y)
+        for d in (data, forced):
             got = _column_sq_sums(d)
             assert got.shape == (data.m,) and got.tobytes() == want.tobytes()
         assert data.column_norms().tobytes() == np.sqrt(want).tobytes()
@@ -710,6 +693,16 @@ def test_given_lambdas_must_be_finite(bad):
                       [bad, 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_with_lambdas_refuses_non_finite_scales(bad):
+    groups = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
+    tree = TreeStructure([np.array([0, 1]), np.array([0])], np.array([-1, 0]), ["r", "c"])
+    with pytest.raises(ValueError, match="per-group lambdas must be finite"):
+        groups.with_lambdas([1.0, bad])
+    with pytest.raises(ValueError, match="per-node lambdas must be finite"):
+        tree.with_lambdas([bad, 1.0])
+
+
 def test_group_structure_validation():
     with pytest.raises(ValueError, match="overlaps"):
         GroupStructure([np.array([0, 1]), np.array([1, 2])], ["a", "b"])
@@ -762,14 +755,15 @@ def test_scaling_prior_ones_and_inverse_norm():
 
 @pytest.mark.parametrize("density", [1.0, 0.8])
 def test_inverse_norm_scales_equal_on_a_view_and_the_raw_dataset(density):
-    # a fully stored X gets a view of its values, a denser one a copied array
+    # the same values with every cell stored are read through X's own view;
+    # the raw dataset stores every cell at density 1 and is read as a CSR below it
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 48)) * 2.0 ** rng.integers(-30, 30, (40, 48))
     X[rng.random(X.shape) >= density] = 0.0
     data = SparseDataset(X, np.where(rng.random(40) < 0.5, 1, -1))
-    view = data.fit_view()
-    assert view.dense is not None
-    assert np.shares_memory(view.dense, data.X.data) == (density == 1.0)
+    view = SparseDataset(_fully_stored(X), data.y)
+    assert np.shares_memory(view.design, view.X.data)
+    assert sp.issparse(data.design) == (density < 1.0)
     groups = GroupStructure([np.arange(6 * g, 6 * g + 6) for g in range(8)],
                             [f"g{g}" for g in range(8)])
     tree = TreeStructure([np.arange(16 * r, 16 * r + 16) for r in range(3)]

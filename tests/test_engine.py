@@ -96,8 +96,8 @@ def test_poly_map_validation():
         with pytest.raises(ValueError, match="block"):
             PolyMap(block=block)
     assert PolyMap(block=np.int64(3)).block == 3
-    for bad in ({"gamma": float("nan")}, {"r": float("nan")}):
-        with pytest.raises(ValueError):
+    for bad in ({"gamma": float("nan")}, {"r": float("nan")}, {"gamma": np.inf}, {"r": np.inf}):
+        with pytest.raises(ValueError, match="finite gamma > 0 and r >= 0"):
             PolyMap(**bad)
 
 
@@ -210,15 +210,10 @@ def test_numerical_error_carries_outer_context():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly"])
-def test_non_finite_data_fails_before_any_search(unit, bad, monkeypatch):
+def test_non_finite_data_fails_before_any_search(unit, bad):
     X = np.array([[1.0, bad, 0.5, 0.0], [2.0, 0.0, 1.0, 1.0],
                   [0.5, 1.0, 2.0, 0.0], [0.0, 3.0, 1.0, 2.0]])
     data = SparseDataset(X, np.array([1, -1, 1, -1]))
-
-    def no_view(self):
-        raise AssertionError("a dense view was built before the finiteness check")
-
-    monkeypatch.setattr(SparseDataset, "fit_view", no_view)
     structure = {
         "plain": None,
         "group": GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"]),
@@ -237,38 +232,15 @@ def test_data_without_features_is_a_format_error(structure):
         fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
 
 
-def test_fit_trains_on_a_dense_view_and_leaves_data_alone(monkeypatch):
-    data, _ = _small_problem(seed=3)
-    views = []
-    fit_view = SparseDataset.fit_view
-
-    def spy(self):
-        views.append(fit_view(self))
-        return views[-1]
-
-    monkeypatch.setattr(SparseDataset, "fit_view", spy)
-    fgm_train(data, SolverConfig(budget=3, max_outer=2))
-    assert len(views) == 1 and views[0].dense is not None and data.dense is None
-
-
-def test_fit_on_fully_stored_data_reads_x_in_place_and_leaves_it_alone(monkeypatch):
+def test_fit_on_fully_stored_data_reads_x_in_place_and_leaves_it_alone():
     data, _ = _small_problem(seed=4)
+    assert np.shares_memory(data.design, data.X.data)
     before = [a.copy() for a in (data.X.data, data.X.indices, data.X.indptr)]
-    views = []
-    fit_view = SparseDataset.fit_view
-
-    def spy(self):
-        views.append(fit_view(self))
-        return views[-1]
-
-    monkeypatch.setattr(SparseDataset, "fit_view", spy)
     groups = GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(10)],
                             [f"g{g}" for g in range(10)])
     for structure in (None, groups):
         fgm_train(data, SolverConfig(budget=2, max_outer=3, lambda_policy="inverse_norm"),
                   structure)
-    assert len(views) == 2 and data.dense is None
-    assert all(np.shares_memory(view.dense, data.X.data) for view in views)
     for old, new in zip(before, (data.X.data, data.X.indices, data.X.indptr)):
         assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
@@ -490,7 +462,7 @@ def test_inverse_norm_policy_plain_mode(monkeypatch):
     data, _ = _small_problem(seed=13)
     cfg = SolverConfig(budget=3, max_outer=3, eps_outer=0.0, lambda_policy="inverse_norm")
     model, w = _train_keeping_flat_weights(monkeypatch, data, cfg)
-    lam = compute_scaling_prior(data.fit_view(), "inverse_norm")
+    lam = compute_scaling_prior(data, "inverse_norm")
     np.testing.assert_allclose(lam, 1.0 / data.column_norms(), rtol=1e-12)
     singletons = [np.array([j]) for j in range(data.m)]
     assert _as_bytes({e.id: e.weight for e in model.entries}) == _as_bytes(

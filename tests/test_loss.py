@@ -25,8 +25,9 @@ def _random_instance(rng, n=12, blocks=(3, 2, 4)):
 def test_loss_kind_validation():
     with pytest.raises(ValueError, match="unknown loss"):
         LossKind("hinge", 1.0)
-    with pytest.raises(ValueError, match="C must be positive"):
-        LossKind(SQUARED_HINGE, 0.0)
+    for C in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            LossKind(SQUARED_HINGE, C)
 
 
 def test_squared_hinge_value_at_zero_weights():

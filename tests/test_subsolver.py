@@ -343,7 +343,7 @@ def test_apg_result_bookkeeping():
         _objective(cache, labels, SQ, result.weights), rel=1e-9, abs=1e-9)
     # the dense baselines return the same record from the same loop
     data = SparseDataset(rng.standard_normal((30, 12)), rng.choice([-1, 1], size=30))
-    design = data.fit_view().design
+    design = data.design
     for dense in (l1_prox_train(data, SQ, 0.5), l2_full_train(data, SQ)):
         assert isinstance(dense, ApgResult)
         assert dense.scores.tobytes() == (design @ dense.weights).tobytes()

@@ -13,6 +13,7 @@ from fgm.worstcase import (_set_scores, poly_columns, poly_dim, poly_flat, poly_
                            select_top_b)
 
 from oracles import best_subset_lex, poly_full_matrix, sort_top_b, tree_scores_exhaustive
+from test_dataset import _fully_stored
 
 
 def _dataset_with_omega(omega, y=None):
@@ -27,14 +28,12 @@ def _dataset_with_omega(omega, y=None):
 
 
 def _layouts(data):
-    """``data`` itself (CSR kernels) and a per-fit view carrying X as an array.
+    """``data`` itself and its values with every cell stored, read through X's own view.
 
-    The array is set here whatever the density, so the BLAS kernels also run
+    The second is built whatever the density, so the BLAS kernels also run
     on the sparse identity designs of the tie tests.
     """
-    view = data.fit_view()
-    view.dense = data.X.toarray()
-    return data, view
+    return data, SparseDataset(_fully_stored(data.X.toarray()), data.y)
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +370,58 @@ def test_poly_columns_read_every_layout_alike(dropped):
     y = rng.choice([-1, 1], size=7)
     every = SparseDataset(sp.csr_matrix((values.ravel(), np.tile(np.arange(5), 7),
                                          np.arange(8) * 5), shape=(7, 5)), y)
-    view = every.fit_view()             # X's own view, the stored zero included
     dropped_cell = SparseDataset(values, y)
-    assert every.X.nnz == 35 and view.dense is not None and dropped_cell.X.nnz == 34
+    assert every.X.nnz == 35 and dropped_cell.X.nnz == 34
+    assert not sp.issparse(every.design)    # X's own view, the stored zero included
     ids = np.arange(poly_dim(5))
-    want = poly_columns(dropped_cell, ids, 0.7, 1.3)
-    for data in (every, view):
-        np.testing.assert_array_equal(poly_columns(data, ids, 0.7, 1.3), want)
+    np.testing.assert_array_equal(poly_columns(every, ids, 0.7, 1.3),
+                                  poly_columns(dropped_cell, ids, 0.7, 1.3))
 
 
-@pytest.mark.parametrize("zeros", ["none", "signed-zeros"])
-def test_fully_stored_data_reads_the_same_bytes_with_and_without_a_fit_view(zeros):
+def test_a_csr_gather_keeps_a_stored_negative_zero():
+    # the CSR stores -0.0 at (0, 1) and (2, 0) but not every cell
+    X = sp.csr_matrix((np.array([1.0, -0.0, 2.0, -0.0]), np.array([0, 1, 1, 0]),
+                       np.array([0, 2, 3, 4])), shape=(3, 2))
+    data = SparseDataset(X, np.array([1, -1, 1]))
+    assert data.design is data.X
+    cols = np.array([[-0.0, 1.0, 1.0], [2.0, 0.0, 0.0], [0.0, -0.0, -0.0]])
+    assert data.dense_columns(np.array([1, 0, 0])).tobytes() == cols.tobytes()
+    linear = [poly_flat(("linear", a), 2) for a in range(2)]
+    got = poly_columns(data, np.array(linear), 0.5, 2.0)     # sqrt(2 gamma r) = sqrt(2)
+    assert got.tobytes() == (np.sqrt(2.0) * cols[:, [2, 0]]).tobytes()
+
+
+@pytest.mark.parametrize("zeros", ["one-zero", "signed-zeros"])
+def test_fully_stored_data_reads_like_a_csr_missing_one_zero(zeros):
+    # the CSR stores every cell but the +0.0 at (4, 2), and keeps the others' signs
     rng = np.random.default_rng(25)
     values = rng.standard_normal((30, 12))
     if zeros == "signed-zeros":
         cells = rng.random(values.shape) < 0.1
         values[cells] = np.where(rng.random(int(cells.sum())) < 0.5, 0.0, -0.0)
         values[:, 7] = -0.0
+    values[4, 2] = 0.0
     n, m = values.shape
-    X = sp.csr_matrix((values.ravel(), np.tile(np.arange(m), n), np.arange(n + 1) * m),
+    y = np.where(values[:, :3].sum(axis=1) >= 0, 1, -1)
+    view = SparseDataset(_fully_stored(values), y)
+    keep = np.ones((n, m), dtype=bool)
+    keep[4, 2] = False
+    X = sp.csr_matrix((values[keep], np.nonzero(keep)[1], np.r_[0, np.cumsum(keep.sum(axis=1))]),
                       shape=(n, m))
-    data = SparseDataset(X, np.where(values[:, :3].sum(axis=1) >= 0, 1, -1))
-    view = data.fit_view()
-    assert data.X.nnz == n * m and data.dense is None and view.dense is not None
+    data = SparseDataset(X, y)
+    assert data.design is data.X and data.X.nnz == n * m - 1
+    assert not sp.issparse(view.design)
     alpha, lam = rng.random(n), rng.random(m)
-    ids, flat = np.array([7, 0, 3, 3, 11, 7]), np.arange(poly_dim(m))
+    ids, flat = np.array([7, 0, 2, 3, 3, 11, 7]), np.arange(poly_dim(m))
     for got, want in (
             (view.dense_columns(ids), data.dense_columns(ids)),
             (poly_columns(view, flat, 0.7, 1.3), poly_columns(data, flat, 0.7, 1.3)),
-            (score_features(alpha, view, lam), score_features(alpha, data, lam)),
             (compute_scaling_prior(view, "inverse_norm"),
              compute_scaling_prior(data, "inverse_norm"))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # omega is a BLAS product on the view and a sparse one on the CSR: equal to rounding
+    np.testing.assert_allclose(score_features(alpha, view, lam),
+                               score_features(alpha, data, lam), rtol=1e-13)
     for block in (1, 5, 64):
         assert (score_polynomial_streamed(alpha, view, 0.7, 1.3, 9, block)
                 == score_polynomial_streamed(alpha, data, 0.7, 1.3, 9, block))
@@ -443,7 +462,7 @@ def test_poly_streamed_equals_materialized_on_one_or_two_features(m):
     for view, block in itertools.product(_layouts(data), (1, 64)):
         for budget in range(1, poly_dim(m) + 1):
             got = score_polynomial_streamed(alpha, view, 0.8, 1.5, budget, block)
-            assert got == sort_top_b(scores, budget), (budget, block, view.dense is None)
+            assert got == sort_top_b(scores, budget), (budget, block, sp.issparse(view.design))
 
 
 def test_poly_streamed_tie_on_duplicate_columns():
@@ -485,7 +504,7 @@ def _check_every_budget(X, alpha, y, gamma, r, blocks):
             assert best_subset_lex(scores, budget) == want
         for view, block in itertools.product(_layouts(data), blocks):
             got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
-            assert got == want, (budget, block, view.dense is None)
+            assert got == want, (budget, block, sp.issparse(view.design))
     return scores
 
 

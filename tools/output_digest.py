@@ -20,8 +20,8 @@ the program computes must print the same lines.  Digested are:
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
 * models trained on a small X that stores every cell and holds stored
   ``0.0`` and ``-0.0`` cells (5% of the cells, and one column all ``-0.0``),
-  the case where how X is read (its own row-major view or a copy) could
-  show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
+  the case where reading stored values as stored (X's own row-major view)
+  could show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
   and the degree-2 map, each with the labels it predicts on a test set
   that stores zeros alike;
 * models trained on a CSR that stores about 10% of its cells (400 x 256,
@@ -30,6 +30,11 @@ the program computes must print the same lines.  Digested are:
   prediction.  Plain features, 64 groups of 4, the workload's three-level
   tree under ``inverse_norm`` and the degree-2 map, each with the labels it
   predicts on a test set drawn alike;
+* models trained on a CSR drawn alike that stores about 90% of its cells,
+  at seeds 0, 1 and 2: dense enough that it was once copied into an array
+  for each fit, and now read as the CSR like the 10% one.  Plain features
+  and the workload's three-level tree under ``inverse_norm``, each with
+  the labels it predicts;
 * plain models on ``generate_synthetic(60, 40, 4, seed=4)`` at budget 3,
   ``C=0.05`` and ``C=0.2``, 8 rounds and ``eps_outer=0``, whose group prox
   zeroes whole blocks: they hold lone ``-0.0`` weights and, at ``C=0.2``, a
@@ -185,6 +190,17 @@ def group_digests(work: Path):
             yield from _model_digests(f"{workload.name} groups {setting} seed {seed} model", path)
 
 
+def _trained_digests(work: Path, label: str, train, test, settings: dict):
+    """Each setting's model trained on ``train``, and the labels it predicts on ``test``."""
+    for setting, (structure, cfg) in settings.items():
+        model = engine.fgm_train(train, cfg, structure)
+        path = work / f"{label} {setting}.json".replace(" ", "-")
+        engine.save_model(model, path)
+        yield from _model_digests(f"{label} {setting} model", path)
+        labels, _ = engine.predict(model, test)
+        yield f"{label} {setting} predicted labels", _digest(labels.astype(np.int8).tobytes())
+
+
 def _store_signed_zeros(data, rng):
     """Store ``0.0`` or ``-0.0`` in 5% of the cells of a fully stored X, and ``-0.0`` in column 5."""
     values = data.X.data.reshape(data.X.shape)
@@ -209,46 +225,49 @@ def stored_zero_digests(work: Path):
         "groups": (groups, cfg),
         "poly": (PolyMap(), cfg),
     }
-    for setting, (structure, cfg) in settings.items():
-        model = engine.fgm_train(train, cfg, structure)
-        path = work / f"stored-zeros-{setting.replace(' ', '-')}.json"
-        engine.save_model(model, path)
-        label = f"stored zeros {setting}"
-        yield from _model_digests(f"{label} model", path)
-        labels, _ = engine.predict(model, test)
-        yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
+    yield from _trained_digests(work, "stored zeros", train, test, settings)
 
 
-def _sparse_set(rng, truth: np.ndarray, n: int):
-    """``n`` rows that store about 10% of their cells, labelled by ``truth``'s sign."""
-    values = rng.standard_normal((n, truth.size)) * (rng.random((n, truth.size)) < 0.1)
+def _csr_set(rng, truth: np.ndarray, n: int, density: float):
+    """``n`` rows that store about ``density`` of their cells, labelled by ``truth``'s sign."""
+    values = rng.standard_normal((n, truth.size)) * (rng.random((n, truth.size)) < density)
     X = sp.csr_matrix(values)
     return SparseDataset(X, np.where(X @ truth >= 0, 1, -1))
 
 
+def _csr_problem(rng, density: float):
+    """400 train and 400 test rows of 256 features, labelled by 16 true features."""
+    truth = np.zeros(256)
+    truth[rng.choice(256, 16, replace=False)] = rng.standard_normal(16)
+    train, test = _csr_set(rng, truth, 400, density), _csr_set(rng, truth, 400, density)
+    assert train.X.nnz < 400 * 256 and sp.issparse(train.design)
+    return train, test
+
+
 def sparse_digests(work: Path):
-    rng = np.random.default_rng(21)
-    m = 256
-    truth = np.zeros(m)
-    truth[rng.choice(m, 16, replace=False)] = rng.standard_normal(16)
-    train, test = _sparse_set(rng, truth, 400), _sparse_set(rng, truth, 400)
-    assert train.X.nnz < 0.2 * train.X.shape[0] * m and sp.issparse(train.fit_view().design)
+    train, test = _csr_problem(np.random.default_rng(21), 0.1)
+    assert train.X.nnz < 0.2 * 400 * 256
     cfg = SolverConfig(budget=4, max_outer=8, eps_outer=0.0)
     settings = {
         "plain": (None, cfg),
         "groups": (GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(64)],
                                   [f"g{g}" for g in range(64)]), cfg),
-        "tree inverse_norm": (three_level_tree(m), replace(cfg, lambda_policy="inverse_norm")),
+        "tree inverse_norm": (three_level_tree(256), replace(cfg, lambda_policy="inverse_norm")),
         "poly": (PolyMap(), cfg),
     }
-    for setting, (structure, cfg) in settings.items():
-        model = engine.fgm_train(train, cfg, structure)
-        path = work / f"sparse-{setting.replace(' ', '-')}.json"
-        engine.save_model(model, path)
-        label = f"sparse 10% {setting}"
-        yield from _model_digests(f"{label} model", path)
-        labels, _ = engine.predict(model, test)
-        yield f"{label} predicted labels", _digest(labels.astype(np.int8).tobytes())
+    yield from _trained_digests(work, "sparse 10%", train, test, settings)
+
+
+def dense_csr_digests(work: Path):
+    cfg = SolverConfig(budget=4, max_outer=8, eps_outer=0.0)
+    settings = {
+        "plain": (None, cfg),
+        "tree inverse_norm": (three_level_tree(256), replace(cfg, lambda_policy="inverse_norm")),
+    }
+    for seed in SEEDS:
+        train, test = _csr_problem(np.random.default_rng([90, seed]), 0.9)
+        assert train.X.nnz >= 2 / 3 * 400 * 256
+        yield from _trained_digests(work, f"csr 90% seed {seed}", train, test, settings)
 
 
 def zero_weight_digests(work: Path):
@@ -342,6 +361,7 @@ def main() -> int:
         lines += group_digests(work)
         lines += stored_zero_digests(work)
         lines += sparse_digests(work)
+        lines += dense_csr_digests(work)
         lines += zero_weight_digests(work)
         lines += nested_tree_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
