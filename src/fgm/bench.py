@@ -111,8 +111,10 @@ def validate_config(config: dict) -> None:
             types, what = _VALUE_TYPES[key]
             if key in spec and (isinstance(spec[key], bool) or not isinstance(spec[key], types)):
                 raise ValueError(f"bench config's method entry {spec!r}: {key!r} must be {what}")
-        if name == "l1" and "reg" not in spec and "target_support" not in spec:
-            raise ValueError(f"bench config's l1 entry {spec!r} needs 'reg' or 'target_support'")
+        if name == "l1" and (("reg" in spec) == ("target_support" in spec)
+                             or "tol" in spec and "target_support" not in spec):
+            raise ValueError(f"bench config's l1 entry {spec!r} needs 'reg' or 'target_support', "
+                             "not both, and only a target_support sweep reads 'tol'")
         sid = setting_id(spec)
         if sid in ids:
             raise ValueError(f"duplicate setting id {sid!r}")

@@ -6,7 +6,7 @@ cache's ``offsets``: block ``t`` is ``w[offsets[t]:offsets[t + 1]]``, so
 gradients, block norms and the prox are plain vector operations.  A scaled
 column is stored once however many positions hold it (a feature picked
 again in a later round, or by nested nodes within one round); ``index``
-maps each position to its stored column, and ``cache @ w`` and
+maps every position to its stored column, and ``cache @ w`` and
 ``cache.T @ z`` are the products with the position-wise matrix, which is
 never formed.
 """
@@ -26,11 +26,11 @@ class ColumnCache:
     dimension so a model score is a single matrix-vector product.
     ``offsets`` starts at 0 and increases strictly: blocks are non-empty.
     ``index`` maps each of the ``offsets[-1]`` positions to its column of
-    ``matrix``; ``None`` is the identity (no column repeats, ``p ==
-    offsets[-1]``), and then the products are ``matrix``'s own.  Otherwise
-    ``cache @ w`` is ``matrix @ bincount(index, w, p)`` and ``cache.T @ z``
-    is ``(matrix.T @ z)[index]``.  ``keys`` maps each column that
-    :meth:`extend` stored to its ``(feature, scale bits)`` key.
+    ``matrix``; left out, it is ``arange(offsets[-1])`` and ``matrix`` must
+    have one column per position.  ``cache @ w`` is ``matrix @ bincount(index,
+    w, p)`` and ``cache.T @ z`` is ``(matrix.T @ z)[index]``.  ``keys`` maps
+    each column that :meth:`extend` stored to its ``(feature, scale bits)``
+    key.
     """
 
     matrix: np.ndarray
@@ -51,7 +51,7 @@ class ColumnCache:
         if self.index is None:
             if self.matrix.shape[1] != self.offsets[-1]:
                 raise ValueError("matrix width must match offsets[-1]")
-            return
+            self.index = np.arange(self.offsets[-1])
         self.index = np.asarray(self.index, dtype=np.intp)
         if self.index.shape != (self.offsets[-1],):
             raise ValueError("index must map each of the offsets[-1] positions")
@@ -63,8 +63,6 @@ class ColumnCache:
         return self.matrix.shape[0]
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        if self.index is None:
-            return self.matrix @ w
         return self.matrix @ np.bincount(self.index, w, self.matrix.shape[1])
 
     @property
@@ -110,20 +108,15 @@ class ColumnCache:
             columns = columns[:, new]
         matrix = np.hstack([self.matrix, columns]) if new else self.matrix
         offsets = np.concatenate([self.offsets, [self.offsets[-1] + k]])
-        if self.index is None and len(new) == k:
-            return ColumnCache(matrix, offsets, None, keys)
-        index = np.arange(first) if self.index is None else self.index
-        return ColumnCache(matrix, offsets, np.concatenate([index, positions]), keys)
+        return ColumnCache(matrix, offsets, np.concatenate([self.index, positions]), keys)
 
 
+@dataclass(slots=True)
 class _Transposed:
     """``cache.T``: products with the transposed position-wise matrix."""
 
-    __slots__ = ("matrix", "index")
-
-    def __init__(self, matrix: np.ndarray, index: np.ndarray | None):
-        self.matrix, self.index = matrix, index
+    matrix: np.ndarray
+    index: np.ndarray
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        u = self.matrix.T @ z
-        return u if self.index is None else u[self.index]
+        return (self.matrix.T @ z)[self.index]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -80,10 +81,12 @@ def _make_parents(*paths) -> None:
     """Check every output path given (None skipped), then make their directories.
 
     Called before a command's first write with all of its outputs, manifest
-    included: an output that names an existing directory, or lies under an
-    existing file, fails here, so the run leaves no file or directory behind.
+    included: outputs that resolve to one file, name an existing directory or
+    lie under an existing file fail here, so the run leaves nothing behind.
     """
     paths = [Path(p) for p in paths if p is not None]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ValueError("two of the outputs " + ", ".join(map(str, paths)) + " are one file")
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(f"output path {path} is a directory")
@@ -221,10 +224,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     threads = args.threads if args.threads is not None else thread_count()
     out = Path(args.out)
-    models_dir = Path(args.models_dir) if args.models_dir else None
+    models_dir = Path(args.models_dir or out.parent / (out.stem + "-models"))
     run_config(config, out, models_dir, threads)
-    if models_dir is None:
-        models_dir = out.parent / (out.stem + "-models")
     _write_manifest(_manifest_path(out), "bench", {"threads": threads},
                     [args.config], [out, models_dir], time.perf_counter() - started)
     return 0

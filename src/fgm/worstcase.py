@@ -176,6 +176,11 @@ def poly_flat(variant: tuple, m: int) -> int:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _check_poly(gamma: float, r: float) -> None:
+    if not (0 < gamma < np.inf and 0 <= r < np.inf):    # NaN fails both
+        raise ValueError("need finite gamma > 0 and r >= 0")
+
+
 def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: float) -> np.ndarray:
     """Materialize virtual-feature columns for the given flat ids.
 
@@ -184,8 +189,7 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     The raw columns it reads are gathered in one pass from
     :attr:`SparseDataset.design`; a stored ``-0.0`` stays ``-0.0`` on either layout.
     """
-    if not gamma > 0 or not r >= 0:    # NaN fails both
-        raise ValueError("need gamma > 0 and r >= 0")
+    _check_poly(gamma, r)
     flat_ids = np.asarray(flat_ids, dtype=np.intp)
     variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
     raw = sorted({a for v in variants for a in v[1:]})
@@ -219,8 +223,7 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     ``O(B + block * (n + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """
-    if not gamma > 0 or not r >= 0:    # NaN fails both
-        raise ValueError("need gamma > 0 and r >= 0")
+    _check_poly(gamma, r)
     if block < 1:
         raise ValueError("block must be >= 1")
     alpha = _check_alpha(alpha, data.n)

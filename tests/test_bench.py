@@ -60,6 +60,10 @@ def test_validate_config_accepts_valid():
     (lambda c: c.update(methods=[{"name": "fgm", "eta": 0.5, "L0": 1.0, "seed": 3}]),
      "does not read 'L0', 'eta', 'seed'"),
     (lambda c: c.update(methods=[{"name": "l2-full", "reg": 1.0}]), "does not read 'reg'"),
+    (lambda c: c.update(methods=[{"name": "l1", "reg": 1.0, "target_support": 5}]),
+     "needs 'reg' or 'target_support', not both"),
+    (lambda c: c.update(methods=[{"name": "l1", "reg": 1.0, "tol": 0.1}]),
+     "only a target_support sweep reads 'tol'"),
     (lambda c: c.update(methods=[{"name": "l1", "reg": 1.0},
                                  {"name": "l1-debias", "base": "l1-r1", "C": 5.0}]),
      "does not read 'C'"),

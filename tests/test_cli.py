@@ -635,6 +635,23 @@ def test_eval_manifest_that_is_a_directory_leaves_no_file(ws, tmp_path):
     assert _files_in(tmp_path) == before
 
 
+@pytest.mark.parametrize("second", ["m.json", "sub/../m.json", "m.json.manifest.json"])
+def test_outputs_that_are_one_file_are_a_usage_error(ws, tmp_path, capsys, second):
+    # the trace would overwrite the model or its manifest, and labels the metrics
+    model = tmp_path / "m.json"
+    assert _train_toy(ws, model, "--trace", tmp_path / second) == 2
+    assert "usage error: two of the outputs" in capsys.readouterr().err
+    assert _files_in(tmp_path) == []
+    assert _train_toy(ws, model) == 0
+    before = _files_in(tmp_path)
+    out = tmp_path / "p.json"
+    assert cli.main(["predict", "--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                     "--out", str(out), "--labels-out",
+                     str(tmp_path / second.replace("m.json", "p.json"))]) == 2
+    assert "usage error: two of the outputs" in capsys.readouterr().err
+    assert _files_in(tmp_path) == before
+
+
 def test_infinite_c_and_negative_n_test_are_usage_errors(ws, tmp_path, capsys):
     assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"),
                      "--out", str(tmp_path / "m.json"), "--C", "inf"]) == 2

@@ -220,9 +220,12 @@ def test_column_cache_products_match_the_position_wise_matrix():
 def test_column_cache_without_repeats_uses_its_matrix_products():
     rng = np.random.default_rng(2)
     cache, explicit = _keyed(rng, [([0, 1], [1.0, 2.0]), ([1, 2], [1.0, 1.0])])
-    assert cache.index is None and cache.matrix.tobytes() == explicit.tobytes()
-    w, z = rng.standard_normal(4), rng.standard_normal(9)
-    assert (cache @ w).tobytes() == (cache.matrix @ w).tobytes()
+    assert cache.index.tolist() == list(range(4)) and cache.matrix.tobytes() == explicit.tobytes()
+    z = rng.standard_normal(9)
+    # bincount sums into +0.0, so -0.0 weights and an all-zero w are where its bits could differ
+    for w in (rng.standard_normal(4), np.array([-0.0, 1.5, -0.0, -2.0]),
+              np.full(4, -0.0), np.zeros(4)):
+        assert (cache @ w).tobytes() == (cache.matrix @ w).tobytes()
     assert (cache.T @ z).tobytes() == (cache.matrix.T @ z).tobytes()
 
 

@@ -565,11 +565,13 @@ def test_poly_argument_validation():
         poly_columns(data, np.array([0]), -1.0, 1.0)
 
 
-@pytest.mark.parametrize("gamma,r", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+@pytest.mark.parametrize("gamma,r", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+                                     (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf)])
 def test_poly_kernels_reject_nan_parameters(gamma, r):
-    # NaN passes "gamma <= 0 or r < 0" but fails "gamma > 0 and r >= 0"
+    # NaN passes "gamma <= 0 or r < 0", and inf passes "gamma > 0 and r >= 0"; PolyMap
+    # refuses both, so the kernels that take its parameters refuse them alike
     data = SparseDataset(np.eye(3), np.array([1, -1, 1]))
-    with pytest.raises(ValueError, match=r"^need gamma > 0 and r >= 0$"):
+    with pytest.raises(ValueError, match=r"^need finite gamma > 0 and r >= 0$"):
         poly_columns(data, np.arange(poly_dim(3)), gamma, r)
-    with pytest.raises(ValueError, match=r"^need gamma > 0 and r >= 0$"):
+    with pytest.raises(ValueError, match=r"^need finite gamma > 0 and r >= 0$"):
         score_polynomial_streamed(np.ones(3), data, gamma, r, 2)
