@@ -77,23 +77,41 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _check_outputs(*paths, directory=None) -> list[Path]:
+    """Refuse outputs that no run could write; return the file paths given (None skipped).
+
+    Outputs that resolve to one path (``directory`` included), an output
+    under a file output, a file path that names an existing directory, a
+    ``directory`` that names an existing file and a path under an existing
+    file all fail here.  Commands call it before any work, so a refused run
+    leaves nothing behind and costs no fit.
+    """
+    files = [Path(p) for p in paths if p is not None]
+    every = files + ([Path(directory)] if directory is not None else [])
+    real = [Path(os.path.realpath(p)) for p in every]
+    if len(set(real)) < len(real):
+        raise ValueError("two of the outputs " + ", ".join(map(str, every)) + " are one file")
+    real_files = set(real[:len(files)])
+    for i, (path, resolved) in enumerate(zip(every, real)):
+        if not real_files.isdisjoint(resolved.parents):
+            raise ValueError(f"output path {path} lies under another output")
+        if i < len(files) and path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+        if i == len(files) and path.exists() and not path.is_dir():
+            raise ValueError(f"output directory {path} is an existing file")
+        ancestor = next(parent for parent in path.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"output path {path} lies under {ancestor}, not a directory")
+    return files
+
+
 def _make_parents(*paths) -> None:
     """Check every output path given (None skipped), then make their directories.
 
     Called before a command's first write with all of its outputs, manifest
-    included: outputs that resolve to one file, name an existing directory or
-    lie under an existing file fail here, so the run leaves nothing behind.
+    included, so a refused output leaves nothing behind.
     """
-    paths = [Path(p) for p in paths if p is not None]
-    if len(set(map(os.path.realpath, paths))) < len(paths):
-        raise ValueError("two of the outputs " + ", ".join(map(str, paths)) + " are one file")
-    for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(f"output path {path} is a directory")
-        ancestor = next(parent for parent in path.parents if parent.exists())
-        if not ancestor.is_dir():
-            raise NotADirectoryError(f"output path {path} lies under {ancestor}, not a directory")
-    for path in paths:
+    for path in _check_outputs(*paths):
         path.parent.mkdir(parents=True, exist_ok=True)
 
 
@@ -138,6 +156,8 @@ def _structure_from_args(args: argparse.Namespace):
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    out = Path(args.out)
+    _check_outputs(out, args.trace, _manifest_path(out))
     data = load_libsvm(args.data, args.dim)
     structure = _structure_from_args(args)
     cfg = SolverConfig(
@@ -155,7 +175,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         detail = f": {exc}" if str(exc) else ""
         raise FormatError(f"training on n={data.n} x m={data.m} data ran out of memory{detail}"
                           ) from exc
-    out = Path(args.out)
     _make_parents(out, args.trace, _manifest_path(out))
     save_model(model, out)
     outputs = [out]
@@ -225,6 +244,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else thread_count()
     out = Path(args.out)
     models_dir = Path(args.models_dir or out.parent / (out.stem + "-models"))
+    _check_outputs(out, _manifest_path(out), directory=models_dir)
     run_config(config, out, models_dir, threads)
     _write_manifest(_manifest_path(out), "bench", {"threads": threads},
                     [args.config], [out, models_dir], time.perf_counter() - started)

@@ -25,10 +25,13 @@ structure's flat ``members`` and sums each set with ``np.add.reduceat``.
 
 Each kernel reads :attr:`SparseDataset.design`: X's own row-major view
 when X stores every cell (stored values as stored), else the CSR.  On the
-view omega is one matrix-vector product.  The degree-2 search reads X by
-feature rows, the view transposed or the CSR transposed once per search,
-the same way on either layout.  The CSR, the only layout that fits sparse
-ultrahigh-dimensional data, is never copied squared or as an array.
+view omega is one matrix-vector product.  The degree-2 search reads the
+support rows (``alpha_i > 0``) by feature rows, the same way on either
+layout: it copies those rows once per search, unless every row is one, so
+besides the data it holds the support rows (at most ``n_sv * m * 8`` bytes
+on the array) and, on the CSR, their transpose, not X's.  The CSR, the only
+layout that fits sparse ultrahigh-dimensional data, is never copied
+squared or as an array.
 Scoring reads shared state but never mutates it, so independent calls are
 safe to run concurrently and results do not depend on thread count.
 """
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataset import SparseDataset, TreeStructure, _columns
 
@@ -214,13 +218,19 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
 
     Scores every virtual feature ``k`` by ``omega_k^2`` with
     ``omega_k = sum_i alpha_i y_i phi_k(x_i)``: the constant and linear terms
-    at once, the rest blockwise over the anchor feature ``a``.  One product
-    per block, read alike from the CSR and X's own view
+    at once over every row, so a NaN anywhere in X raises, the rest blockwise
+    over the anchor feature ``a``.  Only the support rows, those with
+    ``z_i = alpha_i y_i != 0``, add to the rest, so they are gathered once
+    (skipped when every ``z_i`` is nonzero) and each product runs over them
+    alone.  One product per block, read alike from the CSR and X's own view
     (:attr:`~SparseDataset.design`), gives ``G[b, a] = sum_i z_i x_ia x_ib``
     for every partner ``b >= a``: the squares on its diagonal, the crosses
-    above it.  Each block's scores are merged with the running best ``B`` as
-    arrays, so peak memory besides the data (and, on the CSR, its transpose) is
-    ``O(B + block * (n + m))``.  The result is identical to scoring the
+    above it.  Once the running best holds ``B`` scores, a block passes on
+    only the scores at or above the ``B``-th best (and any NaN, which
+    raises), so the merge sorts a handful of candidates.  Peak memory besides
+    the data is the support rows (on the array at most ``n_sv * m * 8``
+    bytes), on the CSR also their transpose, not X's, and
+    ``O(B + block * (n_sv + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """
     _check_poly(gamma, r)
@@ -230,22 +240,31 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     z = alpha * data.y
     m = data.m
 
-    D = data.design
-    T = D.T.tocsr() if D is data.X else D.T                  # row a is raw feature a
     lin = np.sqrt(2.0 * gamma * r) * _omega(alpha, data)
     scores = np.concatenate([[(r * float(z.sum())) ** 2], lin ** 2])
     best, best_ids = _top(scores, np.arange(m + 1), budget)
 
+    D = data.design
+    rows = np.flatnonzero(z)
+    if rows.size < z.size:
+        D, z = D[rows], z[rows]
+    T = D.T.tocsr() if sp.issparse(D) else D.T               # row a is raw feature a
     for start in range(0, m, block):
         stop = min(start + block, m)
-        anchors = T[start:stop].toarray() if D is data.X else T[start:stop]
-        G = T[start:] @ (anchors.T * z[:, None])             # rows b = start .. m-1
-        upper = np.arange(m - start) > np.arange(stop - start)[:, None]
+        anchors = T[start:stop].toarray() if sp.issparse(T) else T[start:stop]
+        G = T[start:] @ (anchors.T * z[:, None])             # G[b - start, a - start]
         sq = (gamma * np.diagonal(G)) ** 2
-        cross = (np.sqrt(2.0) * gamma * G.T[upper]) ** 2     # flat-id order
-        first = 1 + 2 * m + (start * (2 * m - start - 1)) // 2
-        best, best_ids = _top(np.concatenate([best, sq, cross]),
-                              np.concatenate([best_ids, np.arange(1 + m + start, 1 + m + stop),
-                                              np.arange(first, first + cross.size)]),
+        cross = (np.sqrt(2.0) * gamma * G) ** 2
+        # only scores at or above the B-th best can enter; a NaN passes, so _top raises
+        kth = best[-1] if best.size == budget else -np.inf
+        keep = np.flatnonzero(~(sq < kth))
+        b, a = np.divmod(np.flatnonzero(~(cross < kth)), stop - start)
+        upper = b > a
+        b, a = b[upper], a[upper]
+        cross = cross[b, a]
+        a, b = a + start, b + start
+        best, best_ids = _top(np.concatenate([best, sq[keep], cross]),
+                              np.concatenate([best_ids, 1 + m + start + keep,
+                                              1 + 2 * m + a * (2 * m - a - 1) // 2 + b - a - 1]),
                               budget)
     return tuple(np.sort(best_ids).tolist())

@@ -652,6 +652,20 @@ def test_outputs_that_are_one_file_are_a_usage_error(ws, tmp_path, capsys, secon
     assert _files_in(tmp_path) == before
 
 
+def test_train_refuses_its_outputs_before_it_loads_or_fits(ws, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the outputs were checked")
+
+    monkeypatch.setattr(cli, "load_libsvm", never)
+    monkeypatch.setattr(cli, "fgm_train", never)
+    model = tmp_path / "m.json"
+    assert _train_toy(ws, model, "--trace", model) == 2
+    assert "usage error: two of the outputs" in capsys.readouterr().err
+    assert _train_toy(ws, model, "--trace", tmp_path / "m.json" / "t.csv") == 2
+    assert "lies under another output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_infinite_c_and_negative_n_test_are_usage_errors(ws, tmp_path, capsys):
     assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"),
                      "--out", str(tmp_path / "m.json"), "--C", "inf"]) == 2
@@ -782,3 +796,25 @@ def test_bench_usage_error_leaves_no_directory(tmp_path):
     assert not (tmp_path / "new").exists() and not models.exists()
     assert cli.main([*argv, "--threads", "1"]) == 0
     assert out.exists() and Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["same path", "existing file", "under the csv"])
+def test_bench_refuses_its_outputs_before_the_first_fit(tmp_path, monkeypatch, capsys, case):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "run_config", never)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(BENCH_CONFIG))
+    out = tmp_path / "r.csv"
+    models = {"same path": out, "existing file": tmp_path / "taken",
+              "under the csv": out / "models"}[case]
+    if case == "existing file":
+        models.write_text("kept")
+    before = _files_in(tmp_path)
+    assert cli.main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--models-dir", str(models)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fgm: usage error: ") and "Traceback" not in err
+    assert _files_in(tmp_path) == before and not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)

@@ -545,6 +545,49 @@ def test_poly_streamed_linear_and_square_tie_cross():
     assert scores[poly_flat(("square", 0), m)] == scores[poly_flat(("cross", 1, 2), m)] > 0
 
 
+def test_poly_streamed_ties_across_anchor_blocks_with_zero_duals():
+    # rows 1, 4 and 6 carry alpha = 0, and feature 4 duplicates feature 0 on
+    # the other rows only, so cross (0, b) ties cross (4, b) and cross (0, a)
+    # ties cross (a, 4) just because the zero-weight rows add nothing; every
+    # budget runs, those above the m + 1 constant and linear terms included
+    rng = np.random.default_rng(32)
+    m = 6
+    X = rng.integers(-2, 3, size=(9, m)).astype(float)
+    y = np.array([1, -1, 1, 1, -1, 1, -1, -1, 1])
+    alpha = rng.integers(1, 8, size=9) / 4.0
+    alpha[[1, 4, 6]] = 0.0
+    X[alpha > 0, 4] = X[alpha > 0, 0]
+    assert not np.array_equal(X[:, 4], X[:, 0])
+    scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, m))
+    flat = lambda a, b: poly_flat(("cross", a, b), m)
+    assert scores[flat(0, 5)] == scores[flat(4, 5)] > 0
+    assert scores[flat(0, 1)] == scores[flat(1, 4)] > 0
+    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
+    tied_pairs = {(flat(0, 5), flat(4, 5)), (flat(0, 1), flat(1, 4)),
+                  (flat(0, 2), flat(2, 4)), (flat(0, 3), flat(3, 4))}
+    tied_at = [b for b in range(1, scores.size) if (order[b - 1], order[b]) in tied_pairs]
+    assert any(b > m + 1 for b in tied_at) and any(b <= m + 1 for b in tied_at)
+
+
+def test_poly_streamed_with_every_dual_zero_selects_the_smallest_ids():
+    rng = np.random.default_rng(33)
+    m = 5
+    X = rng.integers(-2, 3, size=(7, m)).astype(float)
+    y = np.array([1, -1, 1, 1, -1, 1, -1])
+    scores = _check_every_budget(X, np.zeros(7), y, 1.0, 1.0, blocks=(1, 2, 3, m))
+    assert not scores.any()
+
+
+def test_poly_streamed_rejects_nan_in_a_zero_weight_row():
+    # the products skip row 1, whose dual is 0; its NaN still reaches omega
+    X = np.array([[1.0, 2.0, 0.5], [2.0, np.nan, 1.0], [0.0, 1.0, -1.0]])
+    data = SparseDataset(X, np.array([1, -1, 1]))
+    alpha = np.array([1.0, 0.0, 0.5])
+    for view, block, budget in itertools.product(_layouts(data), (1, 2, 3), (1, 4, 10)):
+        with pytest.raises(ValueError, match="NaN"):
+            score_polynomial_streamed(alpha, view, 1.0, 1.0, budget, block)
+
+
 def test_poly_streamed_rejects_nan_data():
     X = np.array([[1.0, np.nan, 0.5], [2.0, 1.0, 1.0]])
     data = SparseDataset(X, np.array([1, -1]))

@@ -15,6 +15,10 @@ the program computes must print the same lines.  Digested are:
   at seeds 0, 1 and 2, trained at full size, and the labels that
   ``engine.predict`` gives with it on the workload's test set (lines
   labelled ``predicted labels``, over one signed byte per label);
+* a degree-2 model under the logistic loss on the ``poly-d2`` data at
+  seed 0, and the labels it predicts: every logistic dual is positive, so
+  the degree-2 search reads every row, where the squared hinge leaves most
+  duals at 0 after the first round;
 * group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
   8 features under the ``ones`` and ``inverse_norm`` policies and under
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
@@ -169,6 +173,14 @@ def model_digests(work: Path):
             yield from _model_digests(f"{name} seed {seed} model", path)
             labels, _ = engine.predict(model, inputs["test"])
             yield f"{name} seed {seed} predicted labels", _digest(labels.astype(np.int8).tobytes())
+
+
+def logistic_poly_digests(work: Path):
+    workload = WORKLOADS["poly-d2"]
+    inputs = workload.setup(0, work)
+    settings = {"logistic": (inputs["structure"], replace(workload.cfg, loss="logistic"))}
+    yield from _trained_digests(work, f"{workload.name} seed 0", inputs["train"],
+                                inputs["test"], settings)
 
 
 def group_digests(work: Path):
@@ -358,6 +370,7 @@ def main() -> int:
         work = Path(tmp)
         lines = list(dataset_digests())
         lines += model_digests(work)
+        lines += logistic_poly_digests(work)
         lines += group_digests(work)
         lines += stored_zero_digests(work)
         lines += sparse_digests(work)
