@@ -55,6 +55,34 @@ _VALUE_TYPES = {
 }
 
 
+def _check_outputs(*paths, directory=None) -> list[Path]:
+    """Refuse outputs that no run could write; return the file paths given (None skipped).
+
+    Outputs that resolve to one path (``directory`` included), an output
+    under a file output, a file path that names an existing directory, a
+    ``directory`` that names an existing file and a path under an existing
+    file all fail here.  The CLI's commands and :func:`run_config` call it
+    before any work, so a refused run leaves nothing behind and costs no fit.
+    """
+    files = [Path(p) for p in paths if p is not None]
+    every = files + ([Path(directory)] if directory is not None else [])
+    real = [Path(os.path.realpath(p)) for p in every]
+    if len(set(real)) < len(real):
+        raise ValueError("two of the outputs " + ", ".join(map(str, every)) + " are one file")
+    real_files = set(real[:len(files)])
+    for i, (path, resolved) in enumerate(zip(every, real)):
+        if not real_files.isdisjoint(resolved.parents):
+            raise ValueError(f"output path {path} lies under another output")
+        if i < len(files) and path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+        if i == len(files) and path.exists() and not path.is_dir():
+            raise ValueError(f"output directory {path} is an existing file")
+        ancestor = next(parent for parent in path.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"output path {path} lies under {ancestor}, not a directory")
+    return files
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
@@ -281,7 +309,8 @@ def run_config(config: dict, out_csv: str | Path, models_dir: str | Path | None 
     Returns the rows, sorted by (method, setting, seed).  Model files land
     in ``models_dir`` (default: ``<out stem>-models`` next to the CSV).
     Seeds run in up to ``threads`` processes (default ``FGM_THREADS``), an
-    integer >= 1 (else ``ValueError``).
+    integer >= 1 (else ``ValueError``).  Outputs that no run could write
+    (:func:`_check_outputs`) raise before a directory is made or a seed runs.
     """
     validate_config(config)
     if threads is None:
@@ -292,6 +321,7 @@ def run_config(config: dict, out_csv: str | Path, models_dir: str | Path | None 
     if models_dir is None:
         models_dir = out_csv.parent / (out_csv.stem + "-models")
     models_dir = Path(models_dir)
+    _check_outputs(out_csv, directory=models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     seeds = config["seeds"]

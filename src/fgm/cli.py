@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -21,7 +20,7 @@ from pathlib import Path
 import scipy.sparse as sp
 
 from . import __version__
-from .bench import load_config, run_config, thread_count
+from .bench import _check_outputs, load_config, run_config, thread_count
 from .dataset import (FormatError, SparseDataset, generate_synthetic, generate_test_set,
                       load_ground_truth, load_groups, load_libsvm, load_tree,
                       write_ground_truth, write_libsvm)
@@ -77,34 +76,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _check_outputs(*paths, directory=None) -> list[Path]:
-    """Refuse outputs that no run could write; return the file paths given (None skipped).
-
-    Outputs that resolve to one path (``directory`` included), an output
-    under a file output, a file path that names an existing directory, a
-    ``directory`` that names an existing file and a path under an existing
-    file all fail here.  Commands call it before any work, so a refused run
-    leaves nothing behind and costs no fit.
-    """
-    files = [Path(p) for p in paths if p is not None]
-    every = files + ([Path(directory)] if directory is not None else [])
-    real = [Path(os.path.realpath(p)) for p in every]
-    if len(set(real)) < len(real):
-        raise ValueError("two of the outputs " + ", ".join(map(str, every)) + " are one file")
-    real_files = set(real[:len(files)])
-    for i, (path, resolved) in enumerate(zip(every, real)):
-        if not real_files.isdisjoint(resolved.parents):
-            raise ValueError(f"output path {path} lies under another output")
-        if i < len(files) and path.is_dir():
-            raise IsADirectoryError(f"output path {path} is a directory")
-        if i == len(files) and path.exists() and not path.is_dir():
-            raise ValueError(f"output directory {path} is an existing file")
-        ancestor = next(parent for parent in path.parents if parent.exists())
-        if not ancestor.is_dir():
-            raise NotADirectoryError(f"output path {path} lies under {ancestor}, not a directory")
-    return files
-
-
 def _make_parents(*paths) -> None:
     """Check every output path given (None skipped), then make their directories.
 
@@ -123,12 +94,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.n_test < 0:
         raise ValueError("n_test must be >= 0")
-    train, truth = generate_synthetic(args.n, args.m, args.k, args.type, args.seed)
     prefix = Path(args.out_prefix)
     train_path = Path(f"{prefix}.train.libsvm")
     truth_path = Path(f"{prefix}.truth.txt")
     test_path = Path(f"{prefix}.test.libsvm") if args.n_test > 0 else None
     manifest = Path(f"{prefix}.manifest.json")
+    _check_outputs(train_path, truth_path, test_path, manifest)
+    train, truth = generate_synthetic(args.n, args.m, args.k, args.type, args.seed)
     _make_parents(train_path, truth_path, test_path, manifest)
     write_libsvm(train, train_path)
     write_ground_truth(truth, truth_path)

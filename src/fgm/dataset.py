@@ -622,26 +622,46 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 # scaling priors
 
 
-def compute_scaling_prior(data: SparseDataset, policy: str = "ones") -> np.ndarray:
+def compute_scaling_prior(data: SparseDataset, policy: str = "ones",
+                          col_sq: np.ndarray | None = None) -> np.ndarray:
     """Per-feature scale vector.
 
     ``"ones"`` gives all ones.  ``"inverse_norm"`` gives the reciprocal
     Euclidean column norm so every scaled column has unit norm; all-zero
-    columns map to scale 0.
+    columns map to scale 0.  The norms come from ``col_sq``, X's column
+    sums of squares (:func:`_column_sq_sums`) when the caller holds them
+    already, else from one read of X.
     """
     if policy == "ones":
         return np.ones(data.m)
     if policy == "inverse_norm":
-        norms = data.column_norms()
-        return np.divide(1.0, norms, out=np.zeros(data.m), where=norms > 0)
+        return _inverse_norms(_column_sq_sums(data) if col_sq is None else col_sq)
     raise ValueError(f"unknown scaling policy {policy!r}")
 
 
-def _inverse_set_norms(data: SparseDataset, sets: list[np.ndarray]) -> np.ndarray:
-    """Reciprocal Frobenius norm of each set's column block (0 for an all-zero block)."""
-    col_sq = _column_sq_sums(data)
-    norms = np.sqrt([col_sq[s].sum() for s in sets])
-    return np.divide(1.0, norms, out=np.zeros(len(sets)), where=norms > 0)
+def _inverse_norms(sq_sums: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(sq_sums)``, and 0 where a sum is 0 (or, overflowed, infinite)."""
+    norms = np.sqrt(sq_sums)
+    return np.divide(1.0, norms, out=np.zeros(norms.size), where=norms > 0)
+
+
+def _inverse_set_norms(col_sq: np.ndarray, tree: TreeStructure) -> np.ndarray:
+    """Reciprocal Frobenius norm of each of ``tree``'s set blocks (0 for an all-zero block).
+
+    ``col_sq`` holds X's column sums of squares.  The sets of each size
+    ``k`` are gathered from the flat ``members`` as one ``(sets, k)`` array
+    and summed along its rows: numpy adds a contiguous row pairwise, in the
+    order ``col_sq[s].sum()`` adds set ``s``, so one gather and one sum per
+    distinct size give each set's bits without a loop over the sets.
+    ``np.add.reduceat`` would add each set in sequence and move the last bits.
+    """
+    sizes = np.diff(tree.starts, append=tree.members.size)
+    order = np.argsort(sizes, kind="stable")
+    sums = np.empty(sizes.size)
+    for sets in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        rows = tree.starts[sets, None] + np.arange(sizes[sets[0]])
+        sums[sets] = col_sq[tree.members[rows]].sum(axis=1)
+    return _inverse_norms(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                      TreeStructure, _inverse_set_norms, _is_count,
+                      TreeStructure, _column_sq_sums, _inverse_set_norms, _is_count,
                       compute_scaling_prior)
 # eval_loss stays importable from here: the benchmark's tracer wraps engine.eval_loss
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
@@ -166,18 +166,35 @@ class _Units:
     r: float | None = None
 
 
-def _units(data: SparseDataset, cfg: SolverConfig, structure) -> _Units:
-    """The unit type of ``structure``; its closures call this module's worstcase names."""
+def _scale_sums(data: SparseDataset, cfg: SolverConfig, structure) -> np.ndarray | None:
+    """X's column sums of squares if ``structure``'s scales come from them, else None.
+
+    They do under the ``inverse_norm`` policy for plain features and for
+    groups and trees without explicit scales.
+    """
+    if cfg.lambda_policy == "ones" or not (
+            structure is None
+            or isinstance(structure, TreeStructure) and not structure.lambdas_given):
+        return None
+    return _column_sq_sums(data)
+
+
+def _units(data: SparseDataset, cfg: SolverConfig, structure,
+           col_sq: np.ndarray | None) -> _Units:
+    """The unit type of ``structure``; its closures call this module's worstcase names.
+
+    ``col_sq`` is :func:`_scale_sums`'s, the one read of X the scales take.
+    """
     if structure is None:
-        lam = compute_scaling_prior(data, cfg.lambda_policy)
+        lam = compute_scaling_prior(data, cfg.lambda_policy, col_sq)
         return _Units(
             "plain", lambda alpha, budget: select_top_b(score_features(alpha, data, lam), budget),
             lambda ids: (ids, lam[ids]), data.dense_columns)
     if isinstance(structure, TreeStructure):    # groups too: a tree of roots
         if (top := int(structure.members.max())) >= data.m:
             raise FormatError(f"structure references feature {top}, but data has m={data.m}")
-        if cfg.lambda_policy != "ones" and not structure.lambdas_given:
-            structure = structure.with_lambdas(_inverse_set_norms(data, structure.sets))
+        if col_sq is not None:
+            structure = structure.with_lambdas(_inverse_set_norms(col_sq, structure))
         sets, lams = structure.sets, structure.lambdas
         return _Units(
             "group" if isinstance(structure, GroupStructure) else "tree",
@@ -270,6 +287,10 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     Data with no feature raises :class:`FormatError`, and data holding a
     non-finite value :class:`NumericalError` for outer iteration 1, before
     any search; a structure that names a feature ``>= data.m`` raises FormatError.
+    When the scales come from X's column sums of squares, finite sums vouch
+    for every stored value (a NaN or an infinity makes its column's sum NaN
+    or infinite), so X is scanned for non-finite values only when a sum is
+    not finite; other fits scan X before any other read.
     Every kernel reads :attr:`SparseDataset.design`, as :func:`predict`
     does: X's own view when X stores every cell (stored values as stored),
     else the CSR.  No copy of X is made and ``data`` is unchanged.
@@ -278,11 +299,13 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     """
     if not data.m:
         raise FormatError("training data has no features (m=0)")
-    if not np.isfinite(data.X.data).all():
+    col_sq = _scale_sums(data, cfg, structure)
+    vouched = col_sq is not None and np.isfinite(col_sq).all()
+    if not vouched and not np.isfinite(data.X.data).all():
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
     kind = cfg.loss_kind()
-    units = _units(data, cfg, structure)
+    units = _units(data, cfg, structure, col_sq)
 
     alpha = np.ones(data.n)
     labels = data.y.astype(float)

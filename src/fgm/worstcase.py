@@ -103,6 +103,8 @@ def _set_scores(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure) -> 
     if tree.members.max() >= data.m:
         raise ValueError("feature index out of range")
     omega_sq = _omega(alpha, data) ** 2
+    # reduceat adds each set in sequence; summing sets pairwise, as
+    # dataset._inverse_set_norms does, would move the scores' last bits
     return tree.lambdas ** 2 * np.add.reduceat(omega_sq[tree.members], tree.starts)
 
 

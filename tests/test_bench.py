@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fgm import bench
 from fgm.bench import (fgm_target_support, load_config, run_config, setting_id,
                        thread_count, validate_config)
 from fgm.dataset import FormatError, generate_synthetic, generate_test_set, write_ground_truth, write_libsvm
@@ -110,6 +111,23 @@ def test_run_config_rejects_a_thread_count_below_one(tmp_path, threads):
     with pytest.raises(ValueError, match="^threads must be an integer >= 1"):
         run_config(_valid_config(), out, threads=threads)
     assert not out.exists() and not (tmp_path / "results-models").exists()
+
+
+@pytest.mark.parametrize("case", ["same path", "existing file"])
+def test_run_config_refuses_its_outputs_before_the_first_fit(tmp_path, monkeypatch, case):
+    # the CSV and the models directory are checked before a directory is made or a seed runs
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the outputs were checked")
+
+    monkeypatch.setattr(bench, "run_seed", never)
+    out = tmp_path / "r.csv"
+    models = out if case == "same path" else tmp_path / "taken"
+    if case == "existing file":
+        models.write_text("kept")
+    with pytest.raises(ValueError, match="are one file|is an existing file"):
+        run_config(_valid_config(), out, models, threads=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if case == "same path" else ["taken"])
+    assert not out.exists()
 
 
 def test_fgm_target_support_picks_closest_prefix():

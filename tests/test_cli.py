@@ -666,6 +666,22 @@ def test_train_refuses_its_outputs_before_it_loads_or_fits(ws, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_refuses_its_outputs_before_it_draws(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the outputs were checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", never)
+    (tmp_path / "d.test.libsvm").mkdir()
+    assert cli.main(["generate", "--n", "8", "--m", "6", "--k", "2", "--n-test", "4",
+                     "--out-prefix", str(tmp_path / "d")]) == 3
+    assert "is a directory" in capsys.readouterr().err
+    (tmp_path / "taken").write_text("kept")
+    assert cli.main(["generate", "--n", "8", "--m", "6", "--k", "2",
+                     "--out-prefix", str(tmp_path / "taken" / "d")]) == 3
+    assert "not a directory" in capsys.readouterr().err
+    assert _files_in(tmp_path) == [Path("taken")]
+
+
 def test_infinite_c_and_negative_n_test_are_usage_errors(ws, tmp_path, capsys):
     assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"),
                      "--out", str(tmp_path / "m.json"), "--C", "inf"]) == 2

@@ -770,24 +770,49 @@ def test_inverse_norm_scales_equal_on_a_view_and_the_raw_dataset(density):
                          + [np.arange(4 * c, 4 * c + 4) for c in range(12)],
                          np.array([-1] * 3 + [c // 4 for c in range(12)]),
                          [f"n{i}" for i in range(15)])
-    pairs = [(_inverse_set_norms(d, groups.sets), _inverse_set_norms(d, tree.sets),
+    pairs = [(_inverse_set_norms(_column_sq_sums(d), groups),
+              _inverse_set_norms(_column_sq_sums(d), tree),
               compute_scaling_prior(d, "inverse_norm")) for d in (data, view)]
     for raw, viewed in zip(*pairs):
         assert raw.tobytes() == viewed.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["array", "csr"])
+def test_grouped_set_norms_equal_each_sets_own_sum_to_the_bit(layout):
+    # two sets of every size 1-300, in shuffled order over shuffled features:
+    # summed per size they must keep the bits of one pairwise sum per set
+    rng = np.random.default_rng(8)
+    sizes = rng.permutation(np.repeat(np.arange(1, 301), 2))
+    features = rng.permutation(int(sizes.sum()))
+    groups = GroupStructure(np.split(features, np.cumsum(sizes)[:-1]),
+                            [f"g{g}" for g in range(sizes.size)])
+    X = rng.standard_normal((3, features.size)) * 2.0 ** rng.integers(-30, 30, (3, features.size))
+    if layout == "csr":
+        X[rng.random(X.shape) < 0.3] = 0.0
+        data = SparseDataset(X, np.array([1, -1, 1]))
+    else:
+        data = SparseDataset(_fully_stored(X), np.array([1, -1, 1]))
+    assert sp.issparse(data.design) == (layout == "csr")
+    col_sq = _column_sq_sums(data)
+    norms = np.sqrt([col_sq[s].sum() for s in groups.sets])
+    want = np.divide(1.0, norms, out=np.zeros(sizes.size), where=norms > 0)
+    assert _inverse_set_norms(col_sq, groups).tobytes() == want.tobytes()
 
 
 def test_group_scaling_prior_frobenius_and_precedence():
     X = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
     data = SparseDataset(X, np.array([1, -1]))
     g = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"])
-    inv = _inverse_set_norms(data, g.sets)
+    inv = _inverse_set_norms(_column_sq_sums(data), g)
     np.testing.assert_allclose(inv, [0.2, 1.0])
     # training's scale rule: explicit lambdas win over the policy
-    from fgm.engine import SolverConfig, _units
+    from fgm.engine import SolverConfig, _scale_sums, _units
     cfg = SolverConfig(lambda_policy="inverse_norm")
-    np.testing.assert_allclose(_units(data, cfg, g).members(np.array([0, 1]))[1], [0.2, 0.2, 1.0])
+    units = _units(data, cfg, g, _scale_sums(data, cfg, g))
+    np.testing.assert_allclose(units.members(np.array([0, 1]))[1], [0.2, 0.2, 1.0])
     g_fixed = GroupStructure([np.array([0, 1]), np.array([2])], ["a", "b"], [7.0, 8.0])
-    np.testing.assert_allclose(_units(data, cfg, g_fixed).members(np.array([0, 1]))[1],
+    assert _scale_sums(data, cfg, g_fixed) is None
+    np.testing.assert_allclose(_units(data, cfg, g_fixed, None).members(np.array([0, 1]))[1],
                                [7.0, 7.0, 8.0])
 
 

@@ -209,20 +209,52 @@ def test_numerical_error_carries_outer_context():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly"])
+@pytest.mark.parametrize("unit", ["plain", "group", "tree", "poly", "plain inverse_norm",
+                                  "group inverse_norm", "tree inverse_norm"])
 def test_non_finite_data_fails_before_any_search(unit, bad):
+    # an inverse-norm fit finds the value through its column's sum of squares,
+    # and must raise what a fit under ones scales raises
     X = np.array([[1.0, bad, 0.5, 0.0], [2.0, 0.0, 1.0, 1.0],
                   [0.5, 1.0, 2.0, 0.0], [0.0, 3.0, 1.0, 2.0]])
     data = SparseDataset(X, np.array([1, -1, 1, -1]))
+    kind, *policy = unit.split()
     structure = {
         "plain": None,
         "group": GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"]),
         "tree": TreeStructure([np.arange(4), np.array([0, 1]), np.array([2, 3])],
                               np.array([-1, 0, 0]), ["r", "a", "b"]),
         "poly": PolyMap(),
-    }[unit]
-    with pytest.raises(NumericalError, match="outer iteration 1: .*non-finite"):
-        fgm_train(data, SolverConfig(budget=1, max_outer=3), structure)
+    }[kind]
+    cfg = SolverConfig(budget=1, max_outer=3, lambda_policy=(policy or ["ones"])[0])
+    with pytest.raises(NumericalError,
+                       match="^outer iteration 1: training data holds non-finite values$") as caught:
+        fgm_train(data, cfg, structure)
+    assert caught.value.iteration == 0
+
+
+@pytest.mark.parametrize("policy", ["ones", "inverse_norm"])
+def test_non_finite_data_fails_before_a_structure_wider_than_the_data(policy):
+    X = np.array([[1.0, np.nan, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 2.0]])
+    data = SparseDataset(X, np.array([1, -1, 1]))
+    groups = GroupStructure([np.array([0, 1]), np.array([2, 3])], ["a", "b"])
+    with pytest.raises(NumericalError, match="^outer iteration 1: training data holds non-finite"):
+        fgm_train(data, SolverConfig(budget=1, max_outer=2, lambda_policy=policy), groups)
+
+
+def test_a_column_whose_squares_overflow_trains_under_inverse_norm_at_scale_0(monkeypatch):
+    # its sum of squares is infinite, so X is scanned, found finite and the column scaled by 0
+    data, _ = _small_problem(seed=3)
+    X = data.X.toarray()
+    X[3, 7] = 1e200
+    data = SparseDataset(X, data.y)
+    scales = []
+    search = engine.score_features
+    monkeypatch.setattr(engine, "score_features",
+                        lambda alpha, d, lam: scales.append(lam) or search(alpha, d, lam))
+    model = fgm_train(data, SolverConfig(budget=3, max_outer=4, lambda_policy="inverse_norm"))
+    assert model.n_outer >= 1 and scales and all(lam[7] == 0.0 for lam in scales)
+    assert scales[0].tobytes() == compute_scaling_prior(data, "inverse_norm").tobytes()
+    assert np.isfinite(scales[0]).all() and (scales[0][np.arange(data.m) != 7] > 0).all()
 
 
 @pytest.mark.parametrize("structure", [None, PolyMap()], ids=["plain", "poly"])

@@ -19,6 +19,11 @@ the program computes must print the same lines.  Digested are:
   seed 0, and the labels it predicts: every logistic dual is positive, so
   the degree-2 search reads every row, where the squared hinge leaves most
   duals at 0 after the first round;
+* the scales an inverse-norm group fit searches with, taken from its
+  first search, on a fully stored X read as an array and on a CSR that
+  stores about 70% of its cells: set sizes from 1 to 1000 straddle the
+  steps of numpy's pairwise sum (8-wide below 128 values, halved blocks
+  above), so a change in the order the sets' squares are added shows;
 * group models on the ``plain-w1`` data at seeds 0, 1 and 2: 512 groups of
   8 features under the ``ones`` and ``inverse_norm`` policies and under
   explicit group scales ``linspace(0.5, 2, 512)``, which no workload covers;
@@ -202,6 +207,30 @@ def group_digests(work: Path):
             yield from _model_digests(f"{workload.name} groups {setting} seed {seed} model", path)
 
 
+def inverse_norm_scale_digests():
+    rng = np.random.default_rng(32)
+    sizes = np.array([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300, 513, 1000])
+    features = rng.permutation(int(sizes.sum()))
+    groups = GroupStructure(np.split(features, np.cumsum(sizes)[:-1]),
+                            [f"g{g}" for g in range(sizes.size)])
+    shape = (64, features.size)
+    values = rng.standard_normal(shape) * 2.0 ** rng.integers(-20, 20, shape)
+    labels = np.where(rng.random(shape[0]) < 0.5, 1, -1)
+    cfg = SolverConfig(budget=2, max_outer=1, lambda_policy="inverse_norm")
+    search = engine.score_tree_pruned
+    for layout, density in (("array", 1.0), ("csr", 0.7)):
+        train = SparseDataset(values * (rng.random(shape) < density), labels)
+        assert sp.issparse(train.design) == (layout == "csr")
+        scales = []
+        engine.score_tree_pruned = lambda alpha, data, tree, budget: (
+            scales.append(tree.lambdas), search(alpha, data, tree, budget))[1]
+        try:
+            engine.fgm_train(train, cfg, groups)
+        finally:
+            engine.score_tree_pruned = search
+        yield f"inverse_norm group scales on the {layout}", _digest(scales[0].tobytes())
+
+
 def _trained_digests(work: Path, label: str, train, test, settings: dict):
     """Each setting's model trained on ``train``, and the labels it predicts on ``test``."""
     for setting, (structure, cfg) in settings.items():
@@ -371,6 +400,7 @@ def main() -> int:
         lines = list(dataset_digests())
         lines += model_digests(work)
         lines += logistic_poly_digests(work)
+        lines += inverse_norm_scale_digests()
         lines += group_digests(work)
         lines += stored_zero_digests(work)
         lines += sparse_digests(work)
