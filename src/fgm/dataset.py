@@ -17,6 +17,7 @@ import copy
 import itertools
 import numbers
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,10 +92,6 @@ class SparseDataset:
         """
         full = _full_array(self.X)
         return self.X if full is None else full
-
-    def column_norms(self) -> np.ndarray:
-        """Euclidean norm of every feature column, shape ``(m,)``."""
-        return np.sqrt(_column_sq_sums(self))
 
     def dense_columns(self, ids: np.ndarray) -> np.ndarray:
         """Extract columns ``ids`` (repeats allowed) as a dense ``(n, len(ids))`` matrix.
@@ -337,6 +334,27 @@ class GroupStructure(TreeStructure):
 
 
 _CHUNK_BYTES = 1 << 17  # text read at a time by load_libsvm, in whole lines
+_INTP = np.iinfo(np.intp)
+# index tokens that every numpy release parses exactly as int() does: ASCII
+# digits, one space apart, each with fewer digits than intp's largest value
+_PLAIN_INDICES = re.compile(
+    "[0-9]{{1,{0}}}(?: [0-9]{{1,{0}}})*".format(len(str(_INTP.max)) - 1))
+
+
+def _libsvm_indices(tokens: list[str]) -> np.ndarray:
+    """``tokens`` as ``intp`` by ``int()``'s rule, converted in C when they are plain digits.
+
+    numpy's integer parser is handed only text that :data:`_PLAIN_INDICES`
+    matches in full, on which it cannot overflow and has no spelling to
+    read differently.  Any other list (one with a sign, an underscore,
+    non-ASCII digits, an empty or overlong token, or a bad one) is
+    converted by ``int()``, with its own values and its own ``ValueError``
+    or ``OverflowError``.
+    """
+    text = " ".join(tokens)
+    if _PLAIN_INDICES.fullmatch(text):
+        return np.fromstring(text, np.intp, sep=" ")
+    return np.fromiter(map(int, tokens), np.intp, len(tokens))
 
 
 def _is_count(v) -> bool:
@@ -366,12 +384,16 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     Notes
     -----
     The file is read ``_CHUNK_BYTES`` of whole lines at a time.  A chunk's
-    labels, indices and values are converted with one ``np.fromiter`` call
-    each (Python's ``int`` and ``float`` still parse every token) and
+    labels, indices and values are converted with one call each and
     checked as arrays, so a line costs little whether it holds one pair or
-    thousands.  A chunk that fails a check is scanned line by line by
-    :func:`_first_fault`, so faults come in file order, each naming its line
-    and its label or first bad pair, exactly as a token-by-token reader would.
+    thousands.  Labels and values go through Python's ``float``.  Indices
+    go through numpy's integer parser in C when they are plain ASCII
+    digits, and through ``int()`` otherwise (:func:`_libsvm_indices`), so
+    ``int()``'s spellings, values and errors hold.  A chunk without a ``#``
+    skips the comment split.  A chunk that fails a check is scanned line by
+    line by :func:`_first_fault`, so faults come in file order, each naming
+    its line and its label or first bad pair, exactly as a token-by-token
+    reader would.
     """
     if dim is not None and not _is_count(dim):
         raise ValueError("dim must be an integer >= 1")
@@ -380,7 +402,9 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     line_no = 1
     with path.open() as fh, _decoding(path):
         while lines := fh.readlines(_CHUNK_BYTES):
-            rows = [row for row in (line.split("#", 1)[0].split() for line in lines) if row]
+            text = ([line.split("#", 1)[0] for line in lines]
+                    if any(map(operator.contains, lines, itertools.repeat("#"))) else lines)
+            rows = list(filter(None, map(str.split, text)))
             heads = list(map(list.pop, rows, itertools.repeat(0)))     # rows keep their pairs
             tokens = list(itertools.chain.from_iterable(rows))
             k = len(tokens)
@@ -390,7 +414,7 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
             first[np.cumsum(count) - count] = True
             try:
                 label = np.fromiter(map(float, heads), float, len(heads))
-                idx = np.fromiter(map(int, flat[0::2]), np.intp, k)
+                idx = _libsvm_indices(flat[0::2])
                 val = np.fromiter(map(float, flat[1::2]), float, k)
             except (ValueError, OverflowError):
                 good = False
@@ -454,7 +478,7 @@ def _first_fault(path: Path, first_line_no: int, lines: list[str]) -> str:
                 return f"{where}: invalid pair {tok!r}"
             if idx < 1:
                 return f"{where}: index {idx} must be >= 1"
-            if idx > np.iinfo(np.intp).max:
+            if idx > _INTP.max:
                 return f"{where}: index {idx} is too large"
             if idx <= prev:
                 return f"{where}: indices must be strictly increasing"

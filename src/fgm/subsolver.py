@@ -22,6 +22,7 @@ Every solve returns one record, :class:`ApgResult`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ def regularizer(w: np.ndarray, cache: ColumnCache) -> float:
     return 0.5 * float(cache.block_norms(w).sum()) ** 2
 
 
+# up to this many blocks, Python floats beat numpy's per-call cost in the
+# sort and the shrink; beyond it the array calls win (crossover near 50)
+_FEW_BLOCKS = 48
+
+
 def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     """Per-block shrink factors for the prox of ``(s/2)(sum_t ||w_t||)^2``.
 
@@ -53,20 +59,31 @@ def _moreau_coefficients(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     common threshold subtracted from the surviving norms.  Blocks are
     sorted by norm; the active count is the largest ``j`` whose norm stays
     positive after subtracting ``s/(1+js)`` times the running norm sum.
-    There is one block per selection round, so the sorted norms are
-    scanned as Python floats, with the IEEE operations of the array form.
+    There is one block per selection round, and the sorted norms are
+    scanned as Python floats.  Up to ``_FEW_BLOCKS`` blocks they are also
+    sorted and shrunk as Python floats, beyond it by numpy; both do the
+    IEEE operations of the array form that the tests keep as the
+    reference.  A NaN norm gets factor 0 in all of them, but ``sorted``
+    may place it anywhere where ``np.sort`` places it last, so the other
+    factors can differ; its block is NaN times 0 either way, and the solve
+    raises the same error.
     """
     if s <= 0:
         raise ValueError("prox scale s must be positive")
+    few = u.size <= _FEW_BLOCKS
     rho, total, csum = 0, 0.0, 0.0
-    for j, u_j in enumerate((-np.sort(-u)).tolist(), start=1):
+    ordered = sorted(u.tolist(), reverse=True) if few else (-np.sort(-u)).tolist()
+    for j, u_j in enumerate(ordered, start=1):
         csum += u_j
         if u_j - (s / (1.0 + j * s)) * csum > 0:
             rho, total = j, csum
     if not rho:
         return np.zeros_like(u), 0.0
     threshold = (s / (1.0 + rho * s)) * total
-    shrunk = np.maximum(u - threshold, 0.0)
+    if few:
+        return np.array([(u_t - threshold) / u_t if u_t > threshold else 0.0
+                         for u_t in u.tolist()]), threshold
+    shrunk = u - threshold
     return np.divide(shrunk, u, out=np.zeros_like(u), where=shrunk > 0), threshold
 
 
@@ -133,7 +150,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
         tau = 0.1 * labels.size * kind.C
     s = M @ x
     f_curr = loss(s) + penalty
-    if not np.isfinite(f_curr):
+    if not math.isfinite(f_curr):
         raise NumericalError("non-finite objective at the starting point", iteration=0)
     x_prev, s_prev = x, s
     rho_prev = rho = 1.0
@@ -153,7 +170,7 @@ def _accelerated(M, labels: np.ndarray, kind: LossKind, x: np.ndarray, penalty: 
                 f_new = loss(s_new) + penalty
                 diff = x_new - v
                 q_val = p_v + float(grad @ diff) + penalty + 0.5 * trial * float(diff @ diff)
-                if not np.isfinite(f_new):
+                if not math.isfinite(f_new):
                     raise NumericalError("non-finite objective during line search", iteration=k)
                 if f_new <= q_val + 1e-12:
                     break

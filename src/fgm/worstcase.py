@@ -105,7 +105,11 @@ def _set_scores(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure) -> 
     omega_sq = _omega(alpha, data) ** 2
     # reduceat adds each set in sequence; summing sets pairwise, as
     # dataset._inverse_set_norms does, would move the scores' last bits
-    return tree.lambdas ** 2 * np.add.reduceat(omega_sq[tree.members], tree.starts)
+    sums = np.add.reduceat(omega_sq[tree.members], tree.starts)
+    lam_sq = tree.lambdas ** 2
+    # a node of scale 0 scores 0, as a plain feature does in score_features,
+    # even where its squares overflow to inf and 0 * inf would be NaN
+    return np.multiply(lam_sq, sums, out=np.zeros_like(sums), where=lam_sq > 0)
 
 
 def score_tree_pruned(alpha: np.ndarray, data: SparseDataset, tree: TreeStructure,

@@ -76,7 +76,11 @@ def moreau_bcd(g_blocks: list[np.ndarray], s: float, sweeps: int = 500,
 
 
 def moreau_coefficients_array(u: np.ndarray, s: float) -> tuple[np.ndarray, float]:
-    """Shrink factors and threshold of the squared-sum prox, all in array operations."""
+    """Shrink factors and threshold of the squared-sum prox, all in array operations.
+
+    The reference for the package's scan over Python floats, which must give
+    the same bits.
+    """
     order = np.argsort(-u, kind="stable")
     u_sorted = u[order]
     csum = np.cumsum(u_sorted)

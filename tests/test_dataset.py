@@ -1,5 +1,6 @@
 """Data containers, file formats, scaling priors, and the synthetic generator."""
 
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -28,7 +29,7 @@ def test_dataset_basic_properties():
     X = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
     data = SparseDataset(X, np.array([1, -1]))
     assert data.n == 2 and data.m == 3
-    np.testing.assert_allclose(data.column_norms(), [1.0, 3.0, 2.0])
+    np.testing.assert_allclose(np.sqrt(_column_sq_sums(data)), [1.0, 3.0, 2.0])
     cols = data.dense_columns(np.array([2, 0]))
     np.testing.assert_allclose(cols, [[2.0, 1.0], [0.0, 0.0]])
 
@@ -240,7 +241,7 @@ def test_column_sq_sums_bit_identical_on_every_route():
         for d in (data, forced):
             got = _column_sq_sums(d)
             assert got.shape == (data.m,) and got.tobytes() == want.tobytes()
-        assert data.column_norms().tobytes() == np.sqrt(want).tobytes()
+        assert np.sqrt(_column_sq_sums(data)).tobytes() == np.sqrt(want).tobytes()
 
 
 def _many_valued_dataset(index_dtype):
@@ -517,6 +518,80 @@ def test_libsvm_line_faults_name_the_first_bad_token(tmp_path, line, message):
     with pytest.raises(FormatError) as exc:
         load_libsvm(f)
     assert str(exc.value) == f"{f}:2: {message}"
+
+
+def _conversion(convert, tokens):
+    """An index conversion's dtype and bytes, or its exception's type and message."""
+    try:
+        idx = convert(tokens)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return idx.dtype.str, idx.tobytes()
+
+
+def _by_int(tokens):
+    return np.fromiter(map(int, tokens), np.intp, len(tokens))
+
+
+_SPELLED_INDICES = [
+    "+3", "0012", "1_5", "\u0663", "-0", "1e3", "1.0", "2x", "1+3", "999999999999999999",
+    "00000000000000000000012", "9223372036854775807", "9223372036854775808",
+    "-99999999999999999999", "-9223372036854775808", "", "+"]
+
+
+@pytest.mark.parametrize("token", _SPELLED_INDICES)
+def test_index_tokens_convert_as_int_does(tmp_path, token):
+    for tokens in ([token], ["7", token, "12"], [token, "+", "5"], ["1", token, "", "5"]):
+        assert _conversion(dataset._libsvm_indices, tokens) == _conversion(_by_int, tokens)
+    f = tmp_path / "d.txt"
+    f.write_text(f"+1 {token}:1.5\n-1 1:2 {token}:0.5\n", encoding="utf-8")
+    assert _read_outcome(_load_pair, f, None) == _read_outcome(libsvm_per_token, f, None)
+
+
+def _fromstring_reading_a_prefix(text, dtype, sep):
+    """``np.fromstring`` as numpy releases before 2.3 read integers with ``sep=" "``.
+
+    They return the numbers read before the first text they cannot match,
+    each saturated to ``dtype``, with only a ``DeprecationWarning``.
+    """
+    info, out = np.iinfo(dtype), []
+    for tok in text.split(sep):
+        read = re.match(r"[+-]?[0-9]+", tok)
+        if read:
+            out.append(min(max(int(read.group()), info.min), info.max))
+        if not read or read.end() < len(tok):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            break
+    return np.array(out, dtype)
+
+
+@pytest.mark.parametrize("token", _SPELLED_INDICES)
+def test_index_tokens_convert_as_int_does_under_a_lenient_numpy(monkeypatch, token):
+    monkeypatch.setattr(np, "fromstring", _fromstring_reading_a_prefix)
+    for tokens in ([token], ["7", token], ["7", token, "12"], ["1", token, "", "5"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert _conversion(dataset._libsvm_indices, tokens) == _conversion(_by_int, tokens)
+
+
+_INDEX_CHARS = st.one_of(st.sampled_from("0123456789+-_.eE"),
+                         st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc")))
+
+
+@st.composite
+def _index_token(draw) -> str:
+    """A token as ``str.split`` leaves it, without whitespace; often an integer in some spelling."""
+    if draw(st.booleans()):
+        return draw(st.text(_INDEX_CHARS, max_size=24).filter(
+            lambda t: not any(map(str.isspace, t))))
+    i = draw(st.integers(-2**70, 2**70))
+    return ("-" if i < 0 else "") + draw(_index_text(abs(i)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_index_token(), max_size=8))
+def test_drawn_index_tokens_convert_as_int_does(tokens):
+    assert _conversion(dataset._libsvm_indices, tokens) == _conversion(_by_int, tokens)
 
 
 def test_libsvm_accepts_python_number_spellings_and_empty_rows(tmp_path):

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 import fgm.dataset as dataset
 import fgm.engine as engine
+import fgm.worstcase as worstcase
 from fgm.blocks import ColumnCache
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
                          TreeStructure, compute_scaling_prior, generate_synthetic)
@@ -257,6 +258,36 @@ def test_a_column_whose_squares_overflow_trains_under_inverse_norm_at_scale_0(mo
     assert np.isfinite(scales[0]).all() and (scales[0][np.arange(data.m) != 7] > 0).all()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["group", "tree"])
+def test_a_set_whose_squares_overflow_trains_under_inverse_norm_and_scores_0(monkeypatch, kind):
+    # every set holding column 7 has an infinite sum of squares, so scale 0, and scores 0
+    data, _ = _small_problem(seed=3)
+    X = data.X.toarray()
+    X[3, 7] = 1e200
+    data = SparseDataset(X, data.y)
+    leaves = [np.arange(4 * g, 4 * g + 4) for g in range(10)]
+    structure = (GroupStructure(leaves, [f"g{g}" for g in range(10)]) if kind == "group" else
+                 TreeStructure([np.arange(20), np.arange(20, 40), *leaves],
+                               np.array([-1, -1] + [g // 5 for g in range(10)]),
+                               ["r0", "r1"] + [f"g{g}" for g in range(10)]))
+    holds_7 = np.array([7 in s for s in structure.sets])
+    seen = []
+    set_scores = worstcase._set_scores
+
+    def recording(alpha, d, tree):
+        seen.append((tree.lambdas, set_scores(alpha, d, tree)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(worstcase, "_set_scores", recording)
+    model = fgm_train(data, SolverConfig(budget=2, max_outer=4, lambda_policy="inverse_norm"),
+                      structure)
+    assert model.n_outer >= 1 and seen
+    for lam, scores in seen:
+        assert (lam[holds_7] == 0.0).all() and (lam[~holds_7] > 0).all()
+        assert (scores[holds_7] == 0.0).all() and np.isfinite(scores).all()
+
+
 @pytest.mark.parametrize("structure", [None, PolyMap()], ids=["plain", "poly"])
 def test_data_without_features_is_a_format_error(structure):
     data = SparseDataset(sp.csr_matrix((4, 0)), np.array([1, -1, 1, -1]))
@@ -495,7 +526,7 @@ def test_inverse_norm_policy_plain_mode(monkeypatch):
     cfg = SolverConfig(budget=3, max_outer=3, eps_outer=0.0, lambda_policy="inverse_norm")
     model, w = _train_keeping_flat_weights(monkeypatch, data, cfg)
     lam = compute_scaling_prior(data, "inverse_norm")
-    np.testing.assert_allclose(lam, 1.0 / data.column_norms(), rtol=1e-12)
+    np.testing.assert_allclose(lam, 1.0 / np.sqrt(dataset._column_sq_sums(data)), rtol=1e-12)
     singletons = [np.array([j]) for j in range(data.m)]
     assert _as_bytes({e.id: e.weight for e in model.entries}) == _as_bytes(
         _scaled_weight_sums(model, w, singletons, lam))

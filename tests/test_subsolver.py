@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fgm.subsolver as subsolver
 from fgm.baseline import l1_prox_train, l2_full_train
 from fgm.blocks import ColumnCache
 from fgm.dataset import SparseDataset
@@ -136,6 +137,10 @@ def _norm_vectors(rng):
     yield np.array([2.5])
     yield np.zeros(5)
     yield np.full(6, 3.0)
+    yield np.array([0.0, 5e-324, 0.0])                          # threshold underflows to 0
+    for t in [*range(1, 65), 65, 66, 100, 310]:                 # both sides of _FEW_BLOCKS
+        yield np.abs(rng.standard_normal(t))
+        yield np.round(rng.random(t) * 4.0) / 2.0               # ties and zeros
     for _ in range(400):
         u = np.abs(rng.standard_normal(int(rng.integers(1, 40)))) * 10.0 ** rng.uniform(-8, 8)
         if rng.random() < 0.3:
@@ -160,6 +165,37 @@ def test_prox_coefficients_bitwise_equal_to_the_array_formula():
             seen["every block shrunk" if kept == 0 else
                  "all kept" if kept == u.size else "some shrunk"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_a_lone_nan_block_norm_fails_the_solve_as_the_array_formula_does(monkeypatch):
+    # the other factors may differ (sorted() places a NaN anywhere), the NaN block's may not
+    rng = np.random.default_rng(5)
+    u = np.abs(rng.standard_normal(7))
+    u[3] = np.nan
+    assert _moreau_coefficients(u, 0.5)[0][3] == moreau_coefficients_array(u, 0.5)[0][3] == 0.0
+    many = np.abs(rng.standard_normal(100))                     # sorted by numpy: every bit
+    many[40] = np.nan
+    (c, threshold), (c_ref, threshold_ref) = (_moreau_coefficients(many, 0.5),
+                                              moreau_coefficients_array(many, 0.5))
+    assert c.tobytes() == c_ref.tobytes() and threshold == threshold_ref
+    M = rng.standard_normal((30, 12))
+    cache = ColumnCache(M, [0, 2, 4, 5, 9, 12])
+    labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    prox = subsolver.moreau_projection
+
+    def with_a_nan(g, cache, s):
+        g = g.copy()
+        g[4] = np.nan                                           # block 2, alone
+        return prox(g, cache, s)
+
+    monkeypatch.setattr(subsolver, "moreau_projection", with_a_nan)
+    raised = []
+    for coefficients in (_moreau_coefficients, moreau_coefficients_array):
+        monkeypatch.setattr(subsolver, "_moreau_coefficients", coefficients)
+        with pytest.raises(NumericalError) as caught:
+            apg_solve(cache, labels, SQ)
+        raised.append((str(caught.value), caught.value.iteration))
+    assert raised[0] == raised[1] == ("non-finite objective during line search", 0)
 
 
 # ---------------------------------------------------------------------------

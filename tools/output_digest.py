@@ -63,6 +63,10 @@ the program computes must print the same lines.  Digested are:
   without its ``seconds`` column;
 * the dataset ``load_libsvm`` reads from a 20,000-row file with one pair
   per row that this tool writes, the shape of short text-mining rows;
+* the dataset ``load_libsvm`` reads from a 6,000-row file whose first
+  half spells some indices with ``+``, leading zeros, ``_`` or Arabic-Indic
+  digits, which ``int()`` reads and numpy's integer parser does not, and
+  whose second half spells them plainly, so chunks of both kinds are read;
 * every model file of ``fgm bench`` on a small synthetic config at seeds 0
   and 1, covering ``fgm`` with and without ``target_support``, ``l1`` at a
   fixed ``reg`` and swept to a support size, ``l2-full``, ``fgm-debias``
@@ -382,6 +386,27 @@ def one_pair_digest(work: Path, rows: int = 20_000):
     yield f"one pair per row, {rows} rows, loaded", _dataset_digest(load_libsvm(path))
 
 
+_SPELLINGS = (lambda i: f"+{i}", lambda i: f"00{i}", lambda i: f"{i // 10}_{i % 10}",
+              lambda i: str(i).translate(str.maketrans("0123456789",
+                                                       "".join(map(chr, range(0x660, 0x66a))))))
+
+
+def index_spelling_digest(work: Path, rows: int = 6_000):
+    rng = np.random.default_rng(1)
+    lines = []
+    for r in range(rows):
+        ids = np.sort(rng.choice(np.arange(10, 400), 8, replace=False)).tolist()
+        spelled = [_SPELLINGS[rng.integers(len(_SPELLINGS))](i)
+                   if r < rows // 2 and rng.random() < 0.1 else str(i) for i in ids]
+        values = rng.standard_normal(8).tolist()
+        lines.append(" ".join(["+1" if r % 3 else "-1",
+                               *(f"{i}:{v!r}" for i, v in zip(spelled, values))]) + "\n")
+    path = work / "index-spellings.libsvm"
+    path.write_text("".join(lines), encoding="utf-8")
+    yield (f"indices spelled by int() rules, {rows} rows, loaded",
+           _dataset_digest(load_libsvm(path)))
+
+
 def bench_digests(work: Path):
     config, models = work / "bench.json", work / "bench-models"
     config.write_text(json.dumps(BENCH_CONFIG))
@@ -409,6 +434,7 @@ def main() -> int:
         lines += nested_tree_digests(work)
         lines += cli_digests(work, WORKLOADS["cli-files"])
         lines += one_pair_digest(work)
+        lines += index_spelling_digest(work)
         lines += bench_digests(work)
     for label, digest in lines:
         print(f"{digest}  {label}")
