@@ -15,9 +15,9 @@ from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, T
                       write_ground_truth, write_libsvm)
 from .loss import LOGISTIC, SQUARED_HINGE, LossKind, eval_loss, recover_duals
 from .subsolver import ApgResult, NumericalError, apg_solve, moreau_projection, regularizer
-from .worstcase import (poly_columns, poly_dim, poly_flat, poly_variant, score_features,
+from .worstcase import (PolyMap, poly_columns, poly_dim, poly_variant, score_features,
                         score_polynomial_streamed, score_tree_pruned, select_top_b)
-from .engine import (Model, ModelEntry, PolyMap, SolverConfig, TraceRecord, eval_bounds,
+from .engine import (Model, ModelEntry, SolverConfig, TraceRecord, eval_bounds,
                      evaluate_recovery, fgm_train, load_model, predict, save_model)
 from .baseline import (SweepResult, dense_to_model, l1_prox_train, l2_full_train,
                        retrain_unbiased, sweep_to_support)
@@ -34,7 +34,7 @@ __all__ = [
     "fgm_target_support", "fgm_train", "generate_synthetic", "generate_test_set",
     "l1_prox_train", "l2_full_train", "load_ground_truth", "load_groups", "load_libsvm",
     "load_model", "load_tree", "moreau_projection", "poly_columns", "poly_dim",
-    "poly_flat", "poly_variant", "predict", "recover_duals", "regularizer",
+    "poly_variant", "predict", "recover_duals", "regularizer",
     "retrain_unbiased", "run_config", "save_model", "score_features",
     "score_polynomial_streamed", "score_tree_pruned", "select_top_b", "setting_id",
     "sweep_to_support", "write_ground_truth", "write_libsvm",

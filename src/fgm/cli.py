@@ -24,8 +24,8 @@ from .bench import _check_outputs, load_config, run_config, thread_count
 from .dataset import (FormatError, SparseDataset, generate_synthetic, generate_test_set,
                       load_ground_truth, load_groups, load_libsvm, load_tree,
                       write_ground_truth, write_libsvm)
-from .engine import (PolyMap, SolverConfig, TraceRecord, evaluate_recovery, fgm_train,
-                     load_model, predict, save_model)
+from .engine import (_MAX_M, PolyMap, SolverConfig, TraceRecord, evaluate_recovery,
+                     fgm_train, load_model, predict, save_model)
 from .subsolver import NumericalError
 
 _LOSS_NAMES = {"squared-hinge": "squared_hinge", "logistic": "logistic"}
@@ -139,7 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     # training keeps a few float arrays of length m; an m whose byte size no
     # address can hold is a data error, and so is one the machine cannot hold
-    if data.m > sys.maxsize // 8:
+    if data.m > _MAX_M:
         raise FormatError(f"feature dimension m={data.m} is too large to train on")
     try:
         model = fgm_train(data, cfg, structure)
@@ -318,6 +318,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fgm: usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # generate and bench size their data from arguments and the bench config,
+        # the other commands from their input files
+        kind, code = ("usage", 2) if args.command in ("generate", "bench") else ("data", 3)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"fgm: {kind} error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

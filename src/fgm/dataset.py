@@ -523,14 +523,16 @@ def _parse_lambda_suffix(body: str, where: str) -> tuple[str, float | None]:
 
 def _parse_indices(body: str, where: str) -> np.ndarray:
     try:
-        ids = np.asarray([int(t) for t in body.split()], dtype=np.intp)
+        ids = [int(t) for t in body.split()]
     except ValueError:
         raise FormatError(f"{where}: invalid feature index") from None
-    if ids.size == 0:
+    if not ids:
         raise FormatError(f"{where}: empty feature list")
-    if np.any(ids < 0):
+    if min(ids) < 0:
         raise FormatError(f"{where}: negative feature index")
-    return ids
+    if (top := max(ids)) > _INTP.max:
+        raise FormatError(f"{where}: index {top} is too large")
+    return np.asarray(ids, dtype=np.intp)
 
 
 def _load_sets(path: str | Path, head_form: str, kind: str, parse_head, build):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,23 +33,12 @@ from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
 from .loss import (LossKind, dual_value_terms, eval_loss, margins_from_scores,  # noqa: F401
                    recover_duals)
 from .subsolver import _ETA, NumericalError, _relative_change, apg_solve
-from .worstcase import (poly_columns, poly_dim, score_features, score_polynomial_streamed,
-                        score_tree_pruned, select_top_b)
+from .worstcase import (PolyMap, poly_columns, poly_dim, score_features,
+                        score_polynomial_streamed, score_tree_pruned, select_top_b)
 
 MODEL_FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class PolyMap:
-    """Degree-2 polynomial feature map parameters: finite ``gamma > 0`` and ``r >= 0``."""
-
-    gamma: float = 1.0
-    r: float = 1.0
-    block: int = 64
-
-    def __post_init__(self):
-        if not (0 < self.gamma < np.inf and 0 <= self.r < np.inf and _is_count(self.block)):
-            raise ValueError("need finite gamma > 0 and r >= 0, block an integer >= 1")
+# the widest X a fit or a model may have: a float array of length m fits in an address
+_MAX_M = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -206,13 +196,10 @@ def _units(data: SparseDataset, cfg: SolverConfig, structure,
     if isinstance(structure, PolyMap):
         if cfg.lambda_policy != "ones":
             raise ValueError("degree-2 features carry no scale: lambda_policy must be 'ones'")
-        gamma, r = structure.gamma, structure.r
         return _Units(
-            "poly",
-            lambda alpha, budget: score_polynomial_streamed(alpha, data, gamma, r, budget,
-                                                            structure.block),
-            lambda ids: (ids, np.ones(ids.size)), lambda ids: poly_columns(data, ids, gamma, r),
-            gamma=gamma, r=r)
+            "poly", lambda alpha, budget: score_polynomial_streamed(alpha, data, structure, budget),
+            lambda ids: (ids, np.ones(ids.size)), lambda ids: poly_columns(data, ids, structure),
+            gamma=structure.gamma, r=structure.r)
     raise ValueError(f"unsupported structure {type(structure).__name__}")
 
 
@@ -402,7 +389,7 @@ def _scores(model: Model, data: SparseDataset) -> np.ndarray:
         if data.m != model.m:
             raise FormatError(
                 f"data has {data.m} raw features but the model's virtual map expects {model.m}")
-        scores = poly_columns(data, ids, model.gamma, model.r) @ weights
+        scores = poly_columns(data, ids, PolyMap(model.gamma, model.r)) @ weights
     else:
         bad = np.flatnonzero((ids < 0) | (ids >= data.m))
         if bad.size:
@@ -479,6 +466,8 @@ def model_from_dict(payload: dict) -> Model:
         if payload["mode"] not in ("plain", "group", "tree", "poly"):
             raise FormatError(f"unknown model mode {payload['mode']!r}")
         m = _json_int(payload["m"], "m")
+        if not 1 <= m <= _MAX_M:
+            raise FormatError(f"model m={m} outside [1, {_MAX_M}]")
         # a version-1 entry kept its scale apart, and prediction multiplied the two
         entries = [ModelEntry(_json_int(e["id"], "entry id"),
                               _json_float(e["weight"], "entry weight")

@@ -39,11 +39,12 @@ safe to run concurrently and results do not depend on thread count.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import SparseDataset, TreeStructure, _columns
+from .dataset import SparseDataset, TreeStructure, _columns, _is_count
 
 
 def _check_alpha(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -163,43 +164,38 @@ def poly_variant(flat: int, m: int) -> tuple:
     return ("cross", m - 2 - j, m - 1 - (back - j * (j + 1) // 2))
 
 
-def poly_flat(variant: tuple, m: int) -> int:
-    """Inverse of :func:`poly_variant`."""
-    kind = variant[0]
-    if kind == "const":
-        return 0
-    if kind == "linear":
-        a = variant[1]
-        if not 0 <= a < m:
-            raise ValueError("linear index out of range")
-        return 1 + a
-    if kind == "square":
-        a = variant[1]
-        if not 0 <= a < m:
-            raise ValueError("square index out of range")
-        return 1 + m + a
-    if kind == "cross":
-        a, b = variant[1], variant[2]
-        if not 0 <= a < b < m:
-            raise ValueError("cross pair must satisfy 0 <= a < b < m")
-        return 1 + 2 * m + (a * (2 * m - a - 1)) // 2 + (b - a - 1)
-    raise ValueError(f"unknown variant {variant!r}")
+@dataclass(frozen=True)
+class PolyMap:
+    """The degree-2 map of ``k(x, z) = (gamma x'z + r)^2`` and its search's block width.
+
+    The map sends ``x`` to ``[r, sqrt(2 gamma r) x_a, gamma x_a^2,
+    sqrt(2) gamma x_a x_b]`` in :func:`poly_variant`'s order.  ``block`` is
+    the number of anchor features per product of
+    :func:`score_polynomial_streamed`; it changes the search's memory, not
+    its result.  A ``gamma`` that is not finite and > 0, an ``r`` that is
+    not finite and >= 0 (NaN fails both), or a ``block`` that is not an
+    integer >= 1 (a ``bool`` included) raises ``ValueError`` when the map is
+    built, so the kernels that take it check none of them.
+    """
+
+    gamma: float = 1.0
+    r: float = 1.0
+    block: int = 64
+
+    def __post_init__(self):
+        if not (0 < self.gamma < np.inf and 0 <= self.r < np.inf):
+            raise ValueError("need finite gamma > 0 and r >= 0")
+        if not _is_count(self.block):
+            raise ValueError("block must be an integer >= 1")
 
 
-def _check_poly(gamma: float, r: float) -> None:
-    if not (0 < gamma < np.inf and 0 <= r < np.inf):    # NaN fails both
-        raise ValueError("need finite gamma > 0 and r >= 0")
+def poly_columns(data: SparseDataset, flat_ids: np.ndarray, pmap: PolyMap) -> np.ndarray:
+    """Materialize ``pmap``'s virtual-feature columns for the given flat ids.
 
-
-def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: float) -> np.ndarray:
-    """Materialize virtual-feature columns for the given flat ids.
-
-    The degree-2 map of ``k(x, z) = (gamma x'z + r)^2`` sends ``x`` to
-    ``[r, sqrt(2 gamma r) x_a, gamma x_a^2, sqrt(2) gamma x_a x_b]``.
     The raw columns it reads are gathered in one pass from
     :attr:`SparseDataset.design`; a stored ``-0.0`` stays ``-0.0`` on either layout.
     """
-    _check_poly(gamma, r)
+    gamma, r = pmap.gamma, pmap.r
     flat_ids = np.asarray(flat_ids, dtype=np.intp)
     variants = [poly_variant(int(flat), data.m) for flat in flat_ids]
     raw = sorted({a for v in variants for a in v[1:]})
@@ -218,8 +214,8 @@ def poly_columns(data: SparseDataset, flat_ids: np.ndarray, gamma: float, r: flo
     return out
 
 
-def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: float,
-                              r: float, budget: int, block: int = 64) -> tuple[int, ...]:
+def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, pmap: PolyMap,
+                              budget: int) -> tuple[int, ...]:
     """Sorted ids of the top-``B`` degree-2 virtual features, never materializing them.
 
     Scores every virtual feature ``k`` by ``omega_k^2`` with
@@ -228,7 +224,8 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     over the anchor feature ``a``.  Only the support rows, those with
     ``z_i = alpha_i y_i != 0``, add to the rest, so they are gathered once
     (skipped when every ``z_i`` is nonzero) and each product runs over them
-    alone.  One product per block, read alike from the CSR and X's own view
+    alone.  One product per block of ``pmap.block`` anchors, read alike from
+    the CSR and X's own view
     (:attr:`~SparseDataset.design`), gives ``G[b, a] = sum_i z_i x_ia x_ib``
     for every partner ``b >= a``: the squares on its diagonal, the crosses
     above it.  Once the running best holds ``B`` scores, a block passes on
@@ -239,9 +236,7 @@ def score_polynomial_streamed(alpha: np.ndarray, data: SparseDataset, gamma: flo
     ``O(B + block * (n_sv + m))``.  The result is identical to scoring the
     materialized expansion, including the smallest-flat-id tie rule.
     """
-    _check_poly(gamma, r)
-    if block < 1:
-        raise ValueError("block must be >= 1")
+    gamma, r, block = pmap.gamma, pmap.r, pmap.block
     alpha = _check_alpha(alpha, data.n)
     z = alpha * data.y
     m = data.m

@@ -26,8 +26,8 @@ from fgm.engine import SolverConfig, evaluate_recovery, fgm_train, predict
 from fgm.loss import (LossKind, eval_loss, gradient_from_margins, margins_from_scores,
                       recover_duals)
 from fgm.subsolver import apg_solve, moreau_projection
-from fgm.worstcase import (score_features, score_polynomial_streamed, score_tree_pruned,
-                           select_top_b)
+from fgm.worstcase import (PolyMap, score_features, score_polynomial_streamed,
+                           score_tree_pruned, select_top_b)
 
 from oracles import (best_subset_lex, central_fd_gradient, moreau_bcd, poly_full_matrix,
                      prox_objective, sort_top_b, tree_scores_exhaustive)
@@ -206,7 +206,7 @@ def test_criterion_03_worst_case_search_is_exact():
             full = poly_full_matrix(X, gamma, r)
             expected = (full.T @ z) ** 2
             for budget in (1, 10, 37):
-                got = score_polynomial_streamed(alpha, data, gamma, r, budget, block=7)
+                got = score_polynomial_streamed(alpha, data, PolyMap(gamma, r, block=7), budget)
                 assert got == sort_top_b(expected, budget)
 
     elapsed = time.perf_counter() - started

@@ -426,6 +426,58 @@ def test_training_out_of_memory_exits_3(ws, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command,target,code", [
+    ("generate", "generate_synthetic", 2), ("bench", "run_config", 2),
+    ("predict", "predict", 3), ("eval", "predict", 3)])
+def test_out_of_memory_outside_training_prints_one_line(ws, tmp_path, monkeypatch, capsys,
+                                                         command, target, code):
+    # generate and bench take their sizes from arguments and the bench config;
+    # predict and eval, like train, from their input files
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 71.1 PiB for an array with shape (10**16,)")
+
+    model, cfg = tmp_path / "m.json", tmp_path / "bench.json"
+    assert _train_toy(ws, model) == 0
+    cfg.write_text(json.dumps(BENCH_CONFIG))
+    monkeypatch.setattr(cli, target, exhausted)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "generate": ["--n", "8", "--m", "6", "--k", "2", "--out-prefix", str(tmp_path / "d")],
+        "bench": ["--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+        "predict": ["--model", str(model), "--data", str(ws / "toy.test.libsvm"), "--out", out],
+        "eval": ["--model", str(model), "--data", str(ws / "toy.test.libsvm"),
+                 "--truth", str(ws / "toy.truth.txt"), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([command, *argv]) == code
+    kind = "usage" if code == 2 else "data"
+    assert capsys.readouterr().err == (f"fgm: {kind} error: {command} ran out of memory: "
+                                       "Unable to allocate 71.1 PiB for an array with shape "
+                                       "(10**16,)\n")
+
+
+@pytest.mark.parametrize("m", [10**30, 2**62, 0])
+def test_predict_with_a_model_width_outside_the_trainable_range_exits_3(ws, tmp_path, m):
+    model = tmp_path / "m.json"
+    assert _train_toy(ws, model) == 0
+    model.write_text(json.dumps({**json.loads(model.read_text()), "m": m}))
+    r = run_cli("predict", "--model", model, "--data", ws / "toy.test.libsvm",
+                "--out", tmp_path / "p.json")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == f"fgm: data error: model m={m} outside [1, {sys.maxsize // 8}]\n"
+
+
+@pytest.mark.parametrize("kind,text", [("--groups", "g1: 0 1\ng2: 99999999999999999999\n"),
+                                       ("--tree", "a ROOT: 0 1\nb a: 99999999999999999999\n")])
+def test_structure_index_beyond_the_integer_range_exits_3(ws, tmp_path, capsys, kind, text):
+    structure = tmp_path / "structure.txt"
+    structure.write_text(text)
+    assert _train_toy(ws, tmp_path / "m.json", kind, structure) == 3
+    assert capsys.readouterr().err == (f"fgm: data error: {structure}:2: "
+                                       "index 99999999999999999999 is too large\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_predict_and_eval_read_a_short_test_file_once(ws, tmp_path, monkeypatch):
     model_path = tmp_path / "m.json"
     assert cli.main(["train", "--data", str(ws / "toy.train.libsvm"), "--dim", "60",

@@ -516,7 +516,7 @@ def test_poly_mode_trains_and_predicts_consistently():
     assert model.mode == "poly" and model.gamma == 0.5 and model.r == 1.0
     ids = np.array([e.id for e in model.entries])
     weights = np.array([e.weight for e in model.entries])
-    scores = poly_columns(data, ids, 0.5, 1.0) @ weights
+    scores = poly_columns(data, ids, pm) @ weights
     labels, _ = predict(model, data)
     np.testing.assert_array_equal(labels, np.where(scores >= 0, 1, -1))
 

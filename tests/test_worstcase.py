@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fgm.dataset import GroupStructure, SparseDataset, TreeStructure, compute_scaling_prior
-from fgm.worstcase import (_set_scores, poly_columns, poly_dim, poly_flat, poly_variant,
+from fgm.worstcase import (PolyMap, _set_scores, poly_columns, poly_dim, poly_variant,
                            score_features, score_polynomial_streamed, score_tree_pruned,
                            select_top_b)
 
@@ -299,26 +299,38 @@ def test_poly_dim_values():
     assert poly_dim(40) == 861
 
 
+def _flat_ids(m):
+    """Each degree-2 variant's flat id: :func:`poly_variant` inverted over every id."""
+    return {poly_variant(flat, m): flat for flat in range(poly_dim(m))}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 13])
 def test_poly_codec_bijection(m):
-    seen = set()
-    for flat in range(poly_dim(m)):
-        variant = poly_variant(flat, m)
-        assert poly_flat(variant, m) == flat
-        seen.add(variant)
-    assert len(seen) == poly_dim(m)
+    assert len(_flat_ids(m)) == poly_dim(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_poly_variant_decodes_the_documented_order(m):
+    # const, linears, squares, then crosses a < b in lexicographic order
+    want = [("const",), *(("linear", a) for a in range(m)), *(("square", a) for a in range(m)),
+            *(("cross", a, b) for a in range(m) for b in range(a + 1, m))]
+    assert [poly_variant(flat, m) for flat in range(poly_dim(m))] == want
+    for flat in (-1, poly_dim(m), poly_dim(m) + 1):
+        with pytest.raises(ValueError, match="outside"):
+            poly_variant(flat, m)
 
 
 def test_poly_codec_round_trip_at_row_boundaries():
     # the first and last pair of a row and their neighbours, at a width
-    # where walking the rows one by one would take a second per id
+    # where walking the rows one by one would take a second per id; pair
+    # (a, b) follows the 1 + 2m const, linear and square ids and the
+    # (m-1) + ... + (m-a) = a (2m - a - 1) / 2 pairs of the rows before a
     m = 10**6
+    cross = lambda a, b: 1 + 2 * m + a * (2 * m - a - 1) // 2 + b - a - 1
     for a in (0, 1, 2, m // 2, m - 3, m - 2):
         for b in sorted({a + 1, a + 2, m - 2, m - 1} & set(range(a + 1, m))):
-            flat = poly_flat(("cross", a, b), m)
-            assert poly_variant(flat, m) == ("cross", a, b)
-    first_cross = poly_flat(("cross", 0, 1), m)
-    assert poly_variant(first_cross - 1, m) == ("square", m - 1)
+            assert poly_variant(cross(a, b), m) == ("cross", a, b)
+    assert poly_variant(cross(0, 1) - 1, m) == ("square", m - 1)
     assert poly_variant(poly_dim(m) - 1, m) == ("cross", m - 2, m - 1)
 
 
@@ -329,16 +341,14 @@ def test_poly_layout_hand_values():
     assert poly_variant(5, 3) == ("square", 1)
     assert poly_variant(7, 3) == ("cross", 0, 1)
     assert poly_variant(9, 3) == ("cross", 1, 2)
-    assert poly_flat(("cross", 1, 2), 3) == 9
+    assert _flat_ids(3)[("cross", 1, 2)] == 9
 
 
 def test_poly_codec_bounds():
     with pytest.raises(ValueError):
         poly_variant(10, 3)
-    with pytest.raises(ValueError):
-        poly_flat(("cross", 2, 2), 3)
-    with pytest.raises(ValueError):
-        poly_flat(("linear", 3), 3)
+    for variant in (("cross", 2, 2), ("linear", 3)):
+        assert variant not in _flat_ids(3)
 
 
 def test_poly_columns_kernel_identity():
@@ -347,7 +357,7 @@ def test_poly_columns_kernel_identity():
     for gamma, r in [(1.0, 1.0), (0.3, 2.0), (2.0, 0.0)]:
         X = rng.standard_normal((2, 5))
         data = SparseDataset(X, np.array([1, -1]))
-        phi = poly_columns(data, np.arange(poly_dim(5)), gamma, r)
+        phi = poly_columns(data, np.arange(poly_dim(5)), PolyMap(gamma, r))
         got = float(phi[0] @ phi[1])
         want = (gamma * float(X[0] @ X[1]) + r) ** 2
         assert got == pytest.approx(want, rel=1e-12)
@@ -358,7 +368,7 @@ def test_poly_columns_match_loop_construction():
     X = rng.standard_normal((6, 4))
     data = SparseDataset(X, rng.choice([-1, 1], size=6))
     full = poly_full_matrix(X, 0.7, 1.3)
-    got = poly_columns(data, np.arange(poly_dim(4)), 0.7, 1.3)
+    got = poly_columns(data, np.arange(poly_dim(4)), PolyMap(0.7, 1.3))
     np.testing.assert_allclose(got, full, rtol=1e-13, atol=1e-13)
 
 
@@ -373,9 +383,9 @@ def test_poly_columns_read_every_layout_alike(dropped):
     dropped_cell = SparseDataset(values, y)
     assert every.X.nnz == 35 and dropped_cell.X.nnz == 34
     assert not sp.issparse(every.design)    # X's own view, the stored zero included
-    ids = np.arange(poly_dim(5))
-    np.testing.assert_array_equal(poly_columns(every, ids, 0.7, 1.3),
-                                  poly_columns(dropped_cell, ids, 0.7, 1.3))
+    ids, pmap = np.arange(poly_dim(5)), PolyMap(0.7, 1.3)
+    np.testing.assert_array_equal(poly_columns(every, ids, pmap),
+                                  poly_columns(dropped_cell, ids, pmap))
 
 
 def test_a_csr_gather_keeps_a_stored_negative_zero():
@@ -386,8 +396,8 @@ def test_a_csr_gather_keeps_a_stored_negative_zero():
     assert data.design is data.X
     cols = np.array([[-0.0, 1.0, 1.0], [2.0, 0.0, 0.0], [0.0, -0.0, -0.0]])
     assert data.dense_columns(np.array([1, 0, 0])).tobytes() == cols.tobytes()
-    linear = [poly_flat(("linear", a), 2) for a in range(2)]
-    got = poly_columns(data, np.array(linear), 0.5, 2.0)     # sqrt(2 gamma r) = sqrt(2)
+    linear = [_flat_ids(2)[("linear", a)] for a in range(2)]
+    got = poly_columns(data, np.array(linear), PolyMap(0.5, 2.0))   # sqrt(2 gamma r) = sqrt(2)
     assert got.tobytes() == (np.sqrt(2.0) * cols[:, [2, 0]]).tobytes()
 
 
@@ -412,10 +422,10 @@ def test_fully_stored_data_reads_like_a_csr_missing_one_zero(zeros):
     assert data.design is data.X and data.X.nnz == n * m - 1
     assert not sp.issparse(view.design)
     alpha, lam = rng.random(n), rng.random(m)
-    ids, flat = np.array([7, 0, 2, 3, 3, 11, 7]), np.arange(poly_dim(m))
+    ids, flat, pmap = np.array([7, 0, 2, 3, 3, 11, 7]), np.arange(poly_dim(m)), PolyMap(0.7, 1.3)
     for got, want in (
             (view.dense_columns(ids), data.dense_columns(ids)),
-            (poly_columns(view, flat, 0.7, 1.3), poly_columns(data, flat, 0.7, 1.3)),
+            (poly_columns(view, flat, pmap), poly_columns(data, flat, pmap)),
             (compute_scaling_prior(view, "inverse_norm"),
              compute_scaling_prior(data, "inverse_norm"))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -423,8 +433,9 @@ def test_fully_stored_data_reads_like_a_csr_missing_one_zero(zeros):
     np.testing.assert_allclose(score_features(alpha, view, lam),
                                score_features(alpha, data, lam), rtol=1e-13)
     for block in (1, 5, 64):
-        assert (score_polynomial_streamed(alpha, view, 0.7, 1.3, 9, block)
-                == score_polynomial_streamed(alpha, data, 0.7, 1.3, 9, block))
+        pmap = PolyMap(0.7, 1.3, block)
+        assert (score_polynomial_streamed(alpha, view, pmap, 9)
+                == score_polynomial_streamed(alpha, data, pmap, 9))
 
 
 @pytest.mark.parametrize("gamma,r,budget,block", [
@@ -442,7 +453,7 @@ def test_poly_streamed_equals_materialized(gamma, r, budget, block):
     z = alpha * y
     scores = (poly_full_matrix(X, gamma, r).T @ z) ** 2
     for view in _layouts(SparseDataset(X, y)):
-        got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
+        got = score_polynomial_streamed(alpha, view, PolyMap(gamma, r, block), budget)
         assert got == sort_top_b(scores, budget)
         assert type(got) is tuple and all(type(i) is int for i in got)
 
@@ -461,7 +472,7 @@ def test_poly_streamed_equals_materialized_on_one_or_two_features(m):
     scores = (poly_full_matrix(X, 0.8, 1.5).T @ (alpha * y)) ** 2
     for view, block in itertools.product(_layouts(data), (1, 64)):
         for budget in range(1, poly_dim(m) + 1):
-            got = score_polynomial_streamed(alpha, view, 0.8, 1.5, budget, block)
+            got = score_polynomial_streamed(alpha, view, PolyMap(0.8, 1.5, block), budget)
             assert got == sort_top_b(scores, budget), (budget, block, sp.issparse(view.design))
 
 
@@ -474,7 +485,7 @@ def test_poly_streamed_tie_on_duplicate_columns():
     z = alpha * data.y
     scores = (poly_full_matrix(X, 1.0, 1.0).T @ z) ** 2
     for view in _layouts(data):
-        assert score_polynomial_streamed(alpha, view, 1.0, 1.0, 2, 64) == sort_top_b(scores, 2)
+        assert score_polynomial_streamed(alpha, view, PolyMap(), 2) == sort_top_b(scores, 2)
 
 
 def _poly_scores_exact(X, alpha, y, gamma, r):
@@ -503,7 +514,7 @@ def _check_every_budget(X, alpha, y, gamma, r, blocks):
         if scores.size <= 15:
             assert best_subset_lex(scores, budget) == want
         for view, block in itertools.product(_layouts(data), blocks):
-            got = score_polynomial_streamed(alpha, view, gamma, r, budget, block)
+            got = score_polynomial_streamed(alpha, view, PolyMap(gamma, r, block), budget)
             assert got == want, (budget, block, sp.issparse(view.design))
     return scores
 
@@ -519,7 +530,7 @@ def test_poly_streamed_ties_across_anchor_blocks():
     y = np.array([1, -1, 1, 1, -1, 1, -1, -1])
     alpha = rng.integers(1, 8, size=8) / 4.0
     scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, m))
-    flat = lambda a, b: poly_flat(("cross", a, b), m)
+    flat = lambda a, b, ids=_flat_ids(m): ids[("cross", a, b)]
     assert scores[flat(0, 5)] == scores[flat(4, 5)] > 0
     assert scores[flat(0, 1)] == scores[flat(1, 4)] > 0
     # some budget puts such a tie across the B-th place
@@ -539,10 +550,10 @@ def test_poly_streamed_linear_and_square_tie_cross():
     y = np.array([1, 1, -1])
     alpha = np.array([np.sqrt(2.0), 1.0, 0.5])
     scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, 4))
-    m = 4
-    assert scores[poly_flat(("linear", 0), m)] == scores[poly_flat(("cross", 0, 3), m)] > 0
-    assert scores[poly_flat(("linear", 2), m)] == scores[poly_flat(("cross", 2, 3), m)] > 0
-    assert scores[poly_flat(("square", 0), m)] == scores[poly_flat(("cross", 1, 2), m)] > 0
+    flat = _flat_ids(4)
+    assert scores[flat[("linear", 0)]] == scores[flat[("cross", 0, 3)]] > 0
+    assert scores[flat[("linear", 2)]] == scores[flat[("cross", 2, 3)]] > 0
+    assert scores[flat[("square", 0)]] == scores[flat[("cross", 1, 2)]] > 0
 
 
 def test_poly_streamed_ties_across_anchor_blocks_with_zero_duals():
@@ -559,7 +570,7 @@ def test_poly_streamed_ties_across_anchor_blocks_with_zero_duals():
     X[alpha > 0, 4] = X[alpha > 0, 0]
     assert not np.array_equal(X[:, 4], X[:, 0])
     scores = _check_every_budget(X, alpha, y, 1.0, 1.0, blocks=(1, 2, 3, m))
-    flat = lambda a, b: poly_flat(("cross", a, b), m)
+    flat = lambda a, b, ids=_flat_ids(m): ids[("cross", a, b)]
     assert scores[flat(0, 5)] == scores[flat(4, 5)] > 0
     assert scores[flat(0, 1)] == scores[flat(1, 4)] > 0
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
@@ -585,7 +596,7 @@ def test_poly_streamed_rejects_nan_in_a_zero_weight_row():
     alpha = np.array([1.0, 0.0, 0.5])
     for view, block, budget in itertools.product(_layouts(data), (1, 2, 3), (1, 4, 10)):
         with pytest.raises(ValueError, match="NaN"):
-            score_polynomial_streamed(alpha, view, 1.0, 1.0, budget, block)
+            score_polynomial_streamed(alpha, view, PolyMap(block=block), budget)
 
 
 def test_poly_streamed_rejects_nan_data():
@@ -593,28 +604,25 @@ def test_poly_streamed_rejects_nan_data():
     data = SparseDataset(X, np.array([1, -1]))
     for budget in (1, 3, 20):
         with pytest.raises(ValueError, match="NaN"):
-            score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, budget, 1)
+            score_polynomial_streamed(np.ones(2), data, PolyMap(block=1), budget)
 
 
 def test_poly_argument_validation():
     data = SparseDataset(np.eye(2), np.array([1, -1]))
     with pytest.raises(ValueError, match="gamma"):
-        score_polynomial_streamed(np.ones(2), data, 0.0, 1.0, 2)
+        PolyMap(0.0, 1.0)
     with pytest.raises(ValueError, match="block"):
-        score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 2, block=0)
+        PolyMap(1.0, 1.0, block=0)
     with pytest.raises(ValueError, match="budget"):
-        score_polynomial_streamed(np.ones(2), data, 1.0, 1.0, 0)
+        score_polynomial_streamed(np.ones(2), data, PolyMap(), 0)
     with pytest.raises(ValueError, match="gamma"):
-        poly_columns(data, np.array([0]), -1.0, 1.0)
+        PolyMap(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("gamma,r", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
                                      (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf)])
 def test_poly_kernels_reject_nan_parameters(gamma, r):
-    # NaN passes "gamma <= 0 or r < 0", and inf passes "gamma > 0 and r >= 0"; PolyMap
-    # refuses both, so the kernels that take its parameters refuse them alike
-    data = SparseDataset(np.eye(3), np.array([1, -1, 1]))
+    # NaN passes "gamma <= 0 or r < 0", and inf passes "gamma > 0 and r >= 0"; the map
+    # both kernels take refuses both when it is built
     with pytest.raises(ValueError, match=r"^need finite gamma > 0 and r >= 0$"):
-        poly_columns(data, np.arange(poly_dim(3)), gamma, r)
-    with pytest.raises(ValueError, match=r"^need finite gamma > 0 and r >= 0$"):
-        score_polynomial_streamed(np.ones(3), data, gamma, r, 2)
+        PolyMap(gamma, r)

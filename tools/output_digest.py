@@ -60,7 +60,10 @@ the program computes must print the same lines.  Digested are:
   file of ``fgm generate``, the datasets that ``load_libsvm`` reads back
   from the two libsvm files (lines labelled ``loaded``), the model of
   ``fgm train``, the labels of ``fgm predict``, and the ``--trace`` CSV
-  without its ``seconds`` column;
+  without its ``seconds`` column; then the model of ``fgm train --poly
+  --block 7`` on that train file and the labels ``fgm predict`` gives with
+  it, which take the command line's degree-2 map at a block width other
+  than the default 64;
 * the dataset ``load_libsvm`` reads from a 20,000-row file with one pair
   per row that this tool writes, the shape of short text-mining rows;
 * the dataset ``load_libsvm`` reads from a 6,000-row file whose first
@@ -350,6 +353,7 @@ def nested_tree_digests(work: Path):
 def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     prefix = work / "data"
     model, trace, labels = work / "model.json", work / "trace.csv", work / "labels.txt"
+    poly_model, poly_labels = work / "poly-model.json", work / "poly-labels.txt"
     steps = [
         ["generate", "--n", str(workload.n), "--m", str(workload.m), "--k", str(workload.k),
          "--n-test", str(workload.n_test), "--seed", str(seed), "--out-prefix", str(prefix)],
@@ -357,6 +361,10 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
          "--trace", str(trace), *workload.train_args],
         ["predict", "--model", str(model), "--data", f"{prefix}.test.libsvm",
          "--out", str(work / "metrics.json"), "--labels-out", str(labels)],
+        ["train", "--data", f"{prefix}.train.libsvm", "--out", str(poly_model),
+         "--poly", "--block", "7", *workload.train_args],
+        ["predict", "--model", str(poly_model), "--data", f"{prefix}.test.libsvm",
+         "--out", str(work / "poly-metrics.json"), "--labels-out", str(poly_labels)],
     ]
     for argv in steps:
         code = cli.main(argv)
@@ -373,6 +381,8 @@ def cli_digests(work: Path, workload: CliFiles, seed: int = 0):
     yield f"{workload.name} seed {seed} trace", _digest(_trace_without(trace, "seconds"))
     yield (f"{workload.name} seed {seed} trace without-bounds",
            _digest(_trace_without(trace, "seconds", "beta", "phi")))
+    yield from _model_digests(f"{workload.name} seed {seed} poly block 7 model", poly_model)
+    yield f"{workload.name} seed {seed} poly block 7 labels", _digest(poly_labels.read_bytes())
 
 
 def one_pair_digest(work: Path, rows: int = 20_000):
