@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import itertools
 import numbers
 import operator
@@ -39,59 +40,101 @@ def _decoding(path: Path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector if it is enabled, and enable it again on exit."""
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # core containers
 
 
-@dataclass
 class SparseDataset:
-    """Binary classification data: CSR matrix ``X`` and labels ``y`` in {-1,+1}.
+    """Binary classification data: ``X`` (rows are instances) and labels ``y`` in {-1,+1}.
 
-    Rows are instances; column indices are 0-based features.  ``X`` is kept
-    in canonical CSR form (sorted, duplicate-free indices per row).  A
-    canonical float64 CSR is kept as given, sharing memory with the
-    caller's; any other sparse input is converted or copied, never changed.
-    An array (0-D and 1-D ones become one row) is converted in one pass
-    into a new CSR that shares no memory with it.  Every kernel reads X
-    through :attr:`design`, which alone picks how: X's own row-major view
-    when the CSR stores every cell, else the CSR.
+    X is stored in one of two forms, picked from the input.  A float64
+    array, C-ordered, when every cell is nonzero: the generators' draws as
+    drawn, and an array input with no ``0.0`` or ``-0.0`` cell, copied so
+    that it shares no memory with the caller's.  Otherwise a CSR in
+    canonical form (sorted, duplicate-free indices per row): a canonical
+    float64 CSR is kept as given, sharing memory with the caller's; any
+    other sparse input is converted or copied, never changed; an array
+    holding a zero (0-D and 1-D ones become one row) is converted in one
+    pass into a new CSR.  Every kernel reads X through :attr:`design`.
     """
 
-    X: sp.csr_matrix
-    y: np.ndarray
-
-    def __post_init__(self):
-        if not sp.issparse(self.X):
-            self.X = _dense_to_csr(np.asarray(self.X, dtype=float))
-        self.X = self.X.tocsr().astype(float, copy=False)
-        if not self.X.has_canonical_format:
-            self.X = self.X.copy()
-            self.X.sum_duplicates()    # also sorts the indices
-        y = np.asarray(self.y)
-        if y.ndim != 1 or y.size != self.X.shape[0]:
+    def __init__(self, X, y):
+        if sp.issparse(X):
+            X = X.tocsr().astype(float, copy=False)
+            if not X.has_canonical_format:
+                X = X.copy()
+                X.sum_duplicates()    # also sorts the indices
+        else:
+            # a copy when no cell is 0.0 or -0.0 (NaN counts as nonzero), else the CSR
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+            X = (np.array(X, order="C") if X.ndim == 2 and np.count_nonzero(X) == X.size
+                 else _dense_to_csr(X))
+        y = np.asarray(y)
+        if y.ndim != 1 or y.size != X.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")
         bad = np.setdiff1d(np.unique(y), [-1, 1])
         if bad.size:
             raise ValueError(f"labels must be -1/+1, found {bad.tolist()}")
-        self.y = np.asarray(y, dtype=int)
+        self._X, self.y = X, np.asarray(y, dtype=int)
+
+    @classmethod
+    def _of_draws(cls, full: np.ndarray, y: np.ndarray) -> "SparseDataset":
+        """A set storing ``full`` as given: C-ordered float64 without a zero cell, ``y`` valid."""
+        data = cls.__new__(cls)
+        data._X, data.y = full, y
+        return data
+
+    @property
+    def X(self) -> sp.csr_matrix:
+        """X as a canonical CSR.
+
+        A stored array gets its CSR on first read: every cell stored, the
+        array's buffer as the values, column ids repeating ``0..m-1`` per
+        row in the index dtype scipy picks for ``n * m`` entries.  From then
+        on that CSR is what :attr:`design` reads (as the same view).
+        """
+        if not sp.issparse(self._X):
+            self._X = _every_cell_csr(self._X)
+        return self._X
+
+    @X.setter
+    def X(self, X: sp.csr_matrix) -> None:
+        self._X = X
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self._X.shape[0]
 
     @property
     def m(self) -> int:
-        return self.X.shape[1]
+        return self._X.shape[1]
 
     @property
     def design(self):
-        """X as the kernels read it: X's own view if X stores every cell, else X itself.
+        """X as the kernels read it: a read-only ``(n, m)`` view if X has every cell, else the CSR.
 
-        The view is :func:`_full_array`'s.  Both read stored values as
-        stored: a stored ``-0.0`` stays ``-0.0``.
+        The view is of the stored array, or :func:`_full_array`'s of a CSR
+        that stores every cell; the stored array stays writeable.  Both read
+        stored values as stored: a stored ``-0.0`` stays ``-0.0``.
         """
-        full = _full_array(self.X)
-        return self.X if full is None else full
+        if sp.issparse(self._X):
+            full = _full_array(self._X)
+            return self._X if full is None else full
+        full = self._X.view()
+        full.flags.writeable = False
+        return full
 
     def dense_columns(self, ids: np.ndarray) -> np.ndarray:
         """Extract columns ``ids`` (repeats allowed) as a dense ``(n, len(ids))`` matrix.
@@ -109,14 +152,27 @@ def _columns(design, ids: np.ndarray) -> np.ndarray:
     """Columns ``ids`` of a :attr:`SparseDataset.design` as a C-ordered array, values copied.
 
     The CSR's stored values are assigned into zeros, not added (as
-    ``todense`` does), so a stored ``-0.0`` keeps its sign.
+    ``todense`` does), so a stored ``-0.0`` keeps its sign.  scipy's column
+    index, one pass in C, allocates ``m`` integers, so it reads a CSR that
+    stores at least ``m`` values.  A wider CSR has only the stored values of
+    the asked columns found (one ``searchsorted`` of the stored column ids
+    in the distinct ids asked), so nothing the size of ``m`` is allocated.
     """
     if not sp.issparse(design):
         return np.take(design, ids, axis=1)
-    cols = design[:, ids]
-    out = np.zeros(cols.shape)
-    out[np.repeat(np.arange(cols.shape[0]), np.diff(cols.indptr)), cols.indices] = cols.data
-    return out
+    if design.shape[1] <= design.nnz:
+        cols = design[:, ids]
+        out = np.zeros(cols.shape)
+        out[np.repeat(np.arange(cols.shape[0]), np.diff(cols.indptr)), cols.indices] = cols.data
+        return out
+    wanted, slot = np.unique(ids, return_inverse=True)
+    out = np.zeros((design.shape[0], wanted.size))
+    if wanted.size:
+        pos = np.searchsorted(wanted, design.indices)
+        at = np.flatnonzero(wanted[np.minimum(pos, wanted.size - 1)] == design.indices)
+        rows = np.searchsorted(design.indptr, at, side="right") - 1
+        out[rows, pos[at]] = design.data[at]
+    return np.take(out, slot, axis=1)
 
 
 def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
@@ -133,6 +189,15 @@ def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
     full = X.data.reshape(X.shape)
     full.flags.writeable = False
     return full
+
+
+def _every_cell_csr(full: np.ndarray) -> sp.csr_matrix:
+    """The CSR storing every cell of a C-ordered float array, the array's buffer as its values."""
+    n, m = full.shape
+    index = sp.get_index_dtype(maxval=max(n, m, n * m))
+    indices = np.tile(np.arange(m, dtype=index), n)
+    indptr = np.arange(n + 1, dtype=index) * index(m)
+    return sp.csr_matrix((full.reshape(-1), indices, indptr), shape=(n, m))
 
 
 _SQ_CHUNK = 1 << 16     # CSR values squared at a time by _column_sq_sums
@@ -400,7 +465,7 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     path = Path(path)
     labels, counts, indices, values = [np.empty(0)], [], [np.empty(0, np.intp)], [np.empty(0)]
     line_no = 1
-    with path.open() as fh, _decoding(path):
+    with path.open() as fh, _decoding(path), _gc_paused():
         while lines := fh.readlines(_CHUNK_BYTES):
             text = ([line.split("#", 1)[0] for line in lines]
                     if any(map(operator.contains, lines, itertools.repeat("#"))) else lines)
@@ -487,12 +552,22 @@ def _first_fault(path: Path, first_line_no: int, lines: list[str]) -> str:
 
 
 def write_libsvm(data: SparseDataset, path: str | Path) -> None:
-    """Write ``data`` in the sparse text format (1-based, 17 significant digits)."""
+    """Write ``data`` in the sparse text format (1-based, 17 significant digits).
+
+    X is read through :attr:`SparseDataset.design`.  An array has one row
+    format, built once with the 1-based column ids written in; a CSR's rows
+    are formatted from their stored column ids.
+    """
     path = Path(path)
-    X = data.X
-    cols = X.indices + 1
-    indptr = X.indptr.tolist()
+    X = data.design
     with path.open("w") as fh:
+        if not sp.issparse(X):
+            row_format = "%+d" + "".join(f" {j}:%.17g" for j in range(1, data.m + 1)) + "\n"
+            for label, row in zip(data.y.tolist(), X):
+                fh.write(row_format % (label, *row.tolist()))
+            return
+        cols = X.indices + 1
+        indptr = X.indptr.tolist()
         for i, label in enumerate(data.y.tolist()):
             lo, hi = indptr[i], indptr[i + 1]
             row = [label] * (2 * (hi - lo) + 1)
@@ -713,21 +788,17 @@ def _truth_from_rng(rng: np.random.Generator, m: int, k: int, weighting: int) ->
 def _draw_dataset(rng: np.random.Generator, n: int, w: np.ndarray) -> SparseDataset:
     """``n`` standard-normal rows from ``rng``, labeled ``sign(X w)`` with ``sign(0) = +1``.
 
-    The draws go straight into the CSR value buffer, in the order of
-    ``rng.standard_normal((n, w.size))``, and the CSR is built around it
-    with every cell stored: column ids repeat ``0..m-1`` per row, in the
-    index dtype scipy picks for ``n * m`` entries.  A drawn ``0.0`` or
-    ``-0.0``, which a Gaussian stream does not give in practice, is then
-    dropped in place.
+    The draws, ``rng.standard_normal((n, w.size))``, are the stored array
+    itself.  Draws holding a ``0.0`` or ``-0.0``, which a Gaussian stream
+    does not give in practice, are stored as the CSR of every cell with
+    those dropped in place.
     """
-    m = w.size
-    values = np.empty(n * m)
-    rng.standard_normal(out=values.reshape(n, m))
-    y = np.where(values.reshape(n, m) @ w >= 0, 1, -1)
-    index = sp.get_index_dtype(maxval=max(n, m, n * m))
-    indices = np.tile(np.arange(m, dtype=index), n)
-    indptr = np.arange(n + 1, dtype=index) * index(m)
-    X = sp.csr_matrix((values, indices, indptr), shape=(n, m))
+    full = np.empty((n, w.size))
+    rng.standard_normal(out=full)
+    y = np.where(full @ w >= 0, 1, -1)
+    if np.count_nonzero(full) == full.size:
+        return SparseDataset._of_draws(full, y)
+    X = _every_cell_csr(full)
     X.eliminate_zeros()
     return SparseDataset(X, y)
 
@@ -745,9 +816,10 @@ def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
     ``[seed, 0]``, so the companion test stream ``[seed, 1]`` used by
     :func:`generate_test_set` is independent of it.
 
-    Memory: the draws fill the CSR's value buffer in place, so a set (this
-    one or :func:`generate_test_set`'s) costs 12 bytes per cell with 32-bit
-    indices and no dense copy of ``X`` is made.
+    Memory: the draws are stored as drawn, so a set (this one or
+    :func:`generate_test_set`'s) costs 8 bytes per cell and no copy of
+    ``X`` is made.  Reading ``.X`` adds the CSR's column ids, 4 bytes per
+    cell with 32-bit indices; no fit or prediction reads it.
     """
     if not (0 < k <= m):
         raise ValueError("need 0 < k <= m")

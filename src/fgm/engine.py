@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .blocks import ColumnCache
 from .dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
@@ -288,7 +289,8 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
         raise FormatError("training data has no features (m=0)")
     col_sq = _scale_sums(data, cfg, structure)
     vouched = col_sq is not None and np.isfinite(col_sq).all()
-    if not vouched and not np.isfinite(data.X.data).all():
+    design = data.design
+    if not vouched and not np.isfinite(design.data if sp.issparse(design) else design).all():
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
     kind = cfg.loss_kind()

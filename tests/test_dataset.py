@@ -1,5 +1,6 @@
 """Data containers, file formats, scaling priors, and the synthetic generator."""
 
+import gc
 import re
 import tracemalloc
 import warnings
@@ -154,6 +155,28 @@ def test_zero_free_array_converts_to_scipy_csr_bit_for_bit_and_unshared(layout):
         assert not np.shares_memory(a, X) and not np.shares_memory(a, full)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_zero_free_array_is_stored_as_a_c_ordered_copy(layout):
+    full = np.random.default_rng(6).standard_normal((10, 14))
+    X = {"C": full, "F": np.asfortranarray(full), "strided": full[::2, ::3]}[layout]
+    data = SparseDataset(X, np.ones(X.shape[0], dtype=int))
+    design = data.design
+    assert not sp.issparse(design) and design.flags.c_contiguous and not design.flags.writeable
+    assert design.tobytes() == np.ascontiguousarray(X).tobytes()
+    assert not np.shares_memory(design, full)
+    _assert_same_csr(data.X, _dense_to_csr(X))
+    assert np.shares_memory(data.X.data, design)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_array_with_one_zero_cell_is_stored_as_the_dense_to_csr_csr(zero):
+    X = np.random.default_rng(7).standard_normal((6, 5))
+    X[2, 3] = zero
+    data = SparseDataset(X, np.ones(6, dtype=int))
+    assert sp.issparse(data.design) and data.X.nnz == X.size - 1
+    _assert_same_csr(data.X, _dense_to_csr(X))
+
+
 def test_dense_columns_out_of_range():
     data = SparseDataset(np.eye(3), np.array([1, 1, -1]))
     with pytest.raises(ValueError, match="out of range"):
@@ -175,6 +198,42 @@ def test_dense_columns_bit_identical_on_both_layouts():
         assert want.tobytes() == got.tobytes()
     with pytest.raises(ValueError, match="out of range"):
         full.dense_columns(np.array([9]))
+
+
+def test_csr_column_gather_reads_only_the_asked_columns():
+    rng = np.random.default_rng(12)
+    n, m, per_row = 200, 10 ** 8, 10
+    cols = np.sort(rng.choice(m, (n, per_row)), axis=1)
+    assert (np.diff(cols, axis=1) > 0).all()
+    values = rng.standard_normal(n * per_row)
+    values[0] = -0.0
+    X = sp.csr_matrix((values, cols.ravel().astype(np.int32), np.arange(0, n * per_row + 1,
+                                                                         per_row)), shape=(n, m))
+    data = SparseDataset(X, np.ones(n, dtype=int))
+    asked = np.array([cols[0, 0], cols[5, 3], 7, cols[5, 3], cols[9, 9], cols[199, 0],
+                      m - 1, cols[0, 0], 0, cols[42, 4]])
+    got, peak = _traced_peak(lambda: data.dense_columns(asked))
+    assert peak < 1 << 20
+    want = np.zeros((n, asked.size))
+    for j, col in enumerate(asked):
+        rows, at = np.nonzero(cols == col)
+        want[rows, j] = values.reshape(n, per_row)[rows, at]
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert np.signbit(got[0, [0, 7]]).all()
+
+
+@pytest.mark.parametrize("ids", [[3, 998, 3, 0, 500, 41], list(range(0, 1000, 7)), []])
+def test_csr_column_gather_gives_the_stored_bits_on_either_side_of_m_values(ids):
+    rng = np.random.default_rng(13)
+    for m in (1000, 40):        # more columns than stored values, then fewer
+        dense = np.where(rng.random((30, m)) < 400 / (30 * m), rng.standard_normal((30, m)), 0.0)
+        X = sp.csr_matrix(dense)
+        assert (m > X.nnz) == (m == 1000)
+        X.data[:3] = -0.0           # stored -0.0 values
+        dense[np.repeat(np.arange(30), np.diff(X.indptr))[:3], X.indices[:3]] = -0.0
+        asked = np.asarray(ids, dtype=np.intp) % m
+        got = SparseDataset(X, np.ones(30, dtype=int)).dense_columns(asked)
+        assert got.flags.c_contiguous and got.tobytes() == np.take(dense, asked, axis=1).tobytes()
 
 
 def _fully_stored(values, indices_dtype=np.int32):
@@ -341,6 +400,28 @@ def test_libsvm_index_beyond_dim(tmp_path):
     f.write_text("+1 7:1.0\n")
     with pytest.raises(FormatError, match="exceeds dim"):
         load_libsvm(f, dim=5)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_libsvm_pauses_the_collector_and_leaves_it_as_found(tmp_path, enabled, monkeypatch):
+    good, bad = tmp_path / "good.libsvm", tmp_path / "bad.libsvm"
+    good.write_text("+1 1:0.5\n-1 2:1.5\n")
+    bad.write_text("+1 1:0.5\n-1 x:1\n")
+    parse, seen = dataset._libsvm_indices, []
+    monkeypatch.setattr(dataset, "_libsvm_indices",
+                        lambda tokens: (seen.append(gc.isenabled()), parse(tokens))[1])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_libsvm(good)
+        after_load = gc.isenabled()
+        with pytest.raises(FormatError, match="invalid pair 'x:1'"):
+            load_libsvm(bad)
+        after_fault = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after_load == after_fault == enabled
+    assert seen == [False, False]
 
 
 def test_libsvm_empty_file(tmp_path):
@@ -616,6 +697,31 @@ def test_write_libsvm_matches_the_per_value_writer(tmp_path_factory, n, m, seed)
     data = SparseDataset(X, rng.choice([-1, 1], size=n))
     path = tmp_path_factory.mktemp("w") / "d.libsvm"
     write_libsvm(data, path)
+    assert path.read_text() == libsvm_text_per_value(data.X, data.y)
+
+
+def _every_cell_values():
+    rng = np.random.default_rng(14)
+    values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    values[1, :4] = [np.nan, np.inf, -np.inf, 5e-324]
+    return values
+
+
+@pytest.mark.parametrize("source", ["generated", "array", "every-cell CSR with zeros"])
+def test_write_libsvm_writes_an_array_design_without_a_csr(tmp_path, source):
+    y = np.array([1, -1, 1, 1, -1, -1, 1])
+    if source == "generated":
+        data = generate_synthetic(7, 5, 2, seed=3)[0]
+    elif source == "array":
+        data = SparseDataset(_every_cell_values(), y)
+    else:
+        values = _every_cell_values()
+        values[2, 1:3] = [0.0, -0.0]
+        data = SparseDataset(_fully_stored(values), y)
+    assert not sp.issparse(data.design)
+    path = tmp_path / "d.libsvm"
+    with mock.patch.object(dataset, "_every_cell_csr", side_effect=AssertionError("CSR built")):
+        write_libsvm(data, path)
     assert path.read_text() == libsvm_text_per_value(data.X, data.y)
 
 
@@ -967,6 +1073,26 @@ def test_generators_memory_peak_within_a_tenth_of_the_csr():
     assert peak <= 1.1 * _csr_bytes(train.X)
     test, peak = _traced_peak(lambda: generate_test_set(truth, 256))
     assert peak <= 1.1 * _csr_bytes(test.X)
+
+
+def test_generated_sets_store_only_their_draws():
+    n, m = 256, 1024
+    (train, truth), peak = _traced_peak(lambda: generate_synthetic(n, m, 10))
+    assert peak <= 1.1 * n * m * 8
+    test, peak = _traced_peak(lambda: generate_test_set(truth, n))
+    assert peak <= 1.1 * n * m * 8
+    assert not sp.issparse(train.design) and not sp.issparse(test.design)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_generated_x_is_the_every_cell_csr_around_the_draws(seed):
+    data, _ = generate_synthetic(33, 47, 6, seed=seed)
+    draws = data.design
+    assert draws.shape == (33, 47) and draws.flags.c_contiguous and not draws.flags.writeable
+    X = data.X
+    _assert_same_csr(X, _fully_stored(draws.copy()))
+    assert data.X is X and X.data.flags.writeable
+    assert np.shares_memory(X.data, draws) and np.shares_memory(data.design, X.data)
 
 
 class _NormalWithZeros:

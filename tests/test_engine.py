@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import fgm.engine as engine
 import fgm.worstcase as worstcase
 from fgm.blocks import ColumnCache
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset,
-                         TreeStructure, compute_scaling_prior, generate_synthetic)
+                         TreeStructure, compute_scaling_prior, generate_synthetic,
+                         generate_test_set)
 from fgm.engine import (Model, ModelEntry, PolyMap, SolverConfig, eval_bounds, evaluate_recovery,
                         fgm_train, load_model, model_from_dict, model_to_dict, predict,
                         save_model)
@@ -627,6 +629,29 @@ def test_predict_scores_every_layout_like_the_sparse_product(layout):
         np.testing.assert_allclose(engine._scores(model, data), want, rtol=1e-12, atol=0)
         labels, _ = predict(model, data)
         np.testing.assert_array_equal(labels, np.where(want >= 0, 1, -1))
+
+
+@pytest.mark.parametrize("unit", ["plain", "plain inverse_norm", "groups", "tree inverse_norm",
+                                  "poly"])
+def test_fit_and_predict_on_generated_sets_build_no_csr(unit):
+    train, truth = generate_synthetic(60, 24, 4, seed=2)
+    test = generate_test_set(truth, 40, seed=2)
+    cfg = SolverConfig(budget=2, max_outer=3, eps_outer=0.0)
+    if unit.endswith("inverse_norm"):
+        cfg = replace(cfg, lambda_policy="inverse_norm")
+    structure = {
+        "groups": GroupStructure([np.arange(i, i + 4) for i in range(0, 24, 4)],
+                                 [f"g{i}" for i in range(6)]),
+        "tree inverse_norm": TreeStructure([np.arange(0, 12), np.arange(12, 24)]
+                                           + [np.arange(i, i + 4) for i in range(0, 24, 4)],
+                                           np.array([-1, -1, 0, 0, 0, 1, 1, 1]),
+                                           [f"n{i}" for i in range(8)]),
+        "poly": PolyMap(),
+    }.get(unit)
+    with mock.patch.object(dataset, "_every_cell_csr", side_effect=AssertionError("CSR built")):
+        model = fgm_train(train, cfg, structure)
+        labels, accuracy = predict(model, test)
+    assert model.support_size > 0 and labels.size == 40 and accuracy > 0.5
 
 
 def test_predict_on_every_cell_stored_still_fails_on_a_non_finite_value():

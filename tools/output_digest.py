@@ -33,6 +33,11 @@ the program computes must print the same lines.  Digested are:
   could show: plain features under ``ones`` and ``inverse_norm``, 16 groups of 4
   and the degree-2 map, each with the labels it predicts on a test set
   that stores zeros alike;
+* the sets that ``SparseDataset`` makes of two 200 x 64 arrays, one with no
+  zero cell (stored as a copy of the array) and one with ``-0.0`` in 5% of
+  its cells (stored as the CSR without them), which no workload passes:
+  each set's line, then the plain model trained on it and the labels it
+  predicts on it;
 * models trained on a CSR that stores about 10% of its cells (400 x 256,
   labels from 16 true features), the case where every kernel reads the CSR
   itself: the set search, the degree-2 search, the column gather and the
@@ -276,6 +281,20 @@ def stored_zero_digests(work: Path):
     yield from _trained_digests(work, "stored zeros", train, test, settings)
 
 
+def array_input_digests(work: Path):
+    rng = np.random.default_rng(41)
+    values = rng.standard_normal((200, 64))
+    labels = np.where(values[:, :8].sum(axis=1) >= 0, 1, -1)
+    signed = values.copy()
+    signed[rng.random(values.shape) < 0.05] = -0.0
+    cfg = SolverConfig(budget=4, max_outer=6, eps_outer=0.0)
+    for label, array in (("array without zeros", values), ("array with -0.0", signed)):
+        data = SparseDataset(array, labels)
+        assert sp.issparse(data.design) == (label == "array with -0.0")
+        yield from _trained_digests(work, label, data, data, {"plain": (None, cfg)})
+        yield f"{label} set", _dataset_digest(data)
+
+
 def _csr_set(rng, truth: np.ndarray, n: int, density: float):
     """``n`` rows that store about ``density`` of their cells, labelled by ``truth``'s sign."""
     values = rng.standard_normal((n, truth.size)) * (rng.random((n, truth.size)) < density)
@@ -438,6 +457,7 @@ def main() -> int:
         lines += inverse_norm_scale_digests()
         lines += group_digests(work)
         lines += stored_zero_digests(work)
+        lines += array_input_digests(work)
         lines += sparse_digests(work)
         lines += dense_csr_digests(work)
         lines += zero_weight_digests(work)
