@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import gc
 import itertools
 import numbers
 import operator
@@ -38,18 +37,6 @@ def _decoding(path: Path):
         yield
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector if it is enabled, and enable it again on exit."""
-    paused = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if paused:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +138,14 @@ class SparseDataset:
 def _columns(design, ids: np.ndarray) -> np.ndarray:
     """Columns ``ids`` of a :attr:`SparseDataset.design` as a C-ordered array, values copied.
 
-    The CSR's stored values are assigned into zeros, not added (as
-    ``todense`` does), so a stored ``-0.0`` keeps its sign.  scipy's column
-    index, one pass in C, allocates ``m`` integers, so it reads a CSR that
-    stores at least ``m`` values.  A wider CSR has only the stored values of
-    the asked columns found (one ``searchsorted`` of the stored column ids
-    in the distinct ids asked), so nothing the size of ``m`` is allocated.
+    On a CSR only the stored values of the asked columns are found (one
+    ``searchsorted`` of the stored column ids in the distinct ids asked, the
+    rows from ``indptr``), so nothing the size of ``m`` is allocated.  They
+    are assigned into zeros, not added (as ``todense`` does), so a stored
+    ``-0.0`` keeps its sign.
     """
     if not sp.issparse(design):
         return np.take(design, ids, axis=1)
-    if design.shape[1] <= design.nnz:
-        cols = design[:, ids]
-        out = np.zeros(cols.shape)
-        out[np.repeat(np.arange(cols.shape[0]), np.diff(cols.indptr)), cols.indices] = cols.data
-        return out
     wanted, slot = np.unique(ids, return_inverse=True)
     out = np.zeros((design.shape[0], wanted.size))
     if wanted.size:
@@ -465,7 +446,7 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     path = Path(path)
     labels, counts, indices, values = [np.empty(0)], [], [np.empty(0, np.intp)], [np.empty(0)]
     line_no = 1
-    with path.open() as fh, _decoding(path), _gc_paused():
+    with path.open() as fh, _decoding(path):
         while lines := fh.readlines(_CHUNK_BYTES):
             text = ([line.split("#", 1)[0] for line in lines]
                     if any(map(operator.contains, lines, itertools.repeat("#"))) else lines)
@@ -790,17 +771,15 @@ def _draw_dataset(rng: np.random.Generator, n: int, w: np.ndarray) -> SparseData
 
     The draws, ``rng.standard_normal((n, w.size))``, are the stored array
     itself.  Draws holding a ``0.0`` or ``-0.0``, which a Gaussian stream
-    does not give in practice, are stored as the CSR of every cell with
-    those dropped in place.
+    does not give in practice, are stored as any array holding a zero is:
+    as scipy's CSR of them.
     """
     full = np.empty((n, w.size))
     rng.standard_normal(out=full)
     y = np.where(full @ w >= 0, 1, -1)
     if np.count_nonzero(full) == full.size:
         return SparseDataset._of_draws(full, y)
-    X = _every_cell_csr(full)
-    X.eliminate_zeros()
-    return SparseDataset(X, y)
+    return SparseDataset(full, y)
 
 
 def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,

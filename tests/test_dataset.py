@@ -1,6 +1,5 @@
 """Data containers, file formats, scaling priors, and the synthetic generator."""
 
-import gc
 import re
 import tracemalloc
 import warnings
@@ -400,28 +399,6 @@ def test_libsvm_index_beyond_dim(tmp_path):
     f.write_text("+1 7:1.0\n")
     with pytest.raises(FormatError, match="exceeds dim"):
         load_libsvm(f, dim=5)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_libsvm_pauses_the_collector_and_leaves_it_as_found(tmp_path, enabled, monkeypatch):
-    good, bad = tmp_path / "good.libsvm", tmp_path / "bad.libsvm"
-    good.write_text("+1 1:0.5\n-1 2:1.5\n")
-    bad.write_text("+1 1:0.5\n-1 x:1\n")
-    parse, seen = dataset._libsvm_indices, []
-    monkeypatch.setattr(dataset, "_libsvm_indices",
-                        lambda tokens: (seen.append(gc.isenabled()), parse(tokens))[1])
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        load_libsvm(good)
-        after_load = gc.isenabled()
-        with pytest.raises(FormatError, match="invalid pair 'x:1'"):
-            load_libsvm(bad)
-        after_fault = gc.isenabled()
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert after_load == after_fault == enabled
-    assert seen == [False, False]
 
 
 def test_libsvm_empty_file(tmp_path):
