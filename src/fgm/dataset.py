@@ -46,59 +46,66 @@ def _decoding(path: Path):
 class SparseDataset:
     """Binary classification data: ``X`` (rows are instances) and labels ``y`` in {-1,+1}.
 
-    X is stored in one of two forms, picked from the input.  A float64
-    array, C-ordered, when every cell is nonzero: the generators' draws as
-    drawn, and an array input with no ``0.0`` or ``-0.0`` cell, copied so
-    that it shares no memory with the caller's.  Otherwise a CSR in
-    canonical form (sorted, duplicate-free indices per row): a canonical
-    float64 CSR is kept as given, sharing memory with the caller's; any
-    other sparse input is converted or copied, never changed; an array
-    holding a zero (0-D and 1-D ones become one row) is converted in one
-    pass into a new CSR.  Every kernel reads X through :attr:`design`.
+    X is stored in one of two forms, picked when X enters (here, through
+    the ``X`` setter, the generators or :func:`load_libsvm`) and never
+    changed by a read.  A C-ordered float64 array when every cell is
+    stored: the generators' draws as drawn; an array input with no ``0.0``
+    or ``-0.0`` cell, or the values of a CSR storing all ``n * m`` cells
+    (stored zeros included), copied so that it shares no memory with the
+    caller's.  Otherwise a CSR in canonical form (sorted, duplicate-free
+    indices per row): a canonical float64 CSR is kept as given, sharing
+    memory with the caller's; any other sparse input is converted or
+    copied, never changed; an array holding a zero (0-D and 1-D ones
+    become one row) is converted in one pass into a new CSR.  Every
+    kernel reads X through :attr:`design`.
     """
 
     def __init__(self, X, y):
+        self._store(X)
+        y = np.asarray(y)
+        if y.ndim != 1 or y.size != self.n:
+            raise ValueError("labels must be 1-D with one entry per row")
+        bad = np.setdiff1d(np.unique(y), [-1, 1])
+        if bad.size:
+            raise ValueError(f"labels must be -1/+1, found {bad.tolist()}")
+        self.y = np.asarray(y, dtype=int)
+
+    def _store(self, X) -> None:
         if sp.issparse(X):
             X = X.tocsr().astype(float, copy=False)
             if not X.has_canonical_format:
                 X = X.copy()
                 X.sum_duplicates()    # also sorts the indices
+            if X.nnz == X.shape[0] * X.shape[1]:    # canonical: row i holds 0..m-1 in order
+                X = X.data.reshape(X.shape).copy()
         else:
             # a copy when no cell is 0.0 or -0.0 (NaN counts as nonzero), else the CSR
             X = np.atleast_2d(np.asarray(X, dtype=float))
             X = (np.array(X, order="C") if X.ndim == 2 and np.count_nonzero(X) == X.size
                  else _dense_to_csr(X))
-        y = np.asarray(y)
-        if y.ndim != 1 or y.size != X.shape[0]:
-            raise ValueError("labels must be 1-D with one entry per row")
-        bad = np.setdiff1d(np.unique(y), [-1, 1])
-        if bad.size:
-            raise ValueError(f"labels must be -1/+1, found {bad.tolist()}")
-        self._X, self.y = X, np.asarray(y, dtype=int)
+        self._X, self._csr = X, X if sp.issparse(X) else None
 
     @classmethod
-    def _of_draws(cls, full: np.ndarray, y: np.ndarray) -> "SparseDataset":
-        """A set storing ``full`` as given: C-ordered float64 without a zero cell, ``y`` valid."""
+    def _of_array(cls, full: np.ndarray, y: np.ndarray) -> "SparseDataset":
+        """A set storing C-ordered float64 ``full`` as given, a zero cell a stored value."""
         data = cls.__new__(cls)
-        data._X, data.y = full, y
+        data._X, data._csr, data.y = full, None, y
         return data
 
     @property
     def X(self) -> sp.csr_matrix:
-        """X as a canonical CSR.
+        """X as a canonical CSR: the stored one, or a stored array's :func:`_every_cell_csr`.
 
-        A stored array gets its CSR on first read: every cell stored, the
-        array's buffer as the values, column ids repeating ``0..m-1`` per
-        row in the index dtype scipy picks for ``n * m`` entries.  From then
-        on that CSR is what :attr:`design` reads (as the same view).
+        That CSR is built on the first read and kept beside the array,
+        which stays what :attr:`design` reads.
         """
-        if not sp.issparse(self._X):
-            self._X = _every_cell_csr(self._X)
-        return self._X
+        if self._csr is None:
+            self._csr = _every_cell_csr(self._X)
+        return self._csr
 
     @X.setter
-    def X(self, X: sp.csr_matrix) -> None:
-        self._X = X
+    def X(self, X) -> None:
+        self._store(X)
 
     @property
     def n(self) -> int:
@@ -110,15 +117,12 @@ class SparseDataset:
 
     @property
     def design(self):
-        """X as the kernels read it: a read-only ``(n, m)`` view if X has every cell, else the CSR.
+        """X as the kernels read it: the CSR if stored as one, else a read-only view of the array.
 
-        The view is of the stored array, or :func:`_full_array`'s of a CSR
-        that stores every cell; the stored array stays writeable.  Both read
-        stored values as stored: a stored ``-0.0`` stays ``-0.0``.
+        Both read stored values as stored: a stored ``-0.0`` stays ``-0.0``.
         """
         if sp.issparse(self._X):
-            full = _full_array(self._X)
-            return self._X if full is None else full
+            return self._X
         full = self._X.view()
         full.flags.writeable = False
         return full
@@ -156,28 +160,19 @@ def _columns(design, ids: np.ndarray) -> np.ndarray:
     return np.take(out, slot, axis=1)
 
 
-def _full_array(X: sp.csr_matrix) -> np.ndarray | None:
-    """A read-only view of ``X.data`` as X's ``(n, m)`` C-ordered array when X stores every cell.
-
-    In a canonical CSR (sorted, duplicate-free indices per row) ``n * m``
-    stored values mean every row holds columns ``0..m-1`` in order, so the
-    values in row-major order are X itself.  The test reads ``nnz`` alone:
-    no scan and no copy.  The view keeps stored zeros as stored (a ``-0.0``
-    stays ``-0.0``); otherwise None.
-    """
-    if X.nnz != X.shape[0] * X.shape[1]:
-        return None
-    full = X.data.reshape(X.shape)
-    full.flags.writeable = False
-    return full
-
-
 def _every_cell_csr(full: np.ndarray) -> sp.csr_matrix:
-    """The CSR storing every cell of a C-ordered float array, the array's buffer as its values."""
+    """The CSR storing every cell of a C-ordered float array, the array's buffer as its values.
+
+    Column ids repeat ``0..m-1`` per row, in the index dtype scipy picks
+    for ``n * m`` entries.  They and the row pointers are read-only, so an
+    in-place structural edit (``eliminate_zeros``) raises ``ValueError``
+    instead of leaving the array out of step; writing a value writes the array.
+    """
     n, m = full.shape
     index = sp.get_index_dtype(maxval=max(n, m, n * m))
     indices = np.tile(np.arange(m, dtype=index), n)
     indptr = np.arange(n + 1, dtype=index) * index(m)
+    indices.flags.writeable = indptr.flags.writeable = False
     return sp.csr_matrix((full.reshape(-1), indices, indptr), shape=(n, m))
 
 
@@ -425,7 +420,8 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
     Returns
     -------
     SparseDataset
-        Rows hold 0-based, strictly increasing feature indices.
+        Stored as the file's values array when each row stores all ``dim``
+        columns (zero values included), else as a CSR of 0-based indices.
 
     Notes
     -----
@@ -487,17 +483,19 @@ def load_libsvm(path: str | Path, dim: int | None = None) -> SparseDataset:
             raise FormatError(f"{path}: labels mix 0/1 and -1/+1 conventions")
         warnings.warn(f"{path}: remapping 0/1 labels to -1/+1", stacklevel=2)
         y = np.where(y == 0.0, -1.0, 1.0)
+    top = max(int(idx.max(initial=0)) for idx in indices)
+    if dim is None:
+        dim = top
+    elif top > dim:
+        raise FormatError(f"{path}: feature index {top} exceeds dim={dim}")
+    values, y = np.concatenate(values), y.astype(int)
+    if values.size == y.size * dim:     # increasing ids in 1..dim: every row holds them all
+        return SparseDataset._of_array(values.reshape(y.size, dim), y)
     indices = np.concatenate(indices)
     indices -= 1
-    max_idx = int(indices.max(initial=-1))
-    if dim is None:
-        dim = max_idx + 1
-    elif max_idx >= dim:
-        raise FormatError(f"{path}: feature index {max_idx + 1} exceeds dim={dim}")
     indptr = np.zeros(y.size + 1, dtype=np.intp)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
-    X = sp.csr_matrix((np.concatenate(values), indices, indptr), shape=(y.size, dim))
-    return SparseDataset(X, y.astype(int))
+    return SparseDataset(sp.csr_matrix((values, indices, indptr), shape=(y.size, dim)), y)
 
 
 def _first_fault(path: Path, first_line_no: int, lines: list[str]) -> str:
@@ -771,14 +769,13 @@ def _draw_dataset(rng: np.random.Generator, n: int, w: np.ndarray) -> SparseData
 
     The draws, ``rng.standard_normal((n, w.size))``, are the stored array
     itself.  Draws holding a ``0.0`` or ``-0.0``, which a Gaussian stream
-    does not give in practice, are stored as any array holding a zero is:
-    as scipy's CSR of them.
+    does not give in practice, are stored as scipy's CSR of them.
     """
     full = np.empty((n, w.size))
     rng.standard_normal(out=full)
     y = np.where(full @ w >= 0, 1, -1)
     if np.count_nonzero(full) == full.size:
-        return SparseDataset._of_draws(full, y)
+        return SparseDataset._of_array(full, y)
     return SparseDataset(full, y)
 
 
@@ -795,10 +792,9 @@ def generate_synthetic(n: int, m: int, k: int, weighting: int = 1,
     ``[seed, 0]``, so the companion test stream ``[seed, 1]`` used by
     :func:`generate_test_set` is independent of it.
 
-    Memory: the draws are stored as drawn, so a set (this one or
-    :func:`generate_test_set`'s) costs 8 bytes per cell and no copy of
-    ``X`` is made.  Reading ``.X`` adds the CSR's column ids, 4 bytes per
-    cell with 32-bit indices; no fit or prediction reads it.
+    Memory: a set (this one or :func:`generate_test_set`'s) stores its
+    draws as drawn, 8 bytes per cell.  Reading ``.X`` adds the CSR's column
+    ids, 4 bytes per cell with 32-bit indices; no fit or prediction reads it.
     """
     if not (0 < k <= m):
         raise ValueError("need 0 < k <= m")

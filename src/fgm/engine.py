@@ -40,6 +40,7 @@ from .worstcase import (PolyMap, poly_columns, poly_dim, score_features,
 MODEL_FORMAT_VERSION = 2
 # the widest X a fit or a model may have: a float array of length m fits in an address
 _MAX_M = sys.maxsize // 8
+_SCAN_CELLS = 1 << 16   # stored values fgm_train tests for finiteness at a time
 
 
 @dataclass(frozen=True)
@@ -278,10 +279,11 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     When the scales come from X's column sums of squares, finite sums vouch
     for every stored value (a NaN or an infinity makes its column's sum NaN
     or infinite), so X is scanned for non-finite values only when a sum is
-    not finite; other fits scan X before any other read.
+    not finite; other fits scan X, ``_SCAN_CELLS`` stored values at a
+    time, before any other read.
     Every kernel reads :attr:`SparseDataset.design`, as :func:`predict`
-    does: X's own view when X stores every cell (stored values as stored),
-    else the CSR.  No copy of X is made and ``data`` is unchanged.
+    does: a view of the stored array (stored values as stored) or the
+    stored CSR.  No copy of X is made and ``data`` is unchanged.
     The union of selections has size between ``budget`` and
     ``n_outer * budget`` whenever enough units exist.
     """
@@ -290,7 +292,9 @@ def fgm_train(data: SparseDataset, cfg: SolverConfig, structure=None) -> Model:
     col_sq = _scale_sums(data, cfg, structure)
     vouched = col_sq is not None and np.isfinite(col_sq).all()
     design = data.design
-    if not vouched and not np.isfinite(design.data if sp.issparse(design) else design).all():
+    values = design.data if sp.issparse(design) else design.reshape(-1)
+    if not vouched and not all(np.isfinite(values[lo:lo + _SCAN_CELLS]).all()
+                               for lo in range(0, values.size, _SCAN_CELLS)):
         raise NumericalError("outer iteration 1: training data holds non-finite values",
                              iteration=0)
     kind = cfg.loss_kind()
@@ -369,8 +373,8 @@ def predict(model: Model, data: SparseDataset) -> tuple[np.ndarray, float]:
     Scores are ``sum over entries of weight * x_id`` (virtual-feature
     values in polynomial mode); ``sign(0)`` counts as +1.  An empty model
     predicts +1 everywhere.  The scores are ``data.design @ v``: one BLAS
-    product over X's own view when X stores every cell (stored values as
-    stored), else the sparse product; degree-2 models read their raw columns
+    product over the stored array (stored values as stored), or the sparse
+    product over the stored CSR; degree-2 models read their raw columns
     by the same rule (:func:`~fgm.worstcase.poly_columns`).  A non-finite
     score, from a non-finite value in ``data`` or in the model, raises
     :class:`NumericalError`; an entry outside ``data``'s features, or a

@@ -23,9 +23,9 @@ survive, and a lexsort on ``(-score, id)`` applies the tie rule.  NaN
 scores raise ``ValueError``.  The set scorer gathers ``omega^2`` over a
 structure's flat ``members`` and sums each set with ``np.add.reduceat``.
 
-Each kernel reads :attr:`SparseDataset.design`: X's own row-major view
-when X stores every cell (stored values as stored), else the CSR.  On the
-view omega is one matrix-vector product.  The degree-2 search reads the
+Each kernel reads :attr:`SparseDataset.design`: a read-only view of X's
+stored row-major array (stored values as stored), or X's stored CSR.  On
+the view omega is one matrix-vector product.  The degree-2 search reads the
 support rows (``alpha_i > 0``) by feature rows, the same way on either
 layout: it copies those rows once per search, unless every row is one, so
 besides the data it holds the support rows (at most ``n_sv * m * 8`` bytes

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import fgm.cli as cli
-from fgm.dataset import generate_synthetic, load_ground_truth, load_libsvm, write_libsvm
+from fgm.dataset import (SparseDataset, generate_synthetic, load_ground_truth, load_libsvm,
+                         write_libsvm)
 from fgm.engine import SolverConfig, evaluate_recovery, load_model, predict
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -485,9 +486,9 @@ def test_predict_and_eval_read_a_short_test_file_once(ws, tmp_path, monkeypatch)
     model = load_model(model_path)
     short = tmp_path / "short.libsvm"
     full = load_libsvm(ws / "toy.test.libsvm", model.m)
-    full.X.data[full.X.indices >= 30] = 0.0
-    full.X.eliminate_zeros()
-    write_libsvm(full, short)
+    values = full.X.toarray()
+    values[:, 30:] = 0.0
+    write_libsvm(SparseDataset(values, full.y), short)
     assert load_libsvm(short).m < model.m
     reference = load_libsvm(short, model.m)
     labels, accuracy = predict(model, reference)

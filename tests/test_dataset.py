@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import fgm.cli as cli
 from fgm import dataset
 from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset, TreeStructure,
                          _column_sq_sums, _dense_to_csr, _draw_dataset,
@@ -17,6 +18,7 @@ from fgm.dataset import (FormatError, GroundTruth, GroupStructure, SparseDataset
                          compute_scaling_prior, generate_synthetic,
                          generate_test_set, load_ground_truth, load_groups,
                          load_libsvm, load_tree, write_ground_truth, write_libsvm)
+from fgm.engine import SolverConfig, fgm_train
 
 from oracles import libsvm_per_token, libsvm_text_per_value
 
@@ -703,6 +705,122 @@ def test_write_libsvm_writes_an_array_design_without_a_csr(tmp_path, source):
 
 
 # ---------------------------------------------------------------------------
+# storage rule: an array when every cell is stored, else a CSR, picked when X enters
+
+
+def _every_cell_file(path, n=40, m=30, seed=15):
+    """A text file whose rows store every one of ``m`` columns, ``0``, ``-0`` and ``-0.0`` too."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m))
+    spelled = [[repr(v) for v in row] for row in values.tolist()]
+    for (i, j), text in zip([(0, 0), (3, 7), (3, 8), (n - 1, m - 1)], ["0", "-0", "-0.0", "0.0"]):
+        values[i, j], spelled[i][j] = float(text), text
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    path.write_text("".join(f"{y:+d} " + " ".join(f"{j + 1}:{t}" for j, t in enumerate(row)) + "\n"
+                            for y, row in zip(labels.tolist(), spelled)))
+    return values, labels
+
+
+def test_loaded_every_cell_file_is_stored_as_an_array_without_column_ids(tmp_path):
+    n, m = 200, 300
+    path = tmp_path / "full.libsvm"
+    values, labels = _every_cell_file(path, n, m)
+    data, held = _traced_held(lambda: load_libsvm(path))
+    assert not sp.issparse(data.design) and data.design.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(data.y, labels)
+    assert held <= n * m * 8 + n * 8 + 4096        # the values and the labels: no ids
+    assert sp.issparse(load_libsvm(path, m + 1).design)
+
+
+def test_loaded_every_cell_x_is_scipy_csr_of_the_triplets(tmp_path):
+    n, m = 40, 30
+    path = tmp_path / "full.libsvm"
+    values, _ = _every_cell_file(path, n, m)
+    rows, cols = np.divmod(np.arange(n * m), m)
+    want = sp.csr_matrix((values.ravel(), (rows, cols)), shape=(n, m))
+    data = load_libsvm(path)
+    _assert_same_csr(data.X, want)
+    assert np.signbit(data.X.data).tolist() == np.signbit(values.ravel()).tolist()
+
+
+def test_file_loaded_with_dim_beyond_its_widest_row_stays_a_csr(tmp_path):
+    n, m = 40, 30
+    path = tmp_path / "full.libsvm"
+    values, _ = _every_cell_file(path, n, m)
+    data = load_libsvm(path, m + 2)
+    assert sp.issparse(data.design) and data.design is data.X
+    assert data.m == m + 2 and data.X.nnz == n * m
+    np.testing.assert_array_equal(data.X.toarray()[:, :m], values)
+
+
+def test_callers_every_cell_csr_is_stored_as_a_copy_on_the_array_kernels():
+    values = np.random.default_rng(16).standard_normal((50, 12))
+    values[4, 2] = 0.0                                  # one stored zero
+    labels = np.where(values[:, :3].sum(axis=1) >= 0, 1, -1)
+    X = _fully_stored(values.copy())
+    data = SparseDataset(X, labels)
+    assert not sp.issparse(data.design) and data.design.tobytes() == values.tobytes()
+    for a in (X.data, X.indices, X.indptr):
+        assert not np.shares_memory(a, data.design)
+    X.data[:] = 7.0
+    assert data.design.tobytes() == values.tobytes()
+    cfg = SolverConfig(budget=2, max_outer=3, eps_outer=0.0)
+    want = fgm_train(SparseDataset._of_array(values.copy(), labels), cfg)
+    got = fgm_train(data, cfg)
+    assert got.entries == want.entries and got.trace[-1].objective == want.trace[-1].objective
+
+
+def _stored_forms():
+    values = np.random.default_rng(17).standard_normal((9, 6))
+    with_zero = values.copy()
+    with_zero[2, 3] = 0.0
+    return {
+        "generated": generate_synthetic(9, 6, 2, seed=1)[0],
+        "zero-free array": SparseDataset(values, np.ones(9, dtype=int)),
+        "every-cell CSR": SparseDataset(_fully_stored(with_zero), np.ones(9, dtype=int)),
+        "CSR": SparseDataset(with_zero, np.ones(9, dtype=int)),
+    }
+
+
+@pytest.mark.parametrize("form", list(_stored_forms()))
+def test_reading_x_never_changes_design(form):
+    data = _stored_forms()[form]
+    before = data.design
+    X = data.X
+    after = data.design
+    assert data.X is X and sp.issparse(after) == (form == "CSR")
+    if form == "CSR":
+        assert after is before is X
+    else:
+        assert np.shares_memory(after, before) and not after.flags.writeable
+        assert after.tobytes() == before.tobytes() and np.shares_memory(X.data, after)
+
+
+def test_eliminate_zeros_on_a_built_x_raises_and_leaves_design_intact():
+    data = generate_synthetic(9, 6, 2, seed=1)[0]
+    data.X.data[[3, 20]] = 0.0                          # values write through to the array
+    before = data.design.copy()
+    assert before[0, 3] == 0.0 and before[3, 2] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.X.eliminate_zeros()
+    assert data.X.nnz == 54 and data.design.tobytes() == before.tobytes()
+    assert not sp.issparse(data.design)
+
+
+@pytest.mark.parametrize("poly", [False, True])
+def test_cli_train_and_predict_on_a_generated_file_build_no_csr(tmp_path, poly):
+    prefix = tmp_path / "toy"
+    assert cli.main(["generate", "--n", "60", "--m", "24", "--k", "4", "--n-test", "30",
+                     "--seed", "2", "--out-prefix", str(prefix)]) == 0
+    model, metrics = tmp_path / "m.json", tmp_path / "p.json"
+    with mock.patch.object(dataset, "_every_cell_csr", side_effect=AssertionError("CSR built")):
+        assert cli.main(["train", "--data", f"{prefix}.train.libsvm", "--out", str(model),
+                         "--budget", "2", "--max-outer", "3", *(["--poly"] if poly else [])]) == 0
+        assert cli.main(["predict", "--model", str(model), "--data", f"{prefix}.test.libsvm",
+                         "--out", str(metrics)]) == 0
+
+
+# ---------------------------------------------------------------------------
 # groups and trees
 
 
@@ -1036,6 +1154,17 @@ def _traced_peak(make):
         before = tracemalloc.get_traced_memory()[0]
         out = make()
         return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _traced_held(make):
+    """``make()`` and the memory, by tracemalloc, that its result holds once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 

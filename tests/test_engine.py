@@ -260,6 +260,35 @@ def test_a_column_whose_squares_overflow_trains_under_inverse_norm_at_scale_0(mo
     assert np.isfinite(scales[0]).all() and (scales[0][np.arange(data.m) != 7] > 0).all()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_finite_column_whose_sums_overflow_trains(monkeypatch):
+    # the scan tests each value, 3 rows at a time here, not a sum: 1e308 + 1e308 is infinite
+    monkeypatch.setattr(engine, "_SCAN_CELLS", 3 * 40)
+    data, _ = _small_problem(seed=3)
+    X = data.X.toarray()
+    rows = np.flatnonzero(data.y == 1)[[0, -1]]     # one label, so omega_7 is inf, not NaN
+    X[rows, 7] = 1e308
+    data = SparseDataset(X, data.y)
+    assert not sp.issparse(data.design) and np.isinf(data.design[:, 7].sum())
+    groups = GroupStructure([np.arange(4 * g, 4 * g + 4) for g in range(10)],
+                            [f"g{g}" for g in range(10)])
+    model = fgm_train(data, SolverConfig(budget=3, max_outer=4, lambda_policy="inverse_norm"),
+                      groups)
+    assert model.n_outer >= 1 and 1 not in model.units     # group 1, holding column 7, scores 0
+
+
+@pytest.mark.parametrize("row", [0, 27, 59])
+def test_a_non_finite_value_fails_in_any_row_block(monkeypatch, row):
+    monkeypatch.setattr(engine, "_SCAN_CELLS", 7 * 40)     # 7 rows at a time, the last block short
+    data, _ = _small_problem(seed=3)
+    X = data.X.toarray()
+    X[row, 5] = np.nan
+    data = SparseDataset(X, data.y)
+    assert not sp.issparse(data.design)
+    with pytest.raises(NumericalError, match="^outer iteration 1: training data holds non-finite"):
+        fgm_train(data, SolverConfig(budget=2, max_outer=2))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["group", "tree"])
 def test_a_set_whose_squares_overflow_trains_under_inverse_norm_and_scores_0(monkeypatch, kind):
@@ -324,6 +353,19 @@ def test_fit_on_fully_stored_data_allocates_no_copy_of_x():
             tracemalloc.stop()
         assert peak < data.X.data.nbytes / 2
 
+
+
+def test_ones_fit_scans_x_for_non_finite_values_without_a_mask_of_its_size():
+    # a one-round fit on the W1 shape: besides the cache, far less than a byte per cell
+    n, m, budget = 1024, 4096, 10
+    data, _ = generate_synthetic(n, m, 20, seed=0)
+    tracemalloc.start()
+    try:
+        fgm_train(data, SolverConfig(budget=budget, max_outer=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * budget * 8 + n * m / 4
 
 THREADED_FITS = """
 import sys
@@ -615,7 +657,13 @@ def test_predict_scores_every_layout_like_the_sparse_product(layout):
             values[3, :4] = [0.0, -0.0, 0.0, -0.0]
         X = _every_cell_stored(values)
     data = SparseDataset(X, np.where(values[:, :6].sum(axis=1) >= 0, 1, -1))
-    assert data.X is X and (dataset._full_array(X) is None) == (layout == "sparse")
+    assert sp.issparse(data.design) == (layout == "sparse")
+    if layout == "sparse":
+        assert data.X is X
+    else:
+        for got, want in ((data.X.data, X.data), (data.X.indices, X.indices),
+                          (data.X.indptr, X.indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     cfg = SolverConfig(budget=2, max_outer=3, eps_outer=0.0)
     groups = GroupStructure([np.arange(i, i + 4) for i in range(0, 24, 4)],
                             [f"g{i}" for i in range(6)])

@@ -38,6 +38,15 @@ the program computes must print the same lines.  Digested are:
   its cells (stored as the CSR without them), which no workload passes:
   each set's line, then the plain model trained on it and the labels it
   predicts on it;
+* the dataset ``load_libsvm`` reads from a 200 x 48 text file whose rows
+  store every column, 5% of its values spelled ``0`` or ``-0``, and the
+  plain and degree-2 models trained on it, each with the labels it
+  predicts on it: a file that stores every cell is loaded as its values
+  array, zeros included, and trains on the array kernels;
+* the plain model trained on a 200 x 64 CSR that a caller builds with
+  every cell stored, one of them a stored ``0.0``, and the labels it
+  predicts on it: such a CSR is stored as a copy of its values and
+  trains on the array kernels too;
 * models trained on a CSR that stores about 10% of its cells (400 x 256,
   labels from 16 true features), the case where every kernel reads the CSR
   itself: the set search, the degree-2 search, the column gather and the
@@ -295,6 +304,38 @@ def array_input_digests(work: Path):
         yield f"{label} set", _dataset_digest(data)
 
 
+def every_cell_file_digests(work: Path):
+    rng = np.random.default_rng(51)
+    values = rng.standard_normal((200, 48))
+    text = [[repr(v) for v in row] for row in values.tolist()]
+    for i, j in zip(*np.nonzero(rng.random(values.shape) < 0.05)):
+        zero = "-0" if rng.random() < 0.5 else "0"
+        values[i, j], text[i][j] = float(zero), zero
+    labels = np.where(values[:, :6].sum(axis=1) >= 0, 1, -1)
+    path = work / "every-cell.libsvm"
+    path.write_text("".join(f"{y:+d} " + " ".join(f"{j}:{v}" for j, v in enumerate(row, 1)) + "\n"
+                            for y, row in zip(labels.tolist(), text)))
+    data = load_libsvm(path)
+    yield "every-cell file with 0 and -0, loaded", _dataset_digest(data)
+    cfg = SolverConfig(budget=4, max_outer=6, eps_outer=0.0)
+    yield from _trained_digests(work, "every-cell file", data, data,
+                                {"plain": (None, cfg), "poly": (PolyMap(), cfg)})
+
+
+def every_cell_csr_digests(work: Path):
+    rng = np.random.default_rng(52)
+    n, m = 200, 64
+    values = rng.standard_normal((n, m))
+    values[7, 3] = 0.0
+    X = sp.csr_matrix((values.ravel(), np.tile(np.arange(m), n), np.arange(n + 1) * m),
+                      shape=(n, m))
+    data = SparseDataset(X, np.where(values[:, :8].sum(axis=1) >= 0, 1, -1))
+    assert X.nnz == n * m
+    cfg = SolverConfig(budget=4, max_outer=6, eps_outer=0.0)
+    yield from _trained_digests(work, "every-cell CSR with a stored zero", data, data,
+                                {"plain": (None, cfg)})
+
+
 def _csr_set(rng, truth: np.ndarray, n: int, density: float):
     """``n`` rows that store about ``density`` of their cells, labelled by ``truth``'s sign."""
     values = rng.standard_normal((n, truth.size)) * (rng.random((n, truth.size)) < density)
@@ -458,6 +499,8 @@ def main() -> int:
         lines += group_digests(work)
         lines += stored_zero_digests(work)
         lines += array_input_digests(work)
+        lines += every_cell_file_digests(work)
+        lines += every_cell_csr_digests(work)
         lines += sparse_digests(work)
         lines += dense_csr_digests(work)
         lines += zero_weight_digests(work)
